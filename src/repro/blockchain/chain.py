@@ -168,6 +168,36 @@ class ChainStore:
     def cemented_height(self) -> int:
         return self._cemented_height
 
+    def invalidate(self, block_id: Hash) -> ReorgResult:
+        """Forget a connected block, and its descendants, that failed a
+        check which can only run once fork choice has adopted it (an
+        account block's state root needs its parent's state).
+
+        The main chain falls back to the block's parent and from there
+        to the heaviest branch left; the result describes that second
+        move and is empty when the parent stays the head.
+        """
+        block = self._entries[block_id].block
+        on_main = self.is_on_main_chain(block_id)
+        siblings = self._children[block.parent_id]
+        siblings.remove(block_id)
+        if not siblings:
+            del self._children[block.parent_id]
+        doomed = [block_id]
+        for doomed_id in doomed:  # grows while iterating: the whole subtree
+            doomed.extend(self._children.pop(doomed_id, ()))
+            del self._entries[doomed_id]
+        if not on_main:
+            return ReorgResult(block_accepted=False)
+        del self._main_chain[block.height :]
+        best = min(
+            self._entries.values(),
+            key=lambda e: (-e.cumulative_work, e.arrival_order),
+        ).block
+        if best.block_id == self._main_chain[-1]:
+            return ReorgResult(block_accepted=False)
+        return self._reorganize(best)
+
     # ------------------------------------------------------------- internals
 
     def _insert(self, block: Block, cumulative_work: float) -> None:

@@ -285,30 +285,47 @@ class BlockchainNode(ProtocolNode):
 
     def _update_state(self, result: ReorgResult) -> None:
         """Roll back orphaned blocks, apply adopted ones, fix the mempool."""
+        applied = result.applied
+        error: Optional[ReproError] = None
         if self.utxo is not None:
             for block in reversed(result.rolled_back):
                 revert_block(self._undo.pop(block.block_id, []), self.utxo)
-            for block in result.applied:
+            for block in applied:
                 self._undo[block.block_id] = apply_block(block, self.utxo, self.params)
         else:
             assert self.state is not None
             if result.rolled_back:
-                fork_parent = self.chain.block_at_height(
-                    result.applied[0].height - 1
-                )
+                fork_parent = self.chain.block_at_height(applied[0].height - 1)
                 self.state.rollback_to(self._state_roots[fork_parent.block_id])
-            for block in result.applied:
-                self._apply_account_block(block)
+            for index, block in enumerate(applied):
+                try:
+                    self._apply_account_block(block)
+                except ReproError as exc:
+                    # Fork choice adopted the block before its body and
+                    # state root could be checked: keep what applied
+                    # cleanly and un-connect the rest below.
+                    self.state.rollback_to(self._state_roots[block.parent_id])
+                    error, applied = exc, applied[:index]
+                    break
 
         for block in result.rolled_back:
             for tx in block.transactions:
                 self._tx_blocks.pop(tx.txid, None)
             readmitted = self.mempool.readmit(block.transactions)
             self.stats.orphaned_transactions += readmitted
-        for block in result.applied:
+        for block in applied:
             for tx in block.transactions:
                 self._tx_blocks[tx.txid] = block.block_id
             self.mempool.remove_included(block.transactions)
+
+        if error is not None:
+            rejected = result.applied[len(applied)]
+            self.stats.blocks_rejected += 1
+            self.stats.blocks_accepted -= 1  # counted when fork choice took it
+            fallback = self.chain.invalidate(rejected.block_id)
+            if fallback.extended_main:
+                self._update_state(fallback)
+            raise error
 
     def _apply_account_block(self, block: Block) -> None:
         assert self.state is not None

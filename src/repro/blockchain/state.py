@@ -1,9 +1,11 @@
 """Ethereum-style account state backed by a Merkle-Patricia trie.
 
-The trie's root hash is the header's ``state_root``; every transaction
-execution produces a new root, and the old roots remain addressable — the
-"deltas in the global state" that Section V-A says can be rolled back on
-a soft fork or discarded by fast sync.
+The trie's root hash is the header's ``state_root``.  Transactions write
+into the trie's un-hashed overlay; a root — and with it a stored, durably
+addressable version — exists only where one is read, which a node does
+once per block.  Those per-block versions are the "deltas in the global
+state" that Section V-A says can be rolled back on a soft fork or
+discarded by fast sync.
 
 Contract accounts (Section VI-A: smart contracts make Ethereum "a
 platform rather than only a cryptocurrency") carry code executed by
@@ -76,8 +78,11 @@ class AccountState:
     """Mutable world state with checkpointable roots.
 
     All reads/writes go through the trie so ``root_hash`` always commits
-    to the full state, and :meth:`rollback_to` restores any historical
-    root in O(1) (persistent trie, see :mod:`repro.crypto.trie`).
+    to the full state, and :meth:`rollback_to` restores any root that
+    was read before in O(1), dropping the writes made since (persistent
+    trie hashed at commit time, see :mod:`repro.crypto.trie`).  Nothing
+    here reads the root between writes: a block's transactions cost one
+    hashing pass when the caller asks for the block's root.
     """
 
     def __init__(self) -> None:
@@ -277,7 +282,8 @@ class AccountState:
     # --------------------------------------------------------------- history
 
     def rollback_to(self, root: Hash) -> None:
-        """Restore the state committed by ``root`` (reorg path)."""
+        """Restore the state committed by ``root``, a root read earlier
+        (reorg path, and discarding a block template or a rejected block)."""
         self._trie.set_root(root)
 
     def checkpoint(self) -> Hash:
@@ -290,15 +296,13 @@ class AccountState:
         return self._trie.node_count()
 
     def store_size_bytes(self) -> int:
-        """Bytes of *all* state versions — what fast sync prunes."""
+        """Bytes of *all* stored state versions (one per root read, i.e.
+        per block) — what fast sync prunes."""
         return self._trie.store_size_bytes()
 
     def live_size_bytes(self) -> int:
         """Bytes reachable from the current root only."""
-        reachable = self._trie.reachable_nodes(self._trie.root_hash)
-        return sum(
-            len(self._trie._nodes[h].encode()) for h in reachable  # noqa: SLF001
-        )
+        return self._trie.version_size_bytes(self._trie.root_hash)
 
     def prune_history(self, keep_roots: Optional[List[Hash]] = None) -> int:
         """Discard state deltas not reachable from ``keep_roots`` (defaults

@@ -228,6 +228,7 @@ class BlockchainLedger(Ledger):
         node = self.nodes[0]
         size = node.chain.total_size_bytes()
         if node.state is not None:
+            # Every stored trie version: one per block and per template.
             size += node.state.store_size_bytes()
         return size
 

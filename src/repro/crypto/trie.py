@@ -2,24 +2,30 @@
 
 Ethereum (Section II-A and V-A of the paper) keeps *three* authenticated
 structures per block: the transaction trie, the receipt trie, and the
-global *state trie* whose root changes with every state delta.  This
-module implements a hex-nibble Patricia trie with the three Ethereum node
-kinds (leaf, extension, branch), content-addressed node storage, and
-Merkle inclusion proofs.
+global *state trie* whose root is committed once per block.  This module
+implements a hex-nibble Patricia trie with the three Ethereum node kinds
+(leaf, extension, branch), content-addressed node storage, and Merkle
+inclusion proofs.
 
-The state-delta bookkeeping that Ethereum's fast sync prunes (Section V-A)
-falls out naturally: every ``put`` creates new nodes along one path while
-old nodes remain in the node store, so the *delta* between two roots is
-exactly the set of nodes reachable from one root but not the other
+Hashing happens at commit time, not at write time (the geth design):
+``put``/``delete`` build un-hashed *dirty* nodes private to the current
+version, and reading :attr:`MerklePatriciaTrie.root_hash` encodes, hashes
+and persists each dirty node exactly once.  **Version granularity: one
+persisted version per root that was read; writes between reads are never
+hashed.**  A block-producing node reads the root once per block, so the
+node store holds per-block state deltas — the bookkeeping Ethereum's fast
+sync prunes (Section V-A): the *delta* between two roots is the set of
+nodes reachable from one root but not the other
 (:meth:`MerklePatriciaTrie.reachable_nodes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from binascii import hexlify
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.common.encoding import encode_bytes, encode_list, encode_uint
+from repro.common.encoding import Decoder
 from repro.common.types import Hash
 from repro.crypto.hashing import sha256
 
@@ -32,16 +38,31 @@ _KIND_BRANCH = 2
 
 _EMPTY_ROOT = sha256(b"repro-empty-trie")
 
+# Paths are ``bytes`` holding one nibble (0..15) per byte.
+_HEX_DIGITS = b"0123456789abcdef"
+_NIBBLE_OF_HEX = bytes.maketrans(_HEX_DIGITS, bytes(range(_BRANCH_WIDTH)))
+_HEX_OF_NIBBLE = bytes.maketrans(bytes(range(_BRANCH_WIDTH)), _HEX_DIGITS)
 
-def _to_nibbles(key: bytes) -> Tuple[int, ...]:
-    nibbles: List[int] = []
-    for byte in key:
-        nibbles.append(byte >> 4)
-        nibbles.append(byte & 0x0F)
-    return tuple(nibbles)
+# Fixed pieces of the canonical node encoding (4-byte big-endian length
+# prefixes; an absent child/value encodes as an empty byte string).
+_EMPTY = b"\x00\x00\x00\x00"
+_NO_VALUE = _EMPTY + b"\x00"  # empty value, has-value flag clear
+_HASH_PREFIX = (32).to_bytes(4, "big")
+_LIST_PREFIX = _BRANCH_WIDTH.to_bytes(4, "big")
+_NO_CHILDREN = _LIST_PREFIX + _EMPTY * _BRANCH_WIDTH
 
 
-def _common_prefix(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
+def _to_nibbles(key: bytes) -> bytes:
+    return hexlify(key).translate(_NIBBLE_OF_HEX)
+
+
+def _from_nibbles(nibbles: bytes) -> bytes:
+    if len(nibbles) % 2 != 0:
+        raise ValueError("cannot pack an odd nibble count into bytes")
+    return bytes.fromhex(nibbles.translate(_HEX_OF_NIBBLE).decode("ascii"))
+
+
+def _common_prefix(a: bytes, b: bytes) -> int:
     n = 0
     for x, y in zip(a, b):
         if x != y:
@@ -50,34 +71,73 @@ def _common_prefix(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
     return n
 
 
-@dataclass(frozen=True)
 class _Node:
     """One trie node.  Exactly one interpretation per ``kind``:
 
     * leaf:       ``path`` is the remaining key suffix, ``value`` the payload.
-    * extension:  ``path`` is a shared prefix, ``child`` the next node hash.
+    * extension:  ``path`` is a shared prefix, ``child`` the next node.
     * branch:     ``children`` is a 16-slot table, ``value`` an optional
                   payload for a key ending exactly here.
+
+    A child reference is a :class:`Hash` (a persisted node — immutable,
+    shared between versions) or a ``_Node`` (a dirty node owned by the
+    current version, mutated in place until the next commit).  ``size``
+    is the encoded length, set when the node is persisted.
     """
 
-    kind: int
-    path: Tuple[int, ...] = ()
-    value: Optional[bytes] = None
-    child: Optional[Hash] = None
-    children: Tuple[Optional[Hash], ...] = field(default=(None,) * _BRANCH_WIDTH)
+    __slots__ = ("kind", "path", "value", "child", "children", "size")
+
+    def __init__(
+        self,
+        kind: int,
+        path: bytes = b"",
+        value: Optional[bytes] = None,
+        child: "_Ref" = None,
+        children: Sequence["_Ref"] = (),
+    ) -> None:
+        self.kind = kind
+        self.path = path
+        self.value = value
+        self.child = child
+        self.children = children
+        self.size = 0
+
+    def copy(self) -> "_Node":
+        """A dirty twin of a persisted node (copy-on-write)."""
+        return _Node(self.kind, self.path, self.value, self.child, list(self.children))
 
     def encode(self) -> bytes:
-        parts = [encode_uint(self.kind, 1)]
-        parts.append(encode_bytes(bytes(self.path)))
-        parts.append(encode_bytes(self.value if self.value is not None else b""))
-        parts.append(encode_uint(1 if self.value is not None else 0, 1))
-        parts.append(encode_bytes(bytes(self.child) if self.child else b""))
-        child_hashes = [bytes(c) if c else b"" for c in self.children]
-        parts.append(encode_list(child_hashes))
+        """Canonical bytes; every child reference must be a :class:`Hash`.
+
+        One pass, same bytes as composing the ``repro.common.encoding``
+        helpers field by field: kind, path, value, has-value flag, child,
+        then the 16-entry child list.
+        """
+        value = self.value
+        parts = [
+            bytes((self.kind,)),
+            len(self.path).to_bytes(4, "big"),
+            self.path,
+        ]
+        if value is None:
+            parts.append(_NO_VALUE)
+        else:
+            parts += (len(value).to_bytes(4, "big"), value, b"\x01")
+        if self.kind == _KIND_BRANCH:
+            parts += (_EMPTY, _LIST_PREFIX)
+            for child in self.children:
+                if child is None:
+                    parts.append(_EMPTY)
+                else:
+                    parts += (_HASH_PREFIX, child.value)
+        elif self.child is None:
+            parts += (_EMPTY, _NO_CHILDREN)
+        else:
+            parts += (_HASH_PREFIX, self.child.value, _NO_CHILDREN)
         return b"".join(parts)
 
-    def hash(self) -> Hash:
-        return sha256(self.encode())
+
+_Ref = Union[Hash, _Node, None]
 
 
 @dataclass(frozen=True)
@@ -92,59 +152,67 @@ class TrieProof:
 class MerklePatriciaTrie:
     """Authenticated mapping ``bytes -> bytes`` with persistent versions.
 
-    The node store is append-only and content-addressed, so old roots stay
-    valid after updates — the behaviour Ethereum relies on to roll back to
-    a pre-fork state (Section V-A).  Use :meth:`checkout` to obtain a view
-    of a historical root, and :meth:`prune` to discard nodes unreachable
-    from a set of retained roots (the fast-sync "database pruned of the
-    state deltas").
+    Writes land in a dirty-node overlay that ``get``/``items`` read
+    through; reading :attr:`root_hash` commits it to the node store —
+    one persisted version per root that was read; writes between reads
+    are never hashed.  The store is append-only and content-addressed,
+    so committed roots stay valid after updates — the behaviour Ethereum
+    relies on to roll back to a pre-fork state (Section V-A).  Use
+    :meth:`set_root` to return to one (dropping uncommitted writes),
+    :meth:`checkout` for a read-only view of one, and :meth:`prune` to
+    discard nodes unreachable from a set of retained roots (the
+    fast-sync "database pruned of the state deltas").
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[Hash, _Node] = {}
-        self._root: Optional[Hash] = None
+        self._store_bytes = 0
+        self._root: _Ref = None
 
     # ------------------------------------------------------------------ core
 
     @property
     def root_hash(self) -> Hash:
-        """Digest committing to the current contents (empty ⇒ sentinel)."""
-        return self._root if self._root is not None else _EMPTY_ROOT
+        """Digest committing to the current contents (empty ⇒ sentinel).
+
+        Commits the dirty overlay: each node written since the last read
+        is encoded and hashed once, children before parents.
+        """
+        root = self._committed_root()
+        return root if root is not None else _EMPTY_ROOT
 
     def __len__(self) -> int:
         return sum(1 for _ in self.items())
 
     def get(self, key: bytes) -> Optional[bytes]:
-        return self._get(self._root, _to_nibbles(key))
+        return _lookup(self._load, self._root, _to_nibbles(key))
 
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
 
-    def put(self, key: bytes, value: bytes) -> Hash:
-        """Insert/update; returns the new root hash."""
+    def put(self, key: bytes, value: bytes) -> None:
+        """Insert/update ``key`` in the current (uncommitted) version."""
         if not isinstance(value, bytes):
             raise TypeError("trie values must be bytes")
         self._root = self._put(self._root, _to_nibbles(key), value)
-        return self.root_hash
 
-    def delete(self, key: bytes) -> Hash:
-        """Remove ``key`` if present; returns the new root hash."""
+    def delete(self, key: bytes) -> None:
+        """Remove ``key`` from the current version if present."""
         self._root = self._delete(self._root, _to_nibbles(key))
-        return self.root_hash
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        """All (key, value) pairs under the current root, sorted by key."""
-        yield from self._walk(self._root, ())
+        """All (key, value) pairs of the current version, sorted by key."""
+        yield from self._walk(self._root, b"")
 
     # --------------------------------------------------------------- history
 
     def set_root(self, root: Hash) -> None:
-        """Rewind/advance the *current* version to a stored root.
+        """Rewind/advance the *current* version to a committed root.
 
-        Because the node store is persistent, switching roots is O(1);
-        this is how account state rolls back across a chain reorg
-        (Section IV-A) — Ethereum "keeps track of the deltas ... when a
-        state needs to be rolled back".
+        Uncommitted writes are dropped.  Because the node store is
+        persistent, switching roots is O(1); this is how account state
+        rolls back across a chain reorg (Section IV-A) — Ethereum "keeps
+        track of the deltas ... when a state needs to be rolled back".
         """
         if root == _EMPTY_ROOT:
             self._root = None
@@ -154,19 +222,25 @@ class MerklePatriciaTrie:
         self._root = root
 
     def checkout(self, root: Hash) -> "TrieView":
-        """Read-only view of a historical root."""
+        """Read-only view of a committed root."""
         return TrieView(self, None if root == _EMPTY_ROOT else root)
 
     def node_count(self) -> int:
         """Total nodes in the store, including historical versions."""
+        self._committed_root()  # the current version counts
         return len(self._nodes)
 
     def store_size_bytes(self) -> int:
         """Serialized size of every stored node (Section V accounting)."""
-        return sum(len(node.encode()) for node in self._nodes.values())
+        self._committed_root()  # the current version counts
+        return self._store_bytes
+
+    def version_size_bytes(self, root: Hash) -> int:
+        """Serialized size of the nodes reachable from ``root``."""
+        return sum(self._nodes[h].size for h in self.reachable_nodes(root))
 
     def reachable_nodes(self, root: Hash) -> Set[Hash]:
-        """Hashes of all nodes reachable from ``root``."""
+        """Hashes of all stored nodes reachable from a committed ``root``."""
         if root == _EMPTY_ROOT:
             return set()
         seen: Set[Hash] = set()
@@ -184,23 +258,23 @@ class MerklePatriciaTrie:
 
     def prune(self, keep_roots: List[Hash]) -> int:
         """Discard nodes unreachable from ``keep_roots``; returns bytes freed."""
+        self._committed_root()  # dirty nodes must not outlive their children
         keep: Set[Hash] = set()
         for root in keep_roots:
             keep |= self.reachable_nodes(root)
         freed = 0
-        for h in list(self._nodes):
-            if h not in keep:
-                freed += len(self._nodes[h].encode())
-                del self._nodes[h]
+        for h in [h for h in self._nodes if h not in keep]:
+            freed += self._nodes.pop(h).size
+        self._store_bytes -= freed
         return freed
 
     # ---------------------------------------------------------------- proofs
 
     def prove(self, key: bytes) -> TrieProof:
         """Inclusion (or exclusion) proof for ``key`` under the current root."""
-        nodes: List[bytes] = []
-        value = self._collect_proof(self._root, _to_nibbles(key), nodes)
-        return TrieProof(key=key, value=value, nodes=tuple(nodes))
+        trail: List[_Node] = []  # a proof is made of hashed nodes: commit first
+        value = _lookup(self._load, self._committed_root(), _to_nibbles(key), trail)
+        return TrieProof(key=key, value=value, nodes=tuple(n.encode() for n in trail))
 
     @staticmethod
     def verify_proof(root: Hash, proof: TrieProof) -> bool:
@@ -209,19 +283,39 @@ class MerklePatriciaTrie:
             return proof.value is None and not proof.nodes
         # Rebuild a miniature node store from the supplied nodes and replay
         # the lookup; every referenced node must be present and hash-valid.
-        store: Dict[Hash, _Node] = {}
-        for raw in proof.nodes:
-            node = _decode_node(raw)
-            store[sha256(raw)] = node
-        value = _lookup_in_store(store, root, _to_nibbles(proof.key))
+        store = {sha256(raw): _decode_node(raw) for raw in proof.nodes}
+        try:
+            value = _lookup(store.__getitem__, root, _to_nibbles(proof.key))
+        except KeyError:
+            return False  # proof incomplete
         return value == proof.value
 
     # ------------------------------------------------------------- internals
 
     def _store(self, node: _Node) -> Hash:
-        h = node.hash()
-        self._nodes[h] = node
+        raw = node.encode()
+        h = sha256(raw)
+        if h not in self._nodes:
+            node.size = len(raw)
+            self._nodes[h] = node
+            self._store_bytes += node.size
         return h
+
+    def _committed_root(self) -> Optional[Hash]:
+        """The current root as a stored hash, persisting the overlay first."""
+        if self._root.__class__ is _Node:
+            self._root = self._commit(self._root)
+        return self._root
+
+    def _commit(self, node: _Node) -> Hash:
+        """Persist a dirty subtree post-order; returns its root's hash."""
+        if node.child.__class__ is _Node:
+            node.child = self._commit(node.child)
+        children = node.children
+        for slot, child in enumerate(children):
+            if child.__class__ is _Node:
+                children[slot] = self._commit(child)
+        return self._store(node)
 
     def _load(self, h: Hash) -> _Node:
         try:
@@ -229,183 +323,96 @@ class MerklePatriciaTrie:
         except KeyError:
             raise KeyError(f"trie node {h.short()} missing (pruned?)") from None
 
-    def _get(self, root: Optional[Hash], nibbles: Tuple[int, ...]) -> Optional[bytes]:
-        if root is None:
-            return None
-        node = self._load(root)
-        if node.kind == _KIND_LEAF:
-            return node.value if node.path == nibbles else None
-        if node.kind == _KIND_EXTENSION:
-            plen = len(node.path)
-            if nibbles[:plen] == node.path:
-                return self._get(node.child, nibbles[plen:])
-            return None
-        # branch
-        if not nibbles:
-            return node.value
-        return self._get(node.children[nibbles[0]], nibbles[1:])
+    def _resolve(self, ref: Union[Hash, _Node]) -> _Node:
+        return ref if ref.__class__ is _Node else self._load(ref)
 
-    def _put(self, root: Optional[Hash], nibbles: Tuple[int, ...], value: bytes) -> Hash:
-        if root is None:
-            return self._store(_Node(kind=_KIND_LEAF, path=nibbles, value=value))
-        node = self._load(root)
-        if node.kind == _KIND_LEAF:
-            return self._put_into_leaf(node, nibbles, value)
-        if node.kind == _KIND_EXTENSION:
-            return self._put_into_extension(node, nibbles, value)
-        return self._put_into_branch(node, nibbles, value)
+    def _own(self, ref: Union[Hash, _Node]) -> _Node:
+        """The node behind ``ref`` as one this version may mutate."""
+        return ref if ref.__class__ is _Node else self._load(ref).copy()
 
-    def _put_into_leaf(self, node: _Node, nibbles: Tuple[int, ...], value: bytes) -> Hash:
-        if node.path == nibbles:
-            return self._store(_Node(kind=_KIND_LEAF, path=nibbles, value=value))
+    def _put(self, ref: _Ref, nibbles: bytes, value: bytes) -> _Node:
+        if ref is None:
+            return _Node(_KIND_LEAF, nibbles, value)
+        node = self._own(ref)
+        if node.kind == _KIND_BRANCH:
+            if nibbles:
+                slot = nibbles[0]
+                node.children[slot] = self._put(node.children[slot], nibbles[1:], value)
+            else:
+                node.value = value
+            return node
+        if node.path == nibbles and node.kind == _KIND_LEAF:
+            node.value = value
+            return node
         prefix = _common_prefix(node.path, nibbles)
-        branch_children: List[Optional[Hash]] = [None] * _BRANCH_WIDTH
-        branch_value: Optional[bytes] = None
-
-        old_rest = node.path[prefix:]
-        new_rest = nibbles[prefix:]
+        if prefix == len(node.path) and node.kind == _KIND_EXTENSION:
+            node.child = self._put(node.child, nibbles[prefix:], value)
+            return node
+        # Fork the leaf/extension where its path leaves the key's.
+        branch = _Node(_KIND_BRANCH, children=[None] * _BRANCH_WIDTH)
+        old_rest, new_rest = node.path[prefix:], nibbles[prefix:]
         if old_rest:
-            child = self._store(_Node(kind=_KIND_LEAF, path=old_rest[1:], value=node.value))
-            branch_children[old_rest[0]] = child
+            node.path = old_rest[1:]
+            keep = node.kind == _KIND_LEAF or node.path
+            branch.children[old_rest[0]] = node if keep else node.child
         else:
-            branch_value = node.value
+            branch.value = node.value
         if new_rest:
-            child = self._store(_Node(kind=_KIND_LEAF, path=new_rest[1:], value=value))
-            branch_children[new_rest[0]] = child
+            branch.children[new_rest[0]] = _Node(_KIND_LEAF, new_rest[1:], value)
         else:
-            branch_value = value
+            branch.value = value
+        return _Node(_KIND_EXTENSION, nibbles[:prefix], child=branch) if prefix else branch
 
-        branch = self._store(
-            _Node(kind=_KIND_BRANCH, children=tuple(branch_children), value=branch_value)
-        )
-        if prefix:
-            return self._store(
-                _Node(kind=_KIND_EXTENSION, path=nibbles[:prefix], child=branch)
-            )
-        return branch
-
-    def _put_into_extension(self, node: _Node, nibbles: Tuple[int, ...], value: bytes) -> Hash:
-        prefix = _common_prefix(node.path, nibbles)
-        if prefix == len(node.path):
-            new_child = self._put(node.child, nibbles[prefix:], value)
-            return self._store(
-                _Node(kind=_KIND_EXTENSION, path=node.path, child=new_child)
-            )
-        # Split the extension at the divergence point.
-        branch_children: List[Optional[Hash]] = [None] * _BRANCH_WIDTH
-        branch_value: Optional[bytes] = None
-
-        old_rest = node.path[prefix:]
-        assert node.child is not None
-        if len(old_rest) == 1:
-            branch_children[old_rest[0]] = node.child
-        else:
-            sub = self._store(
-                _Node(kind=_KIND_EXTENSION, path=old_rest[1:], child=node.child)
-            )
-            branch_children[old_rest[0]] = sub
-
-        new_rest = nibbles[prefix:]
-        if new_rest:
-            leaf = self._store(_Node(kind=_KIND_LEAF, path=new_rest[1:], value=value))
-            branch_children[new_rest[0]] = leaf
-        else:
-            branch_value = value
-
-        branch = self._store(
-            _Node(kind=_KIND_BRANCH, children=tuple(branch_children), value=branch_value)
-        )
-        if prefix:
-            return self._store(
-                _Node(kind=_KIND_EXTENSION, path=nibbles[:prefix], child=branch)
-            )
-        return branch
-
-    def _put_into_branch(self, node: _Node, nibbles: Tuple[int, ...], value: bytes) -> Hash:
-        if not nibbles:
-            return self._store(
-                _Node(kind=_KIND_BRANCH, children=node.children, value=value)
-            )
-        slot = nibbles[0]
-        new_child = self._put(node.children[slot], nibbles[1:], value)
-        children = list(node.children)
-        children[slot] = new_child
-        return self._store(
-            _Node(kind=_KIND_BRANCH, children=tuple(children), value=node.value)
-        )
-
-    def _delete(self, root: Optional[Hash], nibbles: Tuple[int, ...]) -> Optional[Hash]:
-        if root is None:
+    def _delete(self, ref: _Ref, nibbles: bytes) -> _Ref:
+        """``ref`` itself when the key is absent below it, so untouched
+        subtrees stay shared (and clean)."""
+        if ref is None:
             return None
-        node = self._load(root)
+        node = self._resolve(ref)
         if node.kind == _KIND_LEAF:
-            return None if node.path == nibbles else root
+            return None if node.path == nibbles else ref
         if node.kind == _KIND_EXTENSION:
             plen = len(node.path)
             if nibbles[:plen] != node.path:
-                return root
+                return ref
             new_child = self._delete(node.child, nibbles[plen:])
-            if new_child is None:
-                return None
-            return self._normalize_extension(node.path, new_child)
-        # branch
+            if new_child is node.child:
+                return ref
+            return self._prepend(node.path, new_child)
         if not nibbles:
             if node.value is None:
-                return root
-            return self._normalize_branch(node.children, None)
-        slot = nibbles[0]
-        if node.children[slot] is None:
-            return root
-        new_child = self._delete(node.children[slot], nibbles[1:])
-        children = list(node.children)
-        children[slot] = new_child
-        return self._normalize_branch(tuple(children), node.value)
+                return ref
+            node = self._own(ref)
+            node.value = None
+        else:
+            slot = nibbles[0]
+            new_child = self._delete(node.children[slot], nibbles[1:])
+            if new_child is node.children[slot]:
+                return ref
+            node = self._own(ref)
+            node.children[slot] = new_child
+        # Collapse a degenerate branch so structure stays canonical (a
+        # branch always held two entries, so at least one is left).
+        live = [slot for slot, c in enumerate(node.children) if c is not None]
+        if node.value is not None:
+            return node if live else _Node(_KIND_LEAF, b"", node.value)
+        if len(live) > 1:
+            return node
+        return self._prepend(bytes(live), node.children[live[0]])
 
-    def _normalize_branch(
-        self, children: Tuple[Optional[Hash], ...], value: Optional[bytes]
-    ) -> Optional[Hash]:
-        """Collapse degenerate branches so structure stays canonical."""
-        live = [(i, c) for i, c in enumerate(children) if c is not None]
-        if value is None and not live:
-            return None
-        if value is None and len(live) == 1:
-            slot, child_hash = live[0]
-            child = self._load(child_hash)
-            if child.kind == _KIND_LEAF:
-                return self._store(
-                    _Node(kind=_KIND_LEAF, path=(slot,) + child.path, value=child.value)
-                )
-            if child.kind == _KIND_EXTENSION:
-                return self._store(
-                    _Node(
-                        kind=_KIND_EXTENSION,
-                        path=(slot,) + child.path,
-                        child=child.child,
-                    )
-                )
-            return self._store(_Node(kind=_KIND_EXTENSION, path=(slot,), child=child_hash))
-        if value is not None and not live:
-            return self._store(_Node(kind=_KIND_LEAF, path=(), value=value))
-        return self._store(_Node(kind=_KIND_BRANCH, children=tuple(children), value=value))
+    def _prepend(self, path: bytes, ref: Union[Hash, _Node]) -> _Node:
+        """The node for ``path`` followed by ``ref``: leaf and extension
+        children absorb the path, a branch gets an extension above it."""
+        if self._resolve(ref).kind == _KIND_BRANCH:
+            return _Node(_KIND_EXTENSION, path, child=ref)
+        merged = self._own(ref)
+        merged.path = path + merged.path
+        return merged
 
-    def _normalize_extension(self, path: Tuple[int, ...], child_hash: Hash) -> Hash:
-        child = self._load(child_hash)
-        if child.kind == _KIND_LEAF:
-            return self._store(
-                _Node(kind=_KIND_LEAF, path=path + child.path, value=child.value)
-            )
-        if child.kind == _KIND_EXTENSION:
-            return self._store(
-                _Node(kind=_KIND_EXTENSION, path=path + child.path, child=child.child)
-            )
-        return self._store(_Node(kind=_KIND_EXTENSION, path=path, child=child_hash))
-
-    def _walk(
-        self, root: Optional[Hash], prefix: Tuple[int, ...]
-    ) -> Iterator[Tuple[bytes, bytes]]:
-        if root is None:
+    def _walk(self, ref: _Ref, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
+        if ref is None:
             return
-        node = self._load(root)
+        node = self._resolve(ref)
         if node.kind == _KIND_LEAF:
             assert node.value is not None
             yield _from_nibbles(prefix + node.path), node.value
@@ -417,29 +424,11 @@ class MerklePatriciaTrie:
             yield _from_nibbles(prefix), node.value
         for slot, child in enumerate(node.children):
             if child is not None:
-                yield from self._walk(child, prefix + (slot,))
-
-    def _collect_proof(
-        self, root: Optional[Hash], nibbles: Tuple[int, ...], out: List[bytes]
-    ) -> Optional[bytes]:
-        if root is None:
-            return None
-        node = self._load(root)
-        out.append(node.encode())
-        if node.kind == _KIND_LEAF:
-            return node.value if node.path == nibbles else None
-        if node.kind == _KIND_EXTENSION:
-            plen = len(node.path)
-            if nibbles[:plen] != node.path:
-                return None
-            return self._collect_proof(node.child, nibbles[plen:], out)
-        if not nibbles:
-            return node.value
-        return self._collect_proof(node.children[nibbles[0]], nibbles[1:], out)
+                yield from self._walk(child, prefix + bytes((slot,)))
 
 
 class TrieView:
-    """Read-only lens over a historical root of a trie's node store."""
+    """Read-only lens over a committed root of a trie's node store."""
 
     def __init__(self, trie: MerklePatriciaTrie, root: Optional[Hash]) -> None:
         self._trie = trie
@@ -450,45 +439,42 @@ class TrieView:
         return self._root if self._root is not None else _EMPTY_ROOT
 
     def get(self, key: bytes) -> Optional[bytes]:
-        return self._trie._get(self._root, _to_nibbles(key))
+        return _lookup(self._trie._load, self._root, _to_nibbles(key))
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        yield from self._trie._walk(self._root, ())
-
-
-def _from_nibbles(nibbles: Tuple[int, ...]) -> bytes:
-    if len(nibbles) % 2 != 0:
-        raise ValueError("cannot pack an odd nibble count into bytes")
-    return bytes((nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2))
+        yield from self._trie._walk(self._root, b"")
 
 
 def _decode_node(raw: bytes) -> _Node:
-    from repro.common.encoding import Decoder
-
     d = Decoder(raw)
     kind = d.read_uint(1)
-    path = tuple(d.read_bytes())
+    path = d.read_bytes()
     value_bytes = d.read_bytes()
     has_value = d.read_uint(1) == 1
     child_raw = d.read_bytes()
     children_raw = d.read_list()
     return _Node(
-        kind=kind,
-        path=path,
-        value=value_bytes if has_value else None,
-        child=Hash(child_raw) if child_raw else None,
-        children=tuple(Hash(c) if c else None for c in children_raw),
+        kind,
+        path,
+        value_bytes if has_value else None,
+        Hash(child_raw) if child_raw else None,
+        [Hash(c) if c else None for c in children_raw],
     )
 
 
-def _lookup_in_store(
-    store: Dict[Hash, _Node], root: Hash, nibbles: Tuple[int, ...]
+def _lookup(
+    load: Callable[[Hash], _Node],
+    ref: _Ref,
+    nibbles: bytes,
+    trail: Optional[List[_Node]] = None,
 ) -> Optional[bytes]:
-    current: Optional[Hash] = root
-    while current is not None:
-        node = store.get(current)
-        if node is None:
-            return None  # proof incomplete
+    """Value at ``nibbles`` below ``ref``; ``load`` resolves hashes (and
+    raises ``KeyError`` for a missing node), ``trail`` collects the
+    nodes visited."""
+    while ref is not None:
+        node = ref if ref.__class__ is _Node else load(ref)
+        if trail is not None:
+            trail.append(node)
         if node.kind == _KIND_LEAF:
             return node.value if node.path == nibbles else None
         if node.kind == _KIND_EXTENSION:
@@ -496,11 +482,11 @@ def _lookup_in_store(
             if nibbles[:plen] != node.path:
                 return None
             nibbles = nibbles[plen:]
-            current = node.child
+            ref = node.child
             continue
         if not nibbles:
             return node.value
-        current = node.children[nibbles[0]]
+        ref = node.children[nibbles[0]]
         nibbles = nibbles[1:]
     return None
 

@@ -225,6 +225,46 @@ def _bench_block_hash_validate(scale: float) -> Tuple[int, float]:
     return touched, wall
 
 
+def _bench_state_trie_block_apply(scale: float) -> Tuple[int, float]:
+    """Account-model block application: blocks of 32 transfers over 200
+    accounts applied to one ``AccountState``, the state root read once
+    per block — a replica's per-block trie work, signatures pre-verified."""
+    from repro.blockchain.state import AccountState
+    from repro.blockchain.transaction import sign_account_transaction
+    from repro.crypto.keys import KeyPair
+
+    blocks_n = max(4, int(60 * scale))
+    txs_per_block, accounts_n, reward = 32, 200, 2
+    keys = [KeyPair.from_seed(i.to_bytes(2, "big") * 16) for i in range(accounts_n)]
+    miner = KeyPair.from_seed(b"\x99" * 32).address
+    nonces = [0] * accounts_n
+    bodies = []
+    for i in range(blocks_n * txs_per_block):
+        if i % txs_per_block == 0:
+            bodies.append([])
+        sender = (i * 7919) % accounts_n
+        tx = sign_account_transaction(
+            keys[sender], nonce=nonces[sender],
+            recipient=keys[(sender * 31 + i) % accounts_n].address,
+            value=1 + i % 9, gas_price=1,
+        )
+        nonces[sender] += 1
+        assert tx.verify_signature()
+        bodies[-1].append(tx)
+    state = AccountState()
+    for key in keys:
+        state.credit(key.address, 10**9)
+    roots = {state.root_hash}
+    start = perf_counter()
+    for body in bodies:
+        state.apply_block_transactions(body, miner, reward)
+        roots.add(state.root_hash)
+    wall = perf_counter() - start
+    assert len(roots) == blocks_n + 1
+    assert state.total_supply() == accounts_n * 10**9 + blocks_n * reward
+    return blocks_n * txs_per_block, wall
+
+
 def _bench_lattice_settle(scale: float) -> Tuple[int, float]:
     """Block-lattice settlement: open accounts from genesis sends, then
     rounds of send/receive pairs — every block is encoded, hashed, signed,
@@ -540,6 +580,8 @@ BENCHES: Dict[str, Bench] = {
               _bench_gossip_untraced),
         Bench("block_hash_validate", "encode + hash + revalidate blocks",
               _bench_block_hash_validate, paradigms=("blockchain",)),
+        Bench("state_trie_block_apply", "account blocks onto the state trie",
+              _bench_state_trie_block_apply, paradigms=("blockchain",)),
         Bench("lattice_settle", "block-lattice send/receive settlement",
               _bench_lattice_settle, paradigms=("dag",)),
         Bench("sig_batch_verify", "cold-cache burst signature verification",

@@ -55,7 +55,8 @@ def fast_sync(
 
     ``receipts_by_block[h]`` are the receipts of the main-chain block at
     height ``h``.  The state snapshot cost is the *live* trie size at the
-    current root (fast sync never fetches historical deltas).
+    current root (fast sync never fetches historical deltas — the
+    versions the trie stored for the roots read before, one per block).
     """
     head = chain.height
     pivot = max(head - pivot_offset, 0)

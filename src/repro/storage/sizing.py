@@ -42,7 +42,8 @@ def blockchain_size_report(
     name: str = "blockchain",
 ) -> LedgerSizeReport:
     """Measure a blockchain replica: headers, bodies, and (when present)
-    the state trie with all its historical deltas."""
+    the state trie with its historical deltas — one stored version per
+    state root read, so per block on a node, not per transaction."""
     report = LedgerSizeReport(ledger_name=name)
     for block in chain.headers():
         report.add("headers", block.header.size_bytes)

@@ -144,6 +144,41 @@ class TestForksAndReorgs:
         assert all(not store.is_on_main_chain(b.block_id) for b in main_blocks)
 
 
+class TestInvalidate:
+    def test_head_falls_back_to_parent(self, chain, keypair):
+        store, genesis = chain
+        a, _ = extend(store, genesis, keypair, nonce=1)
+        b, _ = extend(store, a, keypair, nonce=2)
+        result = store.invalidate(b.block_id)
+        assert not result.extended_main
+        assert store.head == a and b.block_id not in store
+        assert store.tips() == [a]
+        # The same block may be offered again (and judged again).
+        assert store.add_block(b).extended_main
+
+    def test_subtree_goes_and_heaviest_remaining_branch_wins(self, chain, keypair):
+        store, genesis = chain
+        a1, _ = extend(store, genesis, keypair, nonce=1)
+        a2, _ = extend(store, a1, keypair, nonce=2)
+        b1, _ = extend(store, genesis, keypair, nonce=11)
+        b2, _ = extend(store, b1, keypair, nonce=12)
+        b3, result = extend(store, b2, keypair, nonce=13)
+        assert result.is_reorg and store.head == b3
+        back = store.invalidate(b2.block_id)
+        assert [b.block_id for b in back.rolled_back] == [b1.block_id]
+        assert [b.block_id for b in back.applied] == [a1.block_id, a2.block_id]
+        assert store.head == a2
+        assert b2.block_id not in store and b3.block_id not in store
+        assert b1.block_id in store and not store.is_on_main_chain(b1.block_id)
+
+    def test_side_branch_block_leaves_main_chain_alone(self, chain, keypair):
+        store, genesis = chain
+        a1, _ = extend(store, genesis, keypair, nonce=1)
+        b1, _ = extend(store, genesis, keypair, nonce=11)
+        assert not store.invalidate(b1.block_id).extended_main
+        assert store.head == a1 and b1.block_id not in store
+
+
 class TestCementing:
     def test_cemented_reorg_rejected(self, chain, keypair):
         store, genesis = chain

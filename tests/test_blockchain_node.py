@@ -4,16 +4,24 @@ from dataclasses import replace
 
 import pytest
 
+from repro.common.errors import ValidationError
+from repro.common.types import Address, Hash
 from repro.crypto.keys import KeyPair
 from repro.net.link import FAST_LINK, LinkParams
 from repro.net.network import Network
 from repro.net.topology import complete_topology
 from repro.sim.simulator import Simulator
-from repro.blockchain.block import build_genesis_with_allocations
+from repro.blockchain.block import (
+    Block,
+    assemble_block,
+    build_genesis_with_allocations,
+)
 from repro.blockchain.node import BlockchainNode, PosSlotDriver
 from repro.blockchain.params import BITCOIN, ETHEREUM, ETHEREUM_POS
 from repro.blockchain.pos import ValidatorSet
+from repro.blockchain.state import contract_address
 from repro.blockchain.transaction import build_transaction, sign_account_transaction
+from repro.blockchain.vm import counter_contract
 
 
 FAST_BITCOIN = replace(BITCOIN, target_block_interval_s=10.0, confirmation_depth=3)
@@ -150,6 +158,115 @@ class TestAccountNetwork:
         nodes[0].submit_transaction(tx0)
         sim.run(until=400)
         assert nodes[0].balance(bob.address) == 1_000_010
+
+
+class TestGoldenStateRoots:
+    def test_three_block_account_chain(self):
+        # Captured on the write-time-hashing trie (PR 11): transfers, a
+        # contract deployment and two storage-writing calls.  Pins the
+        # node encoding, so a trie change cannot silently fork the chain.
+        keys = [KeyPair.from_seed(bytes([i]) * 32) for i in range(4)]
+        miner = KeyPair.from_seed(bytes([100]) * 32)
+        allocations = {kp.address: 1_000_000 for kp in keys}
+        genesis = build_genesis_with_allocations(allocations)
+        node = BlockchainNode("n0", ETHEREUM, genesis, genesis_allocations=allocations)
+        counter = contract_address(keys[3].address, 0)
+        deploy = {"gas_limit": 200_000, "data": counter_contract()}
+        call = {"gas_limit": 100_000}
+        bodies = [
+            [(0, keys[1].address, 10, {}), (1, keys[2].address, 20, {}),
+             (3, Address.zero(), 0, deploy)],
+            [(0, keys[2].address, 5, {}), (0, keys[3].address, 7, {}),
+             (3, counter, 0, call)],
+            [(2, keys[0].address, 25, {}), (3, counter, 0, call),
+             (1, keys[0].address, 1, {})],
+        ]
+        roots = [node.state.root_hash.hex]
+        nonces = [0] * len(keys)
+        for height, body in enumerate(bodies, start=1):
+            for sender, recipient, value, kwargs in body:
+                assert node.mempool.add(sign_account_transaction(
+                    keys[sender], nonces[sender], recipient, value,
+                    gas_price=1, **kwargs))
+                nonces[sender] += 1
+            block = node.create_block_template(float(height), miner.address)
+            assert len(block.transactions) == len(body)
+            assert node.receive_block(block).extended_main
+            assert block.header.state_root == node.state.root_hash
+            roots.append(node.state.root_hash.hex)
+        assert node.state.storage(counter, 0) == 2
+        assert roots == [
+            "c11e412cb4a8fb069d3ddc3d0e4130f17a6feb5d9a5f7426c9efbe6fa2f68b1e",
+            "12c418d24cd58942821aaecb853d4aecbbc7f759a93b22bb0bdc245fd275b1cb",
+            "d108cd4dd7658b77d23d5ded91a743e51fe176d1be74b4841c2c2af80f30ab9d",
+            "db81ab1e14bbb3c031fa6c644326b91fcae7f8bda506fe15d8b12821fe6c794b",
+        ]
+
+
+class TestWrongStateRoot:
+    """A header committing to the wrong state root must not move the
+    replica: fork choice adopts the block before its state can be
+    checked, so rejection has to un-connect it again."""
+
+    def build(self):
+        keys = [KeyPair.from_seed(bytes([i]) * 32) for i in range(2)]
+        miner = KeyPair.from_seed(bytes([100]) * 32)
+        allocations = {kp.address: 1_000_000 for kp in keys}
+        genesis = build_genesis_with_allocations(allocations)
+        peer, replica = (
+            BlockchainNode(nid, ETHEREUM, genesis, genesis_allocations=allocations)
+            for nid in ("peer", "replica")
+        )
+        return keys, miner, peer, replica
+
+    @staticmethod
+    def with_header(block, **changes):
+        return Block(header=replace(block.header, **changes),
+                     transactions=block.transactions)
+
+    def test_rejected_block_leaves_head_and_state(self):
+        (alice, bob), miner, peer, replica = self.build()
+        peer.mempool.add(sign_account_transaction(alice, 0, bob.address, 777, gas_price=1))
+        honest = peer.create_block_template(1.0, miner.address)
+        tampered = self.with_header(honest, state_root=Hash(b"\x13" * 32))
+        genesis, root_before = replica.head, replica.state.root_hash
+
+        with pytest.raises(ValidationError, match="state root mismatch"):
+            replica.receive_block(tampered)
+        assert replica.head == genesis
+        assert tampered.block_id not in replica.chain
+        assert replica.state.root_hash == root_before
+        assert replica.balance(bob.address) == 1_000_000
+        assert replica.balance(miner.address) == 0
+        assert replica.stats.blocks_rejected == 1
+        assert replica.stats.blocks_accepted == 0
+
+        assert replica.receive_block(honest).extended_main
+        assert replica.head == honest
+        assert replica.state.root_hash == honest.header.state_root
+        assert replica.balance(bob.address) == 1_000_777
+
+    def test_rejected_reorg_falls_back_to_the_old_branch(self):
+        (alice, bob), miner, peer, replica = self.build()
+        peer.mempool.add(sign_account_transaction(alice, 0, bob.address, 777, gas_price=1))
+        honest = peer.create_block_template(1.0, miner.address)
+        assert replica.receive_block(honest).extended_main
+        # A heavier branch whose first block lies about its state root:
+        # only the reorg onto it executes that block.
+        bad = self.with_header(honest, timestamp=2.0, state_root=Hash(b"\x13" * 32))
+        child = assemble_block(
+            parent=bad.header, transactions=[], timestamp=3.0,
+            target=bad.header.target, proposer=miner.address,
+        )
+        assert not replica.receive_block(bad).extended_main
+        with pytest.raises(ValidationError, match="state root mismatch"):
+            replica.receive_block(child)
+        assert replica.head == honest
+        assert bad.block_id not in replica.chain
+        assert child.block_id not in replica.chain
+        assert replica.state.root_hash == honest.header.state_root
+        assert replica.balance(bob.address) == 1_000_777
+        assert replica.confirmations(honest.transactions[0].txid) == 1
 
 
 class TestPosNetwork:

@@ -164,6 +164,7 @@ class TestStateHistory:
         for n in range(10):
             tx = sign_account_transaction(alice, n, bob.address, 1, gas_price=0)
             state.apply_transaction(tx, miner.address)
+            state.checkpoint()  # a version is stored per root read, not per write
         store_before = state.store_size_bytes()
         freed = state.prune_history()
         assert freed > 0

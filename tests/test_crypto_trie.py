@@ -1,7 +1,15 @@
 """Tests for repro.crypto.trie (Ethereum state structures, Section II/V)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.crypto.trie import EMPTY_TRIE_ROOT, MerklePatriciaTrie
 
@@ -142,6 +150,7 @@ class TestHistory:
         t = MerklePatriciaTrie()
         for i in range(30):
             t.put(b"hot", bytes([i]))
+            t.root_hash  # each read root is a stored version
         freed = t.prune([t.root_hash])
         assert freed > 0
         assert t.get(b"hot") == bytes([29])
@@ -165,6 +174,87 @@ class TestHistory:
         for i in range(10):
             t.put(b"k", bytes([i]))
         assert t.store_size_bytes() > size_one
+
+
+class TestCommitTimeHashing:
+    """Nodes are hashed when a root is read, not when a key is written."""
+
+    def test_writes_between_root_reads_are_not_stored(self):
+        t = MerklePatriciaTrie()
+        t.put(b"k", b"0")
+        assert t.node_count() == 1
+        for i in range(1, 10):
+            t.put(b"k", bytes([i]))
+        assert t.node_count() == 2  # only the version that was read
+
+    def test_reads_see_uncommitted_writes(self):
+        t = MerklePatriciaTrie()
+        t.put(b"ab", b"1")
+        t.root_hash
+        t.put(b"ac", b"2")
+        t.delete(b"ab")
+        assert dict(t.items()) == {b"ac": b"2"}
+        assert t.get(b"ab") is None and b"ac" in t and len(t) == 1
+
+    def test_set_root_drops_uncommitted_writes(self):
+        t = MerklePatriciaTrie()
+        t.put(b"a", b"1")
+        root, nodes = t.root_hash, t.node_count()
+        t.put(b"b", b"2")
+        t.set_root(root)
+        assert t.root_hash == root and t.node_count() == nodes
+        assert t.get(b"b") is None
+
+    def test_committed_version_is_not_mutated_by_later_writes(self):
+        t = MerklePatriciaTrie()
+        for i in range(40):
+            t.put(bytes([i, i]), b"old")
+        old_root = t.root_hash
+        for i in range(40):
+            t.put(bytes([i, i]), b"new")
+            t.delete(bytes([i + 1, i + 1]))
+        assert t.root_hash != old_root
+        assert all(v == b"old" for _, v in t.checkout(old_root).items())
+        assert len(list(t.checkout(old_root).items())) == 40
+
+    def test_size_accounting_matches_reencoding(self):
+        t = MerklePatriciaTrie()
+        rng = random.Random(7)
+        for step in range(300):
+            t.put(rng.randbytes(2), rng.randbytes(rng.randrange(1, 30)))
+            if step % 25 == 0:
+                t.root_hash
+        total = t.store_size_bytes()  # commits the tail of the script
+        reencoded = {h: len(n.encode()) for h, n in t._nodes.items()}
+        assert total == sum(reencoded.values())
+        live = t.reachable_nodes(t.root_hash)
+        assert t.version_size_bytes(t.root_hash) == sum(reencoded[h] for h in live)
+        freed = t.prune([t.root_hash])
+        assert freed == sum(size for h, size in reencoded.items() if h not in live)
+        assert t.store_size_bytes() == sum(len(n.encode()) for n in t._nodes.values())
+
+    def test_golden_roots_of_a_mixed_script(self):
+        # Captured on the write-time-hashing implementation (PR 11): the
+        # node encoding, and so every state root, must stay byte-identical.
+        rng = random.Random(20180702)
+        t = MerklePatriciaTrie()
+        keys = [rng.randbytes(rng.choice((1, 2, 3, 21, 53))) for _ in range(160)]
+        roots = []
+        for step in range(500):
+            key = rng.choice(keys)
+            if rng.random() < 0.3:
+                t.delete(key)
+            else:
+                t.put(key, rng.randbytes(rng.randrange(1, 40)))
+            if step % 100 == 99:
+                roots.append(t.root_hash.hex)
+        assert roots == [
+            "0433c9839341dd9c51e021856cedc084dd58186b7bf19975a09a33886f25c638",
+            "f445472a85811a06f7484f82398c1f0c4deffa8bf07f9281e5a9a43ec37f03e1",
+            "7c80c4d0687afd0c6e600f8421312f3316d08886a2190bdf3bc8585391c23894",
+            "98fd96fd70381b133cc2475bf9bd2773f4b4f7e8997ab4e216d5fd28103a9c34",
+            "62eb02d5d1d597f4804179a1515d72a5bda2fc3eb7837d3d5d8ea16ec98bdbfa",
+        ]
 
 
 class TestProofs:
@@ -236,3 +326,94 @@ def test_root_is_content_addressed(ops):
     for k, v in final.items():
         fresh.put(k, v)
     assert trie_with_history.root_hash == fresh.root_hash
+
+
+# Few distinct bytes and short keys, so keys share prefixes, end inside
+# one another and collide: every split/collapse shape gets exercised.
+_machine_keys = st.lists(
+    st.sampled_from([0x00, 0x01, 0x10, 0x11, 0xFF]), max_size=3
+).map(bytes)
+
+
+class TrieMachine(RuleBasedStateMachine):
+    """put / delete / read-root / set_root / checkout / prove / prune
+    against a ``dict``, with the oracle that a root equals the root of a
+    fresh trie rebuilt from the model's items."""
+
+    def __init__(self):
+        super().__init__()
+        self.trie = MerklePatriciaTrie()
+        self.model = {}
+        self.remembered = {}  # committed root -> the contents it commits to
+
+    def _pick_root(self, index):
+        roots = sorted(self.remembered, key=bytes)
+        return roots[index % len(roots)]
+
+    @rule(key=_machine_keys, value=st.binary(min_size=1, max_size=3))
+    def put(self, key, value):
+        self.trie.put(key, value)
+        self.model[key] = value
+
+    @rule(key=_machine_keys)
+    def delete(self, key):
+        self.trie.delete(key)
+        self.model.pop(key, None)
+
+    @rule()
+    def read_root(self):
+        root = self.trie.root_hash
+        fresh = MerklePatriciaTrie()
+        for key, value in self.model.items():
+            fresh.put(key, value)
+        assert root == fresh.root_hash
+        assert self.trie.store_size_bytes() == sum(
+            len(node.encode()) for node in self.trie._nodes.values()
+        )
+        self.remembered[root] = dict(self.model)
+
+    @precondition(lambda self: self.remembered)
+    @rule(index=st.integers(min_value=0))
+    def set_root(self, index):
+        root = self._pick_root(index)
+        self.trie.set_root(root)
+        self.model = dict(self.remembered[root])
+
+    @precondition(lambda self: self.remembered)
+    @rule(index=st.integers(min_value=0))
+    def checkout(self, index):
+        root = self._pick_root(index)
+        view = self.trie.checkout(root)
+        assert view.root_hash == root
+        assert dict(view.items()) == self.remembered[root]
+
+    @rule(key=_machine_keys)
+    def prove(self, key):
+        proof = self.trie.prove(key)
+        assert proof.value == self.model.get(key)
+        assert MerklePatriciaTrie.verify_proof(self.trie.root_hash, proof)
+
+    @rule(keep=st.sets(st.integers(min_value=0), max_size=2))
+    def prune(self, keep):
+        kept = {self._pick_root(i) for i in keep} if self.remembered else set()
+        kept.add(self.trie.root_hash)
+        before = self.trie.store_size_bytes()
+        freed = self.trie.prune(sorted(kept, key=bytes))
+        assert self.trie.store_size_bytes() == before - freed
+        self.remembered = {
+            root: items for root, items in self.remembered.items() if root in kept
+        }
+        self.remembered[self.trie.root_hash] = dict(self.model)
+
+    @invariant()
+    def reads_match_the_model(self):
+        # Reads go through the dirty overlay and must not commit it.
+        assert dict(self.trie.items()) == self.model
+        for key in self.model:
+            assert self.trie.get(key) == self.model[key]
+
+
+TrieMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestTrieMachine = TrieMachine.TestCase
