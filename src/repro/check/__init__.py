@@ -33,7 +33,6 @@ from repro.check.monitor import InvariantMonitor, ViolationRecord
 from repro.check.runner import (
     FuzzOutcome,
     FuzzRunResult,
-    build_ledger,
     run_campaign,
     run_schedule,
     run_seed,
@@ -49,7 +48,6 @@ __all__ = [
     "ViolationRecord",
     "FuzzOutcome",
     "FuzzRunResult",
-    "build_ledger",
     "run_campaign",
     "run_schedule",
     "run_seed",

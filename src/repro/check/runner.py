@@ -110,16 +110,6 @@ def build_fuzz_deployment(paradigm: str, seed: int,
     )
 
 
-def build_ledger(paradigm: str, seed: int, profile: FuzzProfile) -> Ledger:
-    """Deprecated shim: the pre-factory entry point.
-
-    Kept so released callers keep working; new code should use
-    :func:`build_fuzz_deployment` (or ``build_deployment`` directly) and
-    hold the uniform :class:`~repro.core.deploy.Deployment` handle.
-    """
-    return build_fuzz_deployment(paradigm, seed, profile).ledger
-
-
 @dataclass
 class FuzzRunResult:
     """Outcome of replaying one schedule on one paradigm."""

@@ -83,8 +83,8 @@ class Encoder:
 
     #: Process-wide scratch buffer for :meth:`shared` — grown once, then
     #: reused by every top-level serialization instead of allocating a
-    #: fresh ``bytearray`` per call (the accelerated tier's zero-copy
-    #: canonical-encoding path).
+    #: fresh ``bytearray`` per call (the zero-copy canonical-encoding
+    #: path).
     _SCRATCH = bytearray()
     _SCRATCH_BUSY = False
 

@@ -1,88 +1,30 @@
-"""Accelerated-tier selection (``REPRO_ACCEL=auto|off``).
+"""Start-up self-test for the cloned-state HMAC that signing relies on.
 
-The "accelerated" tier is still pure python — the container ships no
-compiled extensions — but it is *batch-oriented*: signature verification
-amortizes one registry lookup per key over a whole burst, HMAC state is
-precomputed per seed (ipad/opad SHA-256 states cloned per message
-instead of two ``hmac.new`` constructions), canonical encoding writes
-into a shared preallocated ``bytearray``, and same-timestamp network
-deliveries are coalesced into one dispatch.  Every fast path is
-byte-identical to the reference implementation; the golden determinism
-fingerprints in ``tests/test_sim_determinism.py`` pin that with the tier
-on and off.
-
-Selection happens once, at import, from the ``REPRO_ACCEL`` environment
-variable:
-
-* ``auto`` (default) — use the batch tier if the start-up self-test
-  proves it byte-identical to :mod:`hmac` on this interpreter;
-* ``off`` — force the pure-python reference paths everywhere (scalar
-  verification, per-message ``hmac.new``, per-delivery dispatch).
-
-The self-test guards exotic ``hashlib`` builds whose digest objects
-cannot ``.copy()`` mid-stream: on any failure the tier degrades to
-``"fallback"`` rather than crashing.  CI pins
-``active_backend() == "batch"`` under ``REPRO_ACCEL=auto`` so a silent
-degradation on the reference platform fails the build instead of
-quietly benchmarking the slow path.
+:mod:`repro.crypto.keys` computes HMAC-SHA256 by copying SHA-256 states
+that already absorbed the ipad/opad key block.  Importing this module
+proves that byte-identical to :mod:`hmac` here, or fails the import.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import os
-
-ACCEL_ENV = "REPRO_ACCEL"
-MODES = ("auto", "off")
-
-_HMAC_BLOCK = 64  # SHA-256 block size: HMAC pads/truncates keys to this.
 
 
-def _requested_mode() -> str:
-    value = os.environ.get(ACCEL_ENV, "auto").strip().lower() or "auto"
-    if value not in MODES:
-        raise ValueError(
-            f"{ACCEL_ENV} must be one of {'|'.join(MODES)}, got {value!r}"
-        )
-    return value
+def _self_test() -> None:
+    seed, message = b"\x5a" * 32, b"repro-accel-selftest"
+    padded = seed.ljust(64, b"\x00")  # SHA-256 block size
+    inner = hashlib.sha256(bytes(b ^ 0x36 for b in padded)).copy()
+    inner.update(message)
+    outer = hashlib.sha256(bytes(b ^ 0x5C for b in padded)).copy()
+    outer.update(inner.digest())
+    if outer.digest() != hmac.new(seed, message, hashlib.sha256).digest():
+        raise ImportError("hashlib cloned-state HMAC disagrees with hmac.new")
 
 
-def _self_test() -> bool:
-    """Prove the cloned-state HMAC trick is byte-identical to :mod:`hmac`."""
-    try:
-        seed = b"\x5a" * 32
-        message = b"repro-accel-selftest"
-        padded = seed.ljust(_HMAC_BLOCK, b"\x00")
-        inner = hashlib.sha256(bytes(b ^ 0x36 for b in padded))
-        outer = hashlib.sha256(bytes(b ^ 0x5C for b in padded))
-        i = inner.copy()
-        i.update(message)
-        o = outer.copy()
-        o.update(i.digest())
-        return o.digest() == hmac.new(seed, message, hashlib.sha256).digest()
-    except Exception:
-        return False
-
-
-#: What the environment asked for ("auto" or "off").
-REQUESTED_MODE = _requested_mode()
-
-#: What actually got selected: "batch" (accelerated tier live) or
-#: "fallback" (reference paths — either forced off or self-test failed).
-BACKEND = "batch" if REQUESTED_MODE == "auto" and _self_test() else "fallback"
-
-
-def requested_mode() -> str:
-    """The ``REPRO_ACCEL`` value this process was imported under."""
-    return REQUESTED_MODE
+_self_test()
 
 
 def active_backend() -> str:
-    """``"batch"`` when the accelerated tier is live, else ``"fallback"``."""
-    return BACKEND
-
-
-def enabled() -> bool:
-    """True when the batch tier is active (hot paths take the fast lane)."""
-    return BACKEND == "batch"
+    """Name of the signing/delivery implementation (there is one)."""
+    return "batch"

@@ -15,16 +15,16 @@ attacker node that does not hold a ``KeyPair`` object cannot produce a
 signature that verifies, and tampering with a signed message makes
 verification fail.
 
-**Batch tier.**  Real node software amortizes signature checking over
+**Amortization.**  Real node software amortizes signature checking over
 bursts (Bitcoin Core's sigcache and batch-validation lineage); so do we.
 :func:`verify_signatures_batch` partitions a burst into cached and
 uncached triples, resolves each signer's HMAC state once per key, and
 verifies the uncached set in one pass with no intermediate ``mac +
-message`` joins.  Under the accelerated tier (``REPRO_ACCEL=auto``, see
-:mod:`repro.crypto.accel`) both scalar and batch verification clone
-precomputed ipad/opad SHA-256 states instead of constructing two
-``hmac.new`` objects per message — byte-identical output, measured ≈2×
-faster per signature.
+message`` joins.  Signing, scalar and batch verification all clone
+per-seed ipad/opad SHA-256 states rather than build two :mod:`hmac`
+objects per message — byte-identical output (proved at import by
+:mod:`repro.crypto.accel`, property-tested against the stdlib), measured
+≈2× faster per signature.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.memo import cached
 from repro.common.types import ADDRESS_SIZE, Address, Hash
-from repro.crypto import accel
 
 SIGNATURE_SIZE = 64
 PUBLIC_KEY_SIZE = 32
@@ -66,19 +65,16 @@ _SIG_CACHE_EVICT_CHUNK = _SIG_CACHE_MAX >> 4
 
 # Hit/miss/evict accounting, surfaced through the deployment's layer
 # counters (the cache is process-global, so these are too).  ``seeds``
-# counts signer-side inserts (accelerated tier only, see
-# :meth:`KeyPair.sign`).
+# counts signer-side inserts (see :meth:`KeyPair.sign`).
 _SIG_STATS = {"hits": 0, "misses": 0, "evictions": 0, "seeds": 0}
 
-# Per-seed HMAC proto-states for the accelerated tier: SHA-256 objects
-# that have already absorbed the ipad/opad-xored key block.  Cloning one
-# and feeding it the message is byte-identical to ``hmac.new`` (pinned by
-# the accel self-test and tests) at roughly half the cost.
+# Per-seed HMAC proto-states: SHA-256 objects that have already absorbed
+# the ipad/opad-xored key block.  Cloning one and feeding it the message
+# is byte-identical to the stdlib HMAC (pinned by the accel self-test and
+# a property test) at roughly half the cost.
 _PROTO_CACHE: Dict[bytes, Tuple["hashlib._Hash", "hashlib._Hash"]] = {}
 _PROTO_CACHE_MAX = 1 << 12
 _HMAC_BLOCK = 64
-
-_ACCEL = accel.enabled()
 
 
 def _hmac_protos(seed: bytes):
@@ -97,31 +93,21 @@ def _hmac_protos(seed: bytes):
     return protos
 
 
-if _ACCEL:
-
-    def _hmac_pair(seed: bytes, message: bytes) -> Tuple[bytes, bytes]:
-        """``(mac, ext)`` halves of a signature over ``message``."""
-        inner, outer = _hmac_protos(seed)
-        i = inner.copy()
-        i.update(message)
-        o = outer.copy()
-        o.update(i.digest())
-        mac = o.digest()
-        # ext = HMAC(seed, mac + message) — streamed, no concatenation.
-        i = inner.copy()
-        i.update(mac)
-        i.update(message)
-        o = outer.copy()
-        o.update(i.digest())
-        return mac, o.digest()
-
-else:
-
-    def _hmac_pair(seed: bytes, message: bytes) -> Tuple[bytes, bytes]:
-        """``(mac, ext)`` halves of a signature over ``message``."""
-        mac = hmac.new(seed, message, _sha256).digest()
-        ext = hmac.new(seed, mac + message, _sha256).digest()
-        return mac, ext
+def _hmac_pair(seed: bytes, message: bytes) -> Tuple[bytes, bytes]:
+    """``(mac, ext)`` halves of a signature over ``message``."""
+    inner, outer = _hmac_protos(seed)
+    i = inner.copy()
+    i.update(message)
+    o = outer.copy()
+    o.update(i.digest())
+    mac = o.digest()
+    # ext = HMAC(seed, mac + message) — streamed, no concatenation.
+    i = inner.copy()
+    i.update(mac)
+    i.update(message)
+    o = outer.copy()
+    o.update(i.digest())
+    return mac, o.digest()
 
 
 def _evict_sig_cache() -> None:
@@ -160,18 +146,19 @@ class KeyPair:
     def sign(self, message: bytes) -> bytes:
         """64-byte signature over ``message``.
 
-        Under the accelerated tier the signer *seeds the sigcache*: it
-        just computed the only byte string that verifies over
-        ``message``, so first-contact verification anywhere in this
-        process partitions as a cache hit instead of recomputing the
-        HMAC pair — the same "never re-verify what this process already
-        validated" amortization Bitcoin Core's sigcache applies to
-        mempool-validated transactions.  Behavior-neutral: the cached
-        verdict is exactly what verification would compute.
+        The signer *seeds the sigcache*: it just computed the only byte
+        string that verifies over ``message``, so first-contact
+        verification anywhere in this process is a cache hit instead of
+        a recomputed HMAC pair — the "never re-verify what this process
+        already validated" amortization of Bitcoin Core's sigcache.
+        Behavior-neutral because the cached verdict is what verification
+        would compute; that holds only for a pair whose public key is
+        registered to *this* seed, so a hand-assembled
+        ``KeyPair(mallory_seed, victim_public_key)`` seeds nothing.
         """
         mac, ext = _hmac_pair(self.seed, message)
         signature = mac + ext
-        if _ACCEL:
+        if _KEY_REGISTRY.get(self.public_key) == self.seed:
             if len(_SIG_CACHE) >= _SIG_CACHE_MAX:
                 _evict_sig_cache()
             _SIG_CACHE[(self.public_key, message, signature)] = True
@@ -253,24 +240,20 @@ def verify_signatures_batch(
         if seed is not last_seed:
             inner, outer = _hmac_protos(seed)
             last_seed = seed
-        if _ACCEL:
+        i = inner.copy()
+        i.update(message)
+        o = outer.copy()
+        o.update(i.digest())
+        mac = o.digest()
+        if signature[:32] != mac:
+            ok = False
+        else:
             i = inner.copy()
+            i.update(mac)
             i.update(message)
             o = outer.copy()
             o.update(i.digest())
-            mac = o.digest()
-            if signature[:32] != mac:
-                ok = False
-            else:
-                i = inner.copy()
-                i.update(mac)
-                i.update(message)
-                o = outer.copy()
-                o.update(i.digest())
-                ok = signature[32:] == o.digest()
-        else:
-            mac, ext = _hmac_pair(seed, message)
-            ok = hmac.compare_digest(signature, mac + ext)
+            ok = signature[32:] == o.digest()
         if len(sig_cache) >= _SIG_CACHE_MAX:
             _evict_sig_cache()
         sig_cache[cache_key] = ok

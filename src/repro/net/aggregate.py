@@ -496,7 +496,7 @@ def exact_flood_times(
     from repro.sim.simulator import Simulator
 
     simulator = Simulator(seed=seed)
-    network = Network(simulator, coalesce=False)
+    network = Network(simulator)
     nodes = random_regular_topology(
         network, count, degree, _TimeRecorder, link, seed=seed)
     message = Message(kind="flood", payload="x" * payload_bytes,
@@ -558,7 +558,7 @@ def exact_clustered_flood_times(
 
     boundary = boundary_link if boundary_link is not None else link
     simulator = Simulator(seed=seed)
-    network = Network(simulator, coalesce=False)
+    network = Network(simulator)
     ingress = _TimeRecorder("ingress")
     network.add_node(ingress)
     gateways: List[str] = []

@@ -12,6 +12,16 @@ Every transmission attempt is accounted in a :class:`repro.trace.Tracer`:
 it is recorded as ``schedule`` when handed to a link and resolves as
 exactly one ``deliver`` or ``drop``, so completed runs satisfy
 ``scheduled == delivered + dropped``.
+
+There is one delivery path.  ``gossip``, ``transmit`` and
+``transmit_reliable`` all hand an attempt to the link through
+:meth:`Network._attempt` and resolve its arrival through
+:meth:`Network._arrive`; they differ only in what a failure triggers
+(gossip: retry then park; reliable: retry then give up; plain transmit:
+nothing).  Arrivals are scheduled with
+:meth:`~repro.sim.simulator.Simulator.schedule_batchable`, so the
+same-instant arrivals at one node are drained as a single dispatch, in
+scheduling order.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.crypto import accel
 from repro.net.link import LinkParams
 from repro.net.message import Message
 from repro.net.node import NetworkNode
@@ -117,16 +126,10 @@ class Network:
         tracer: Optional[Tracer] = None,
         retransmit: Optional[RetransmitPolicy] = None,
         seen_cache_size: Optional[int] = 65536,
-        coalesce: Optional[bool] = None,
     ) -> None:
         self.simulator = simulator
         self.tracer = tracer if tracer is not None else Tracer()
         self.retransmit = retransmit if retransmit is not None else RetransmitPolicy()
-        # Delivery coalescing: same-timestamp deliveries to one node are
-        # drained as a single batch dispatch (order-preserving, see
-        # Simulator.schedule_batchable).  Defaults to the accelerated
-        # tier's setting; pass an explicit bool to override per network.
-        self.coalesce = accel.enabled() if coalesce is None else bool(coalesce)
         # Bound once: batch dispatch relies on callable identity to keep
         # heap runs with the same key mergeable (bound-method attribute
         # access would mint a fresh object per schedule).
@@ -257,23 +260,34 @@ class Network:
             self._inflight[target].add(key)
             self._attempt_gossip(src, target, message, attempt=1)
 
-    def _schedule_retry(self, src: str, dst: str, message: Message,
-                        attempt: int) -> None:
-        key = message.gossip_key()
+    def _backoff(self, src: str, dst: str, message: Message,
+                 attempt: int) -> Optional[float]:
+        """Delay before the retry that follows failed attempt number
+        ``attempt``, or ``None`` once the budget is spent (the give-up is
+        then recorded)."""
         tracer = self.tracer
         if attempt >= self.retransmit.max_attempts:
-            self._inflight[dst].discard(key)
-            self._parked[(src, dst, key)] = message
             if tracer.enabled:
                 tracer.record_give_up(
                     self.simulator.now, src, dst, message.kind, attempt
                 )
-            return
+            return None
         delay = self.retransmit.backoff(attempt, self._retry_rng)
         if tracer.enabled:
             tracer.record_retransmit(
                 self.simulator.now, src, dst, message.kind, attempt, delay
             )
+        return delay
+
+    def _schedule_retry(self, src: str, dst: str, message: Message,
+                        attempt: int) -> None:
+        """A gossip attempt failed: back off and retry, or park it."""
+        key = message.gossip_key()
+        delay = self._backoff(src, dst, message, attempt)
+        if delay is None:
+            self._inflight[dst].discard(key)
+            self._parked[(src, dst, key)] = message
+            return
 
         def retry() -> None:
             self._retry_timers.pop((src, dst, key), None)
@@ -285,143 +299,100 @@ class Network:
         timer = self.simulator.schedule(delay, retry, label="retransmit")
         self._retry_timers[(src, dst, key)] = (timer, message)
 
+    def _retry_reliable(self, src: str, dst: str, message: Message,
+                        attempt: int) -> None:
+        """A reliable send failed: back off and retry, or give up."""
+        delay = self._backoff(src, dst, message, attempt)
+        if delay is not None:
+            self.simulator.schedule(
+                delay,
+                lambda: self._send(src, dst, message, attempt + 1, True),
+                label="retransmit")
+
     # --------------------------------------------------------------- traffic
+
+    def _drop(self, src: str, dst: str, message: Message, reason: str) -> None:
+        self.messages_lost += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record_drop(self.simulator.now, src, dst, message.kind,
+                               reason)
+
+    def _attempt(self, src: str, dst: str, message: Message,
+                 attempt: int) -> Optional[float]:
+        """Hand one transmission attempt to the link ``src -> dst``.
+
+        Returns the link delay after which it arrives, or ``None`` when
+        a partition or link loss ate it (the drop is then accounted and
+        what happens next is the caller's policy)."""
+        link = self._links.get((src, dst))
+        if link is None:
+            raise KeyError(f"no link {src}->{dst}")
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record_schedule(self.simulator.now, src, dst, message.kind,
+                                   attempt)
+        if self._crosses_partition(src, dst):
+            self._drop(src, dst, message, REASON_PARTITION)
+            return None
+        delay = link.delivery_delay(message, self._rng)
+        if delay is None:
+            self._drop(src, dst, message, REASON_LOSS)
+        return delay
+
+    def _arrive(self, node: NetworkNode, src: str, message: Message) -> bool:
+        """Account one arrival at ``node``: ``True`` when it counts as
+        delivered (the caller hands it over), ``False`` when the node is
+        offline and the attempt resolved as a drop."""
+        if not node.online:
+            self._drop(src, node.node_id, message, REASON_OFFLINE)
+            return False
+        self.messages_delivered += 1
+        self.bytes_transferred += message.wire_size
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record_deliver(self.simulator.now, src, node.node_id,
+                                  message.kind)
+        return True
 
     def transmit(self, src: str, dst: str, message: Message) -> None:
         """Send over the direct link; silently drops on loss/partition
         (the unreliable datagram primitive — gossip adds recovery)."""
-        link = self._links.get((src, dst))
-        if link is None:
-            raise KeyError(f"no link {src}->{dst}")
-        now = self.simulator.now
-        tracer = self.tracer
-        traced = tracer.enabled
-        if traced:
-            tracer.record_schedule(now, src, dst, message.kind)
-        if self._crosses_partition(src, dst):
-            self.messages_lost += 1
-            if traced:
-                tracer.record_drop(now, src, dst, message.kind,
-                                   REASON_PARTITION)
-            return
-        delay = link.delivery_delay(message, self._rng)
-        if delay is None:
-            self.messages_lost += 1
-            if traced:
-                tracer.record_drop(now, src, dst, message.kind, REASON_LOSS)
-            return
-
-        if self.coalesce:
-            self.simulator.schedule_batchable(
-                delay, self._transmit_dispatch, (src, dst, message, traced),
-                ("t", dst), label=f"msg:{message.kind}")
-            return
-
-        def deliver() -> None:
-            node = self._nodes[dst]
-            if not node.online:
-                self.messages_lost += 1
-                if traced:
-                    tracer.record_drop(self.simulator.now, src, dst,
-                                       message.kind, REASON_OFFLINE)
-                return
-            self.messages_delivered += 1
-            self.bytes_transferred += message.wire_size
-            if traced:
-                tracer.record_deliver(self.simulator.now, src, dst,
-                                      message.kind)
-            node.deliver(src, message)
-
-        self.simulator.schedule(delay, deliver, label=f"msg:{message.kind}")
-
-    def _deliver_transmit_batch(self, items: List[tuple]) -> None:
-        """Dispatch a coalesced run of direct transmissions to one node.
-
-        Per-item behavior is identical to the scalar ``deliver`` closure
-        in :meth:`transmit`; the batch only amortizes the hand-off (one
-        ``deliver_batch`` call, one signature prewarm at the node).
-        """
-        dst = items[0][1]
-        node = self._nodes[dst]
-        tracer = self.tracer
-        now = self.simulator.now
-        deliverable = []
-        for src, _dst, message, traced in items:
-            if not node.online:
-                self.messages_lost += 1
-                if traced:
-                    tracer.record_drop(now, src, dst, message.kind,
-                                       REASON_OFFLINE)
-                continue
-            self.messages_delivered += 1
-            self.bytes_transferred += message.wire_size
-            if traced:
-                tracer.record_deliver(now, src, dst, message.kind)
-            deliverable.append((src, message))
-        if deliverable:
-            node.deliver_batch(deliverable)
+        self._send(src, dst, message, 1, False)
 
     def transmit_reliable(self, src: str, dst: str, message: Message) -> None:
         """Direct send with retransmit/backoff: each failed attempt is
         retried until delivery or ``retransmit.max_attempts``."""
-        if (src, dst) not in self._links:
-            raise KeyError(f"no link {src}->{dst}")
+        self._send(src, dst, message, 1, True)
 
-        tracer = self.tracer
-        traced = tracer.enabled
+    def _send(self, src: str, dst: str, message: Message, attempt: int,
+              reliable: bool) -> None:
+        delay = self._attempt(src, dst, message, attempt)
+        if delay is not None:
+            self.simulator.schedule_batchable(
+                delay, self._transmit_dispatch,
+                (src, dst, message, attempt, reliable),
+                ("t", dst), label=f"msg:{message.kind}")
+        elif reliable:
+            self._retry_reliable(src, dst, message, attempt)
 
-        def attempt(number: int) -> None:
-            now = self.simulator.now
-            if traced:
-                tracer.record_schedule(now, src, dst, message.kind, number)
-            reason = None
-            delay = None
-            if self._crosses_partition(src, dst):
-                reason = REASON_PARTITION
-            else:
-                delay = self._links[(src, dst)].delivery_delay(message, self._rng)
-                if delay is None:
-                    reason = REASON_LOSS
+    def _deliver_transmit_batch(self, items: List[tuple]) -> None:
+        """Dispatch the direct sends arriving at one node at one instant.
 
-            def retry_or_give_up() -> None:
-                if number >= self.retransmit.max_attempts:
-                    if traced:
-                        tracer.record_give_up(self.simulator.now, src, dst,
-                                              message.kind, number)
-                    return
-                backoff = self.retransmit.backoff(number, self._retry_rng)
-                if traced:
-                    tracer.record_retransmit(self.simulator.now, src, dst,
-                                             message.kind, number, backoff)
-                self.simulator.schedule(backoff, lambda: attempt(number + 1),
-                                        label="retransmit")
-
-            if reason is not None:
-                self.messages_lost += 1
-                if traced:
-                    tracer.record_drop(now, src, dst, message.kind, reason)
-                retry_or_give_up()
-                return
-
-            def deliver() -> None:
-                node = self._nodes[dst]
-                if not node.online:
-                    self.messages_lost += 1
-                    if traced:
-                        tracer.record_drop(self.simulator.now, src, dst,
-                                           message.kind, REASON_OFFLINE)
-                    retry_or_give_up()
-                    return
-                self.messages_delivered += 1
-                self.bytes_transferred += message.wire_size
-                if traced:
-                    tracer.record_deliver(self.simulator.now, src, dst,
-                                          message.kind)
-                node.deliver(src, message)
-
-            self.simulator.schedule(delay, deliver, label=f"msg:{message.kind}")
-
-        attempt(1)
+        Items come in scheduling order; a reliable send that finds the
+        node offline is retried, a plain one is just dropped.  The
+        survivors are handed over in one ``deliver_batch`` call (one
+        signature prewarm at the node).
+        """
+        node = self._nodes[items[0][1]]
+        deliverable = []
+        for src, dst, message, attempt, reliable in items:
+            if self._arrive(node, src, message):
+                deliverable.append((src, message))
+            elif reliable:
+                self._retry_reliable(src, dst, message, attempt)
+        if deliverable:
+            node.deliver_batch(deliverable)
 
     def gossip(self, origin: str, message: Message) -> None:
         """Flood ``message`` from ``origin`` through the whole topology."""
@@ -447,84 +418,33 @@ class Network:
         if key in self._seen[dst]:
             self._inflight[dst].discard(key)
             return
-        link = self._links[(src, dst)]
-        now = self.simulator.now
-        tracer = self.tracer
-        traced = tracer.enabled
-        if traced:
-            tracer.record_schedule(now, src, dst, message.kind, attempt)
-        if self._crosses_partition(src, dst):
-            self.messages_lost += 1
-            if traced:
-                tracer.record_drop(now, src, dst, message.kind,
-                                   REASON_PARTITION)
-            self._schedule_retry(src, dst, message, attempt)
-            return
-        delay = link.delivery_delay(message, self._rng)
+        delay = self._attempt(src, dst, message, attempt)
         if delay is None:
-            self.messages_lost += 1
-            if traced:
-                tracer.record_drop(now, src, dst, message.kind, REASON_LOSS)
             self._schedule_retry(src, dst, message, attempt)
             return
-
-        if self.coalesce:
-            self.simulator.schedule_batchable(
-                delay, self._gossip_dispatch,
-                (src, dst, message, key, attempt, traced),
-                ("g", dst), label=f"gossip:{message.kind}")
-            return
-
-        def deliver() -> None:
-            node = self._nodes[dst]
-            arrival = self.simulator.now
-            if not node.online:
-                self.messages_lost += 1
-                if traced:
-                    tracer.record_drop(arrival, src, dst, message.kind,
-                                       REASON_OFFLINE)
-                self._schedule_retry(src, dst, message, attempt)
-                return
-            self.messages_delivered += 1
-            self.bytes_transferred += message.wire_size
-            if traced:
-                tracer.record_deliver(arrival, src, dst, message.kind)
-            self._seen[dst].add(key)
-            self._inflight[dst].discard(key)
-            node.deliver(src, message)
-            self._forward(dst, src, message)
-
-        self.simulator.schedule(delay, deliver, label=f"gossip:{message.kind}")
+        self.simulator.schedule_batchable(
+            delay, self._gossip_dispatch, (src, dst, message, key, attempt),
+            ("g", dst), label=f"gossip:{message.kind}")
 
     def _deliver_gossip_batch(self, items: List[tuple]) -> None:
-        """Dispatch a coalesced run of gossip deliveries to one node.
+        """Dispatch the gossip arriving at one node at one instant.
 
-        Items are processed strictly in scheduling order with the exact
-        per-item semantics of the scalar ``deliver`` closure — including
-        deliver-then-forward per message, which keeps RNG draw order (and
-        therefore golden fingerprints) byte-identical.  The batch's win
-        is the up-front signature prewarm across the whole burst.
+        Items are processed strictly in scheduling order, deliver then
+        forward per message, which keeps RNG draw order (and therefore
+        golden fingerprints) independent of how many arrivals share the
+        instant.  The batch's win is the up-front signature prewarm
+        across the whole burst.
         """
         dst = items[0][1]
         node = self._nodes[dst]
-        tracer = self.tracer
         seen = self._seen[dst]
         inflight = self._inflight[dst]
         if len(items) > 1 and node.online:
             node.prewarm_messages([item[2] for item in items])
-        for src, _dst, message, key, attempt, traced in items:
-            arrival = self.simulator.now
-            if not node.online:
-                self.messages_lost += 1
-                if traced:
-                    tracer.record_drop(arrival, src, dst, message.kind,
-                                       REASON_OFFLINE)
+        for src, _dst, message, key, attempt in items:
+            if not self._arrive(node, src, message):
                 self._schedule_retry(src, dst, message, attempt)
                 continue
-            self.messages_delivered += 1
-            self.bytes_transferred += message.wire_size
-            if traced:
-                tracer.record_deliver(arrival, src, dst, message.kind)
             seen.add(key)
             inflight.discard(key)
             node.deliver(src, message)

@@ -95,7 +95,9 @@ class NetworkNode:
         self.handle_message(sender_id, message)
 
     def deliver_batch(self, items) -> None:
-        """Deliver a coalesced same-instant burst of ``(sender, message)``.
+        """Deliver the ``(sender, message)`` direct sends that reach this
+        node at one instant — how every :meth:`send` / :meth:`send_reliable`
+        arrives, a lone message being a one-item burst.
 
         Semantically identical to calling :meth:`deliver` per item in
         order; the default does exactly that after a behavior-neutral
@@ -108,7 +110,8 @@ class NetworkNode:
             self.deliver(sender_id, message)
 
     def prewarm_messages(self, messages) -> None:
-        """Batch pre-verification hook for a coalesced delivery burst.
+        """Batch pre-verification hook for a same-instant arrival burst
+        (direct sends via :meth:`deliver_batch`, gossip via the network).
 
         Must be behavior-neutral (cache warming only).  Base nodes do
         nothing; protocol-stack nodes batch-verify the burst's signatures

@@ -43,7 +43,7 @@ from repro.net.network import Network, RetransmitPolicy
 from repro.net.node import NetworkNode
 from repro.sim.sharded import ShardedConfig, ShardedPropagation
 from repro.sim.simulator import Simulator
-from repro.trace import REASON_OFFLINE, REASON_PARTITION, Tracer
+from repro.trace import REASON_PARTITION, Tracer
 
 __all__ = ["ShardedMessagePlane"]
 
@@ -77,10 +77,9 @@ class ShardedMessagePlane(Network):
         tracer: Optional[Tracer] = None,
         retransmit: Optional[RetransmitPolicy] = None,
         seen_cache_size: Optional[int] = 65536,
-        coalesce: Optional[bool] = None,
     ) -> None:
         super().__init__(simulator, tracer=tracer, retransmit=retransmit,
-                         seen_cache_size=seen_cache_size, coalesce=coalesce)
+                         seen_cache_size=seen_cache_size)
         if total_nodes < 2:
             raise ValueError("total_nodes must be >= 2")
         if jobs < 1:
@@ -221,46 +220,32 @@ class ShardedMessagePlane(Network):
                                  delay: float) -> None:
         """One replica delivery timed by the crowd, resolved exactly.
 
-        Mirrors the scalar ``deliver`` closure of
-        :meth:`Network._attempt_gossip` — same tracer accounting (one
-        ``schedule`` resolving as ``deliver`` or ``drop``), same
-        offline/partition handling (drop + retransmit chain) — except
-        there is no re-forward: the crowd already did the fan-out.
+        Same accounting as :meth:`Network._attempt_gossip` (one
+        ``schedule`` resolving as ``deliver`` or ``drop``; a drop enters
+        the retransmit chain over the direct replica link), except that
+        the partition is checked at arrival — the crowd, not a replica
+        link, carried the message — and there is no re-forward: the
+        crowd already did the fan-out.
         """
         key = message.gossip_key()
         tracer = self.tracer
-        traced = tracer.enabled
-        if traced:
+        if tracer.enabled:
             tracer.record_schedule(self.simulator.now, src, dst,
                                    message.kind, 1)
 
         def deliver() -> None:
-            arrival = self.simulator.now
             if key in self._seen[dst]:
                 self._inflight[dst].discard(key)
                 return
             node = self._nodes[dst]
             if self._crosses_partition(src, dst):
-                self.messages_lost += 1
-                if traced:
-                    tracer.record_drop(arrival, src, dst, message.kind,
-                                       REASON_PARTITION)
-                self._schedule_retry(src, dst, message, attempt=1)
+                self._drop(src, dst, message, REASON_PARTITION)
+            elif self._arrive(node, src, message):
+                self._seen[dst].add(key)
+                self._inflight[dst].discard(key)
+                node.deliver(src, message)
                 return
-            if not node.online:
-                self.messages_lost += 1
-                if traced:
-                    tracer.record_drop(arrival, src, dst, message.kind,
-                                       REASON_OFFLINE)
-                self._schedule_retry(src, dst, message, attempt=1)
-                return
-            self.messages_delivered += 1
-            self.bytes_transferred += message.wire_size
-            if traced:
-                tracer.record_deliver(arrival, src, dst, message.kind)
-            self._seen[dst].add(key)
-            self._inflight[dst].discard(key)
-            node.deliver(src, message)
+            self._schedule_retry(src, dst, message, attempt=1)
 
         self.simulator.schedule(delay, deliver,
                                 label=f"gossip:{message.kind}")

@@ -316,16 +316,16 @@ def _bench_lattice_settle(scale: float) -> Tuple[int, float]:
 
 
 # --------------------------------------------------------------------------
-# Batch-tier benches
+# Burst-amortization benches
 # --------------------------------------------------------------------------
 
 
 def _bench_sig_batch_verify(scale: float) -> Tuple[int, float]:
     """Artifact lifecycle, cold caches: sign a burst, then first-contact
     verification through the batch API — what every simulated artifact
-    pays once per process.  Under the accelerated tier signing seeds the
-    sigcache, so the burst partitions into cached triples plus the
-    tampered minority (one per 16) that must be recomputed and rejected."""
+    pays once per process.  Signing seeds the sigcache, so the burst
+    partitions into cached triples plus the tampered minority (one per
+    16) that must be recomputed and rejected."""
     from repro.crypto.keys import KeyPair, clear_sigcache, verify_signatures_batch
 
     signers = 8
@@ -427,7 +427,7 @@ def _bench_delivery_coalesce(scale: float) -> Tuple[int, float]:
     from repro.sim.simulator import Simulator
 
     sim = Simulator(seed=7)
-    net = Network(sim, coalesce=True)
+    net = Network(sim)
     link = LinkParams(latency_s=0.005, jitter_s=0.0, bandwidth_bps=1e9)
     nodes = small_world_topology(net, 24, NetworkNode, link_params=link, seed=7)
     m = max(10, int(1500 * scale))

@@ -26,8 +26,9 @@ class MessagePlane(Protocol):
       :meth:`transmit` / :meth:`transmit_reliable` are the point-to-point
       primitives (unreliable datagram vs retransmit-with-backoff).
     * **deliver** — every accepted transmission resolves as exactly one
-      ``node.deliver`` (or a coalesced ``deliver_batch``) at the
-      destination; offline receivers drop (and gossip re-parks).
+      ``node.deliver`` (gossip) or one item of a ``node.deliver_batch``
+      (direct sends arriving together) at the destination; offline
+      receivers drop (and gossip re-parks).
     * **seen/retransmit** — duplicate suppression is by *ownership*: the
       first in-flight delivery chain claims a ``(destination, key)``
       pair; lost attempts back off and retry, exhausted attempts park
@@ -144,7 +145,7 @@ class ConsensusEngine(abc.ABC):
     def signature_items(self, artifact: Any) -> Any:
         """``(public_key, message, signature)`` triples ``artifact`` carries.
 
-        The batch tier feeds these to
+        Burst ingest and delivery feed these to
         :func:`repro.crypto.keys.verify_signatures_batch` before a burst
         is ingested, so the engine's own scalar checks all hit the
         sigcache.  Must be side-effect-free; engines whose artifacts are

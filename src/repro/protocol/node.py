@@ -142,32 +142,19 @@ class ProtocolNode(NetworkNode):
                 triples.extend(collect(artifact))
             if triples:
                 prewarm_signatures(triples)
-        integrated = 0
         applied_keys = []
-        intake_park = self.intake.park
         for artifact in artifacts:
             if skip is not None and skip(artifact):
                 continue
             try:
-                key = engine.artifact_key(artifact)
-                if engine.is_known(key):
-                    continue
-                missing = engine.missing_dependency(artifact)
-                if missing is not None:
-                    evicted = intake_park(missing, artifact)
-                    self._trace("record_intake_park", missing, evicted)
-                    self.on_parked(artifact, missing)
-                    continue
-                if not engine.integrate(artifact):
-                    continue
-                engine.on_applied(artifact)
+                key = self._ingest_no_retry(artifact)
             except ReproError:
                 continue
-            integrated += 1
-            applied_keys.append(key)
+            if key is not None:
+                applied_keys.append(key)
         for key in applied_keys:
             self.retry_dependents(key)
-        return integrated
+        return len(applied_keys)
 
     def prewarm_messages(self, messages: Any) -> None:
         """Batch-verify the signatures a coalesced burst carries.

@@ -6,22 +6,15 @@ milliseconds of wall time.  The simulator is a plain priority-queue event
 loop with deterministic tie-breaking and seeded randomness.
 """
 
-from repro.crypto import accel  # accelerated-tier selection (REPRO_ACCEL)
 from repro.sim.events import Event, EventQueue
 from repro.sim.sharded import ShardedConfig, ShardedPropagation, ShardedResult
 from repro.sim.simulator import Simulator
 
-#: Whether coalesced batch dispatch is the default for network delivery
-#: (resolved once at import from ``REPRO_ACCEL``; see repro.crypto.accel).
-COALESCE_DEFAULT = accel.enabled()
-
 __all__ = [
-    "COALESCE_DEFAULT",
     "Event",
     "EventQueue",
     "ShardedConfig",
     "ShardedPropagation",
     "ShardedResult",
     "Simulator",
-    "accel",
 ]

@@ -337,30 +337,3 @@ class NullTracer(Tracer):
     def emit(self, time, kind, src=None, dst=None, msg_kind=None,
              reason=None, **detail) -> TraceEvent:
         return _NULL_EVENT
-
-    def record_schedule(self, time, src, dst, msg_kind, attempt=1) -> None:
-        pass
-
-    def record_deliver(self, time, src, dst, msg_kind) -> None:
-        pass
-
-    def record_drop(self, time, src, dst, msg_kind, reason) -> None:
-        pass
-
-    def record_retransmit(self, time, src, dst, msg_kind, attempt, delay) -> None:
-        pass
-
-    def record_give_up(self, time, src, dst, msg_kind, attempts) -> None:
-        pass
-
-    def record_fork(self, time, node_id, **detail) -> None:
-        pass
-
-    def record_intake_park(self, time, node_id, missing, evicted=0) -> None:
-        pass
-
-    def record_intake_revive(self, time, node_id, count) -> None:
-        pass
-
-    def record_republish(self, time, node_id, count) -> None:
-        pass

@@ -3,14 +3,18 @@
 ``build_deployment`` is the single constructor every bench, test and
 CLI command goes through; these tests pin its contract: paradigm/engine
 validation, honest rejection of inapplicable knobs, Byzantine-spec
-wiring, the uniform ``Deployment`` accessors, and the deprecated
-``build_ledger`` shim staying alive for released callers.
+wiring, the uniform ``Deployment`` accessors, and the fuzzer's
+``build_fuzz_deployment`` wrapper covering every paradigm.
 """
 
 import pytest
 
 from repro.check.generator import profile_named
-from repro.check.runner import ALL_PARADIGMS, PARADIGMS, build_ledger
+from repro.check.runner import (
+    ALL_PARADIGMS,
+    PARADIGMS,
+    build_fuzz_deployment,
+)
 from repro.core.deploy import (
     PARADIGM_ENGINES,
     WorkloadSpec,
@@ -114,12 +118,14 @@ def test_workload_spec_round_trip():
 
 
 def test_build_ledger_shim_still_works():
+    """The fuzzer's factory wrapper yields a ledger of the asked
+    paradigm for every paradigm, and rejects unknown ones."""
     profile = profile_named("baseline")
     for paradigm in ALL_PARADIGMS:
-        ledger = build_ledger(paradigm, seed=0, profile=profile)
+        ledger = build_fuzz_deployment(paradigm, 0, profile).ledger
         assert ledger.paradigm == paradigm
     with pytest.raises(ValueError, match="unknown paradigm"):
-        build_ledger("nope", seed=0, profile=profile)
+        build_fuzz_deployment("nope", 0, profile)
 
 
 def test_default_fuzz_pair_excludes_bft():

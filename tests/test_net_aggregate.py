@@ -140,7 +140,7 @@ class TestAggregateVsExactValidation:
 class TestAggregateCluster:
     def build(self, size=50, tick_s=0.25, **kwargs):
         sim = Simulator(seed=1)
-        net = Network(sim, coalesce=False)
+        net = Network(sim)
         nodes = complete_topology(net, 3, Recorder, FAST_LINK)
         cluster = AggregateCluster("agg:n0", size, tick_s=tick_s,
                                    link=FAST_LINK, **kwargs)
@@ -205,7 +205,7 @@ class TestAggregateCluster:
 class TestAttachClusters:
     def test_distributes_surplus_across_boundary(self):
         sim = Simulator(seed=0)
-        net = Network(sim, coalesce=False)
+        net = Network(sim)
         complete_topology(net, 4, Recorder, FAST_LINK)
         scale = TopologyScale(total_nodes=104)
         clusters = attach_clusters(net, scale)
@@ -220,13 +220,13 @@ class TestAttachClusters:
 
     def test_no_clusters_when_boundary_covers_total(self):
         sim = Simulator(seed=0)
-        net = Network(sim, coalesce=False)
+        net = Network(sim)
         complete_topology(net, 4, Recorder, FAST_LINK)
         assert attach_clusters(net, TopologyScale(total_nodes=4)) == []
 
     def test_broadcast_reaches_every_cluster_exactly_once(self):
         sim = Simulator(seed=0)
-        net = Network(sim, coalesce=False)
+        net = Network(sim)
         nodes = complete_topology(net, 4, Recorder, FAST_LINK)
         clusters = attach_clusters(net, TopologyScale(
             total_nodes=204, cluster_link=FAST_LINK))
@@ -310,7 +310,7 @@ class TestNestedAggregate:
 
     def test_nested_cluster_models_whole_population(self):
         sim = Simulator(seed=3)
-        net = Network(sim, coalesce=False)
+        net = Network(sim)
         nodes = complete_topology(net, 3, Recorder, FAST_LINK)
         cluster = AggregateCluster("agg:n0", 30_000, tick_s=0.25,
                                    link=FAST_LINK, fanout=6)

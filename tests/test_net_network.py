@@ -337,6 +337,41 @@ class TestReliableTransmit:
         assert net.tracer.gave_up == 1
         assert net.tracer.scheduled == 3
 
+    def test_offline_at_arrival_retried_delivered_once(self):
+        sim = Simulator()
+        net = Network(sim)
+        a, b = Recorder("a"), Recorder("b")
+        net.add_node(a)
+        net.add_node(b)
+        net.connect("a", "b", LinkParams(latency_s=0.1, jitter_s=0.0,
+                                         bandwidth_bps=1e9))
+        a.send_reliable("b", make_message("patient"))
+        b.set_online(False)  # sent while up, arrives while down
+        sim.schedule_at(2.0, lambda: b.set_online(True))
+        sim.run()
+        assert [p for _, p in b.received] == ["patient"]
+        tracer = net.tracer
+        assert tracer.drop_reasons == {"offline": tracer.dropped}
+        assert tracer.dropped >= 1 and tracer.delivered == 1
+        assert tracer.retransmits == tracer.dropped
+        assert tracer.scheduled == tracer.delivered + tracer.dropped
+        assert net.messages_lost == tracer.dropped
+
+    def test_same_instant_plain_and_reliable_keep_order(self):
+        sim = Simulator()
+        net = Network(sim)
+        a, b = Recorder("a"), Recorder("b")
+        net.add_node(a)
+        net.add_node(b)
+        net.connect("a", "b", LinkParams(latency_s=0.1, jitter_s=0.0,
+                                         bandwidth_bps=1e9))
+        a.send("b", make_message("first"))
+        a.send_reliable("b", make_message("second"))
+        a.send("b", make_message("third"))
+        sim.run()
+        assert [p for _, p in b.received] == ["first", "second", "third"]
+        assert sim.now == pytest.approx(0.1, abs=1e-3)
+
 
 class TestTopologies:
     def test_complete_edge_count(self):

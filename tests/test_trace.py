@@ -144,20 +144,52 @@ class TestNullTracer:
         assert NullTracer.enabled is False
         assert NullTracer().enabled is False
 
+    @staticmethod
+    def _faulty_run(tracer):
+        """Lossy links, a partition + heal and a crash + restart under
+        payment traffic and a reliable send: every ``record_*``/``emit``
+        call site in the fabric, the stack and the fault injector."""
+        from repro.dag.bootstrap import build_nano_testbed, fund_accounts
+        from repro.faults import FaultInjector
+        from repro.net.link import LinkParams
+        from repro.net.message import Message
+
+        tb = build_nano_testbed(
+            node_count=5, representative_count=2, seed=4, tracer=tracer,
+            link_params=LinkParams(latency_s=0.05, jitter_s=0.02,
+                                   bandwidth_bps=1e9, loss_probability=0.2),
+        )
+        users = fund_accounts(tb, 3, 10**6, settle_time=4.0)
+        now = tb.simulator.now
+        faults = FaultInjector(tb.network)
+        faults.partition_at(now + 0.5, [["n0", "n1"], ["n2", "n3", "n4"]])
+        faults.heal_at(now + 20.0)  # outlasts the retry budget
+        faults.crash_at(now + 1.0, "n1", duration_s=6.0)  # users[1]'s wallet
+        for i in range(6):
+            sender, recipient = users[i % 3], users[(i + 1) % 3]
+            tb.node_for(sender.address).send_payment(
+                sender.address, recipient.address, 10)
+            tb.nodes[0].send_reliable(
+                "n1", Message(kind="ping", payload=i, size_bytes=20))
+            tb.simulator.run(until=tb.simulator.now + 1.5)
+        tb.simulator.run(until=tb.simulator.now + 30)
+        return tb
+
     def test_records_nothing(self):
         from repro.trace import NullTracer
 
-        tracer = NullTracer()
-        tracer.record_schedule(1.0, "a", "b", "tx")
-        tracer.record_deliver(2.0, "a", "b", "tx")
-        tracer.record_drop(3.0, "a", "b", "tx", REASON_LOSS)
-        tracer.record_retransmit(4.0, "a", "b", "tx", attempt=2, delay=0.1)
-        tracer.record_give_up(5.0, "a", "b", "tx", attempts=3)
-        tracer.record_fork(6.0, "n1")
-        tracer.emit(7.0, SCHEDULE, src="a", dst="b")
+        real = self._faulty_run(Tracer()).network.tracer
+        assert min(real.dropped, real.retransmits, real.gave_up,
+                   real.intake_parked, real.intake_revived,
+                   real.republished) > 0  # the run reaches the call sites
+        assert set(real.drop_reasons) == {"loss", "partition", "offline"}
+
+        tb = self._faulty_run(NullTracer())
+        tracer = tb.network.tracer
+        assert tb.network.messages_lost > 0
         assert list(tracer.events()) == []
-        assert tracer.counters()["trace.scheduled"] == 0.0
-        assert tracer.counters()["trace.delivered"] == 0.0
+        assert tracer.emitted == 0
+        assert set(tracer.counters().values()) == {0.0}
 
     def test_network_accepts_null_tracer(self):
         from repro.net.message import Message
