@@ -171,7 +171,7 @@ class InvariantMonitor:
             if self.tracer is not None and self.evidence_events:
                 evidence = [
                     event.to_dict()
-                    for event in self.tracer.events()[-self.evidence_events:]
+                    for event in self.tracer.events(last=self.evidence_events)
                 ]
             self.violation = ViolationRecord(
                 time_s=now,
@@ -189,16 +189,11 @@ class InvariantMonitor:
         JSONL; returns records written (0 when no violation)."""
         if self.violation is None:
             return 0
+        header = self.violation.to_dict()
+        evidence = header.pop("evidence")
         with open(path, "w") as handle:
-            header = {
-                "time_s": self.violation.time_s,
-                "violations": [
-                    {"invariant": v.invariant, "detail": v.detail}
-                    for v in self.violation.violations
-                ],
-            }
             handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for event in self.violation.evidence:
+            for event in evidence:
                 handle.write(json.dumps(event, sort_keys=True, default=str)
                              + "\n")
-        return 1 + len(self.violation.evidence)
+        return 1 + len(evidence)

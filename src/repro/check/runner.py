@@ -192,12 +192,12 @@ def _apply_op(op, ledger: Ledger, injector: Optional[FaultInjector],
         if injector is None or len(node_ids) < 2:
             return "skipped"
         half = len(node_ids) // 2
-        injector.network.partition([node_ids[:half], node_ids[half:]])
+        injector.partition([node_ids[:half], node_ids[half:]])
         return "ok"
     if op.kind == OP_HEAL:
         if injector is None:
             return "skipped"
-        injector.network.heal()
+        injector.heal()
         return "ok"
     if op.kind == OP_CORRUPT:
         return "ok" if ledger.inject_supply_corruption(op.amount) else "skipped"

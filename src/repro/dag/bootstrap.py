@@ -65,11 +65,10 @@ def build_nano_testbed(
     representative, then the harness typically spreads balances (and thus
     weight) with :func:`fund_accounts`.
 
-    ``tracer`` is forwarded to the :class:`Network`; untraced throughput
-    sweeps pass a :class:`repro.trace.NullTracer` to skip trace-record
-    construction on the gossip hot path.  ``network_factory`` swaps the
-    message plane (e.g. the sharded tier) — when given, it owns tracer
-    wiring and the ``tracer`` argument must be None.
+    ``tracer`` is forwarded to the :class:`Network` (default: a fresh
+    :class:`repro.trace.Tracer`).  ``network_factory`` swaps the message
+    plane (e.g. the sharded tier) — when given, it owns tracer wiring
+    and the ``tracer`` argument must be None.
     """
     if representative_count > node_count:
         raise ValueError("cannot have more representatives than nodes")

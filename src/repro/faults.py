@@ -27,8 +27,6 @@ from repro.trace import (
     BYZANTINE,
     CRASH,
     DEGRADE,
-    HEAL,
-    PARTITION,
     RESTART,
     RESTORE,
 )
@@ -122,6 +120,8 @@ class FaultInjector:
         self.tracer = network.tracer
         self.crashes_injected = 0
         self.restarts_injected = 0
+        self.partitions_injected = 0
+        self.heals_injected = 0
         self.byzantine_marked = 0
         #: links currently under degradation: (true original params,
         #: number of still-active degradation windows).  The depth count
@@ -253,14 +253,23 @@ class FaultInjector:
 
     # ---------------------------------------------------------- partitions
 
+    def partition(self, groups: Iterable[Iterable[str]]) -> None:
+        """Split the network into ``groups`` immediately."""
+        self.partitions_injected += 1
+        self.network.partition(groups)
+
+    def heal(self) -> None:
+        """Reconnect all partitions immediately."""
+        self.heals_injected += 1
+        self.network.heal()
+
     def partition_at(self, time_s: float, groups: Iterable[Iterable[str]],
                      heal_after_s: Optional[float] = None) -> None:
         """Partition at ``time_s``; automatically heal ``heal_after_s``
         seconds later when given."""
         frozen: List[List[str]] = [list(group) for group in groups]
         self.simulator.schedule_at(
-            time_s, lambda: self.network.partition(frozen),
-            label="fault:partition",
+            time_s, lambda: self.partition(frozen), label="fault:partition",
         )
         if heal_after_s is not None:
             if heal_after_s <= 0:
@@ -268,8 +277,7 @@ class FaultInjector:
             self.heal_at(time_s + heal_after_s)
 
     def heal_at(self, time_s: float) -> None:
-        self.simulator.schedule_at(time_s, self.network.heal,
-                                   label="fault:heal")
+        self.simulator.schedule_at(time_s, self.heal, label="fault:heal")
 
     # ------------------------------------------------------------ byzantine
 
@@ -297,8 +305,8 @@ class FaultInjector:
             "restarts": self.restarts_injected,
             "byzantine_nodes": self.byzantine_marked,
             "degraded_links_active": len(self._degraded),
-            "partitions": len([e for e in self.tracer.events(PARTITION)]),
-            "heals": len([e for e in self.tracer.events(HEAL)]),
+            "partitions": self.partitions_injected,
+            "heals": self.heals_injected,
         }
 
     def protocol_counters(self) -> Dict[str, float]:

@@ -136,7 +136,10 @@ def _bench_event_cancel(scale: float) -> Tuple[int, float]:
 # --------------------------------------------------------------------------
 
 
-def _gossip_workload(scale: float, tracer) -> Tuple[int, float]:
+def _gossip_workload(scale: float, tracer=None, link=None, seed: int = 3,
+                     burst: int = 1) -> Tuple[int, float]:
+    """Flood ``1500 * scale`` messages over a 24-node small world,
+    ``burst`` origins gossiping at each 0.05 s send instant."""
     from repro.net.link import FAST_LINK
     from repro.net.message import Message
     from repro.net.network import Network
@@ -144,20 +147,17 @@ def _gossip_workload(scale: float, tracer) -> Tuple[int, float]:
     from repro.net.topology import small_world_topology
     from repro.sim.simulator import Simulator
 
-    sim = Simulator(seed=3)
-    if tracer is None:
-        net = Network(sim)
-    else:
-        net = Network(sim, tracer=tracer)
+    sim = Simulator(seed=seed)
+    net = Network(sim, tracer=tracer)
     nodes = small_world_topology(net, 24, NetworkNode,
-                                 link_params=FAST_LINK, seed=3)
+                                 link_params=link or FAST_LINK, seed=seed)
     m = max(10, int(1500 * scale))
     start = perf_counter()
     for i in range(m):
         origin = nodes[i % len(nodes)]
         message = Message(kind="blk", payload=i, size_bytes=240)
         sim.schedule_at(
-            i * 0.05,
+            (i // burst) * 0.05,
             (lambda o=origin, msg=message: net.gossip(o.node_id, msg)),
         )
     sim.run()
@@ -168,18 +168,15 @@ def _gossip_workload(scale: float, tracer) -> Tuple[int, float]:
 def _bench_gossip_broadcast(scale: float) -> Tuple[int, float]:
     """Flooding broadcast over a 24-node small world, tracing enabled
     (the default Network configuration)."""
-    return _gossip_workload(scale, tracer=None)
+    return _gossip_workload(scale)
 
 
 def _bench_gossip_untraced(scale: float) -> Tuple[int, float]:
-    """Same flood with the pay-for-use no-op tracer (falls back to the
-    default tracer on revisions that predate it)."""
-    try:
-        from repro.trace import NullTracer
-        tracer = NullTracer()
-    except ImportError:  # pragma: no cover - baseline capture only
-        tracer = None
-    return _gossip_workload(scale, tracer=tracer)
+    """Same flood with the no-op tracer: the measuring stick for what
+    leaving the trace on costs."""
+    from repro.trace import NullTracer
+
+    return _gossip_workload(scale, tracer=NullTracer())
 
 
 # --------------------------------------------------------------------------
@@ -420,29 +417,9 @@ def _bench_delivery_coalesce(scale: float) -> Tuple[int, float]:
     """Same-timestamp gossip bursts over zero-jitter links: the run loop
     drains each receiver's burst as one coalesced delivery batch."""
     from repro.net.link import LinkParams
-    from repro.net.message import Message
-    from repro.net.network import Network
-    from repro.net.node import NetworkNode
-    from repro.net.topology import small_world_topology
-    from repro.sim.simulator import Simulator
 
-    sim = Simulator(seed=7)
-    net = Network(sim)
     link = LinkParams(latency_s=0.005, jitter_s=0.0, bandwidth_bps=1e9)
-    nodes = small_world_topology(net, 24, NetworkNode, link_params=link, seed=7)
-    m = max(10, int(1500 * scale))
-    width = len(nodes)
-    start = perf_counter()
-    for i in range(m):
-        origin = nodes[i % width]
-        message = Message(kind="blk", payload=i, size_bytes=240)
-        sim.schedule_at(
-            (i // width) * 0.05,
-            (lambda o=origin, msg=message: net.gossip(o.node_id, msg)),
-        )
-    sim.run()
-    wall = perf_counter() - start
-    return net.messages_delivered, wall
+    return _gossip_workload(scale, link=link, seed=7, burst=24)
 
 
 def _bench_mempool_admit(scale: float) -> Tuple[int, float]:

@@ -249,7 +249,7 @@ class ProtocolNode(NetworkNode):
 
     def _trace(self, record: str, *args: Any) -> None:
         """Emit a stack event into the network's tracer, if any is
-        attached and enabled (pay-for-use, like the gossip hot path)."""
+        attached and enabled (the same gate as the gossip hot path)."""
         network = self.network
         if network is None:
             return

@@ -113,6 +113,19 @@ class TestMonitor:
         assert monitor.check_now(strict=True) is None
         assert monitor.audits_run == 1
 
+    def test_evidence_is_the_tail_of_the_trace(self):
+        from repro.trace import Tracer
+
+        tracer = Tracer()
+        for i in range(10):
+            tracer.record_schedule(float(i), "a", "b", "tx")
+        monitor = InvariantMonitor(
+            lambda: self._report(("supply", "boom")), tracer=tracer,
+            evidence_events=3)
+        record = monitor.check_now()
+        assert [event["t"] for event in record.evidence] == [7.0, 8.0, 9.0]
+        assert record.evidence == [e.to_dict() for e in tracer.events()[-3:]]
+
     def test_dump_evidence(self, tmp_path):
         monitor = InvariantMonitor(lambda: self._report(("supply", "boom")))
         monitor.check_now()

@@ -134,12 +134,16 @@ class TestCommands:
             "--churn-nodes", "1", "--seed", "2", "--trace-out", str(target),
         ])
         assert code == 0  # full delivery after heal
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        out = captured.out
         assert "100.0%" in out
         assert "dropped: partition" in out
         records = [json.loads(line)
                    for line in target.read_text().splitlines()]
         assert records
+        # The whole run fits the ring, and the report says so.
+        assert (f"{len(records)} trace records written to {target} "
+                "(0 older records fell off the ring)") in captured.err
         kinds = {r["kind"] for r in records}
         assert {"schedule", "deliver", "partition", "heal"} <= kinds
 

@@ -9,7 +9,16 @@ from repro.net.network import Network
 from repro.net.node import NetworkNode
 from repro.net.topology import complete_topology, line_topology
 from repro.sim.simulator import Simulator
-from repro.trace import CRASH, DEGRADE, HEAL, PARTITION, RESTART, RESTORE
+from repro.trace import (
+    CRASH,
+    DEGRADE,
+    HEAL,
+    PARTITION,
+    RESTART,
+    RESTORE,
+    NullTracer,
+    Tracer,
+)
 
 pytestmark = pytest.mark.faults
 
@@ -234,3 +243,30 @@ class TestPartitionSchedules:
         assert counts["degraded_links_active"] == 2  # both directions
         assert counts["partitions"] == 1
         assert counts["heals"] == 1
+
+    @pytest.mark.parametrize("make_tracer",
+                             [lambda: Tracer(capacity=8), NullTracer],
+                             ids=["tiny-ring", "null-tracer"])
+    def test_partition_and_heal_counts_do_not_depend_on_the_ring(
+            self, make_tracer):
+        """Regression: the counts used to be a scan of the trace ring, so
+        they shrank to 0/0 once later traffic evicted the two markers and
+        were always 0/0 on a tracer that keeps no records."""
+        tracer = make_tracer()
+        sim = Simulator(seed=5)
+        net = Network(sim, tracer=tracer)
+        nodes = complete_topology(net, 4, Recorder, FAST_LINK)
+        injector = FaultInjector(net)
+        injector.partition_at(1.0, [["n0", "n1"], ["n2", "n3"]],
+                              heal_after_s=1.0)
+        for i in range(5):
+            sim.schedule_at(3.0 + i, lambda i=i: nodes[0].broadcast(
+                make_message(f"later-{i}")))
+        sim.run()
+        assert len(tracer.events()) <= 8  # the markers are long gone
+        counts = injector.fault_counts()
+        assert (counts["partitions"], counts["heals"]) == (1, 1)
+        injector.partition([["n0"], ["n1", "n2", "n3"]])
+        injector.heal()
+        counts = injector.fault_counts()
+        assert (counts["partitions"], counts["heals"]) == (2, 2)
