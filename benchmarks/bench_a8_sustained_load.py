@@ -148,11 +148,10 @@ def soak(p, seed, pruned):
         keep_depth=p["soak_keep_depth"],
     ).ledger
     ledger.setup(p["accounts"], FUNDING)
-    deployment = ledger.deployment()
     series = []
-    deployment.simulator.schedule_periodic(
+    ledger.simulator.schedule_periodic(
         interval,
-        lambda: series.append((deployment.simulator.now, ledger.serialized_size())),
+        lambda: series.append((ledger.now(), ledger.serialized_size())),
         until=p["soak_duration_s"],
     )
     injector = OpenLoopInjector.from_sim_stream(

@@ -7,7 +7,9 @@ mempool.  :class:`UtxoWallet` keeps an *optimistic* view: spent outputs
 leave immediately, change and incoming outputs arrive immediately.  The
 view matches the eventual chain state for any set of valid,
 non-conflicting payments, because orphaned transactions are re-mined
-(Section IV-A) rather than dropped.
+(Section IV-A) rather than dropped — provided every payment reached a
+node: one the node refuses (full mempool, fee floor) must be rolled back
+with :meth:`UtxoWallet.snapshot` / :meth:`UtxoWallet.restore`.
 
 :class:`AccountWallet` is the account-model analogue: the only local
 state is the next nonce.
@@ -68,6 +70,16 @@ class UtxoWallet:
             (txid, index, amount)
             for (txid, index), amount in sorted(self._outputs.items())
         ]
+
+    def snapshot(self) -> Dict[Outpoint, int]:
+        """The optimistic view right now, for :meth:`restore`."""
+        return dict(self._outputs)
+
+    def restore(self, snapshot: Dict[Outpoint, int]) -> None:
+        """Roll the view back to ``snapshot`` — the payment built since
+        was refused by the node, so neither its spent inputs nor its
+        change exist anywhere."""
+        self._outputs = dict(snapshot)
 
     def pay(self, recipient: Address, amount: int, fee: int = 0) -> Transaction:
         """Build a signed payment and update the optimistic view."""

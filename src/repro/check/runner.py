@@ -38,7 +38,6 @@ from repro.check.generator import (
 from repro.check.monitor import InvariantMonitor, ViolationRecord, intake_backlog
 from repro.core.deploy import Deployment, build_deployment
 from repro.core.ledger import Ledger
-from repro.dag.params import NanoParams
 from repro.faults import ByzantineSpec, FaultInjector
 
 #: Default differential pair: the two paradigms the source paper
@@ -97,11 +96,8 @@ def build_fuzz_deployment(paradigm: str, seed: int,
         )
     if paradigm == "dag":
         return build_deployment(
-            "dag", faults=faults, dag_params=NanoParams(work_difficulty=1),
-            node_count=profile.node_count,
-            representative_count=max(2, profile.node_count // 2),
-            seed=seed, prune_interval_s=profile.prune_interval_s,
-            topology_scale=scale,
+            "dag", faults=faults, node_count=profile.node_count, seed=seed,
+            prune_interval_s=profile.prune_interval_s, topology_scale=scale,
         )
     return build_deployment(
         "bft", faults=faults, node_count=profile.node_count, seed=seed,
@@ -168,7 +164,7 @@ class FuzzOutcome:
         return [r for r in self.results if not r.ok]
 
 
-def _apply_op(op, ledger: Ledger, injector: Optional[FaultInjector],
+def _apply_op(op, ledger: Ledger, injector: FaultInjector,
               node_ids: Sequence[str]) -> str:
     """Apply one schedule op right now; returns an outcome tag for the
     fingerprint's op log."""
@@ -179,24 +175,18 @@ def _apply_op(op, ledger: Ledger, injector: Optional[FaultInjector],
         entries = ledger.submit_double_spend(op.to_payment())
         return f"conflict:{len(entries)}"
     if op.kind == OP_CRASH:
-        if injector is None or not node_ids:
-            return "skipped"
         injector.crash(node_ids[op.node % len(node_ids)])
         return "ok"
     if op.kind == OP_RESTART:
-        if injector is None or not node_ids:
-            return "skipped"
         injector.restart(node_ids[op.node % len(node_ids)])
         return "ok"
     if op.kind == OP_PARTITION:
-        if injector is None or len(node_ids) < 2:
+        if len(node_ids) < 2:
             return "skipped"
         half = len(node_ids) // 2
         injector.partition([node_ids[:half], node_ids[half:]])
         return "ok"
     if op.kind == OP_HEAL:
-        if injector is None:
-            return "skipped"
         injector.heal()
         return "ok"
     if op.kind == OP_CORRUPT:
@@ -208,47 +198,31 @@ def _apply_op(op, ledger: Ledger, injector: Optional[FaultInjector],
     return "unknown"
 
 
-def run_schedule(
-    schedule: Schedule,
-    paradigm: str,
-    ledger: Optional[Ledger] = None,
-) -> FuzzRunResult:
+def run_schedule(schedule: Schedule, paradigm: str) -> FuzzRunResult:
     """Replay ``schedule`` on ``paradigm`` with in-loop auditing.
 
-    When no pre-built ``ledger`` is given, the run goes through the
-    uniform :class:`~repro.core.deploy.Deployment` handle so a profile's
+    The run goes through the uniform
+    :class:`~repro.core.deploy.Deployment` handle so a profile's
     ``topology_scale`` takes effect (aggregate clusters attach / the
-    sharded plane engages); an explicit ``ledger`` keeps the legacy
-    direct path (the shrinker and released callers).
+    sharded plane engages).
     """
     profile = schedule.profile
-    handle: Optional[Deployment] = None
-    if ledger is None:
-        handle = build_fuzz_deployment(paradigm, schedule.seed, profile)
-        handle.setup(profile.accounts, profile.initial_balance)
-        ledger = handle.ledger
-    else:
-        ledger.setup(profile.accounts, profile.initial_balance)
-
-    deployment = ledger.deployment()
-    injector: Optional[FaultInjector] = None
-    node_ids: List[str] = []
-    tracer = None
-    if deployment is not None and deployment.network is not None:
-        injector = FaultInjector(deployment.network)
-        # Fault targets are protocol replicas; aggregate cluster leaves
-        # (present when a scaled profile attached them) are not in
-        # deployment.nodes, so node_ids is already the boundary set.
-        node_ids = [node.node_id for node in deployment.nodes]
-        tracer = deployment.network.tracer
+    deployment = build_fuzz_deployment(paradigm, schedule.seed, profile)
+    deployment.setup(profile.accounts, profile.initial_balance)
+    ledger = deployment.ledger
+    injector = deployment.fault_injector()
+    # Fault targets are protocol replicas; aggregate cluster leaves
+    # (present when a scaled profile attached them) are not in
+    # deployment.nodes, so node_ids is already the boundary set.
+    node_ids = [node.node_id for node in deployment.nodes]
+    tracer = deployment.network.tracer
 
     monitor = InvariantMonitor(
         ledger.audit, tracer=tracer, interval_s=profile.audit_interval_s
     )
     start = ledger.now()
-    if deployment is not None:
-        horizon = start + profile.duration_s + profile.settle_s
-        monitor.attach(deployment.simulator, until=horizon)
+    horizon = start + profile.duration_s + profile.settle_s
+    monitor.attach(deployment.simulator, until=horizon)
 
     op_log: List[str] = []
     applied = dropped = 0
@@ -267,20 +241,16 @@ def run_schedule(
     monitor.detach()
     # Quiescent final check: every invariant, including eventual ones.
     monitor.check_now(strict=True)
-    backlog: Dict[str, int] = {}
-    if deployment is not None:
-        backlog = intake_backlog(deployment.nodes)
+    backlog = intake_backlog(deployment.nodes)
 
     digest = hashlib.sha256()
     for line in op_log:
         digest.update(line.encode() + b"\n")
     digest.update(ledger.state_digest().encode() + b"\n")
-    if tracer is not None:
-        digest.update(tracer.fingerprint().encode() + b"\n")
+    digest.update(tracer.fingerprint().encode() + b"\n")
     digest.update(f"now={ledger.now():.6f}".encode())
 
-    if handle is not None:
-        handle.close()  # shut down sharded-plane workers, if any
+    deployment.close()  # shut down sharded-plane workers, if any
 
     return FuzzRunResult(
         paradigm=paradigm,

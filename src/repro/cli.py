@@ -121,11 +121,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ).generate(args.duration)
     print(f"running {len(events)} payments through both paradigms...",
           file=sys.stderr)
+    try:
+        ledgers = (
+            build_deployment("blockchain", chain_params=params,
+                             node_count=args.nodes, seed=args.seed).ledger,
+            build_deployment("dag", node_count=args.nodes + 2,
+                             representative_count=3, seed=args.seed).ledger,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     report = compare_ledgers(
-        build_deployment("blockchain", chain_params=params,
-                         node_count=args.nodes, seed=args.seed).ledger,
-        build_deployment("dag", node_count=args.nodes + 2,
-                         representative_count=3, seed=args.seed).ledger,
+        *ledgers,
         events,
         accounts=args.accounts,
         initial_balance=10_000_000,

@@ -1,18 +1,15 @@
 """Uniform deployment construction: one factory for every paradigm.
 
-Before this module each paradigm had its own ad-hoc constructor
-signature (``BlockchainLedger(params=..., fee=...)``,
-``DagLedger(representative_count=...)``), which left no clean slot for
-selecting a consensus engine or an adversary mix when the BFT paradigm
-joined the matrix.  :func:`build_deployment` is the single entry point:
-pick a paradigm, optionally an engine and a
-:class:`~repro.faults.ByzantineSpec`, and get back a uniform
-:class:`Deployment` handle exposing the ledger, the simulator/network
-machinery and the aggregated per-layer counters.
-
-The old constructors remain importable (every released bench and test
-keeps passing) but are deprecated for direct use — see
-docs/architecture.md for the migration note and timeline.
+Each paradigm's adapter has its own constructor signature
+(``BlockchainLedger(params=..., fee=...)``,
+``DagLedger(representative_count=...)``), which leaves no clean slot for
+selecting a consensus engine or an adversary mix.
+:func:`build_deployment` is the single entry point: pick a paradigm,
+optionally an engine and a :class:`~repro.faults.ByzantineSpec`, and get
+back a uniform :class:`Deployment` handle exposing the ledger, its
+simulator/network machinery and the aggregated per-layer counters.  It
+validates and forwards only the knobs the caller set; every default
+lives in the adapter constructors.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from repro.faults import ByzantineSpec, FaultInjector
 from repro.net.aggregate import TopologyScale, attach_clusters
 from repro.net.link import LinkParams
 from repro.protocol import aggregate_layer_counters
-from repro.storage.pruning import DEFAULT_KEEP_DEPTH
 
 #: Paradigms the factory can stand up (the cross-paradigm matrix).
 PARADIGMS = ("blockchain", "dag", "bft")
@@ -41,8 +37,8 @@ PARADIGM_ENGINES: Dict[str, tuple] = {
     "bft": ("hotstuff",),  # quorum-certificate two-phase commit
 }
 
-#: Default node counts mirror the legacy adapter defaults.
-_DEFAULT_NODE_COUNT = {"blockchain": 5, "dag": 8, "bft": 4}
+#: The adapter standing up each paradigm (and the home of its defaults).
+_ADAPTERS = {"blockchain": BlockchainLedger, "dag": DagLedger, "bft": BftLedger}
 
 #: Byzantine behaviours each paradigm knows how to wire.
 _PARADIGM_BEHAVIORS = {
@@ -50,6 +46,21 @@ _PARADIGM_BEHAVIORS = {
     "dag": ("tip-spam",),
     "bft": ("equivocate", "withhold"),
 }
+
+#: Paradigm-specific ``build_deployment`` knobs; setting one on another
+#: paradigm is an error.
+_PARADIGM_KNOBS = {
+    "blockchain": ("chain_params", "block_interval_s", "confirmation_depth",
+                   "fee", "mempool_limits", "prune_interval_s",
+                   "prune_keep_depth"),
+    "dag": ("dag_params", "representative_count", "processing_tps",
+            "prune_interval_s"),
+    "bft": ("view_timeout_s", "propose_delay_s", "max_batch", "f_override"),
+}
+
+#: Knobs whose adapter constructor keyword is spelled differently.
+_CONSTRUCTOR_KEYWORD = {"chain_params": "params", "dag_params": "params",
+                        "f_override": "quorum_f_override"}
 
 
 @dataclass(frozen=True)
@@ -66,8 +77,8 @@ class Deployment:
     """A constructed deployment: the ledger plus uniform accessors.
 
     The handle is valid before ``setup`` (the ledger is constructed
-    lazily-networked); simulator/network/node accessors return live
-    objects only once :meth:`setup` has run.
+    lazily-networked); ``simulator`` / ``network`` / ``nodes`` are the
+    ledger's own live objects once :meth:`setup` has run.
     """
 
     ledger: Ledger
@@ -95,18 +106,15 @@ class Deployment:
 
     @property
     def simulator(self):
-        view = self.ledger.deployment()
-        return None if view is None else view.simulator
+        return self.ledger.simulator
 
     @property
     def network(self):
-        view = self.ledger.deployment()
-        return None if view is None else view.network
+        return self.ledger.network
 
     @property
     def nodes(self) -> List:
-        view = self.ledger.deployment()
-        return [] if view is None else list(view.nodes)
+        return self.ledger.nodes
 
     def fault_injector(self) -> FaultInjector:
         network = self.network
@@ -176,6 +184,12 @@ class Deployment:
         return injector
 
 
+def _given(**knobs) -> Dict[str, object]:
+    """The knobs the caller actually set.  Only these travel on to the
+    adapter, so every default has one home: the adapter constructor."""
+    return {name: value for name, value in knobs.items() if value is not None}
+
+
 def build_deployment(
     paradigm: str,
     *,
@@ -230,21 +244,16 @@ def build_deployment(
         raise ValueError(
             f"paradigm {paradigm!r} has no engine {engine!r} "
             f"(choose from {', '.join(engines)})")
-    behavior = None
-    if faults is not None and faults.count > 0:
-        behavior = faults.behavior
-        if behavior not in _PARADIGM_BEHAVIORS[paradigm]:
-            raise ValueError(
-                f"Byzantine behavior {behavior!r} is not wired for "
-                f"paradigm {paradigm!r} (choose from "
-                f"{', '.join(_PARADIGM_BEHAVIORS[paradigm])})")
-    count = node_count or _DEFAULT_NODE_COUNT[paradigm]
+    if node_count is not None and node_count < 1:
+        raise ValueError(f"node_count must be at least 1 (got {node_count})")
+    byzantine = faults is not None and faults.count > 0
+    if byzantine and faults.behavior not in _PARADIGM_BEHAVIORS[paradigm]:
+        raise ValueError(
+            f"Byzantine behavior {faults.behavior!r} is not wired for "
+            f"paradigm {paradigm!r} (choose from "
+            f"{', '.join(_PARADIGM_BEHAVIORS[paradigm])})")
     if isinstance(topology_scale, int):
         topology_scale = TopologyScale(total_nodes=topology_scale)
-    if topology_scale is not None and topology_scale.total_nodes < count:
-        raise ValueError(
-            f"topology_scale.total_nodes ({topology_scale.total_nodes}) "
-            f"is below the fully-simulated node count ({count})")
     plane_factory = None
     if topology_scale is not None and topology_scale.plane == "sharded":
         if paradigm == "bft":
@@ -265,87 +274,39 @@ def build_deployment(
                 jobs=scale.jobs,
             )
 
-    def reject_unused(**knobs) -> None:
-        stray = [name for name, value in knobs.items() if value is not None]
-        if stray:
-            raise ValueError(
-                f"knobs {', '.join(stray)} do not apply to "
-                f"paradigm {paradigm!r}")
-
-    if paradigm == "blockchain":
-        reject_unused(dag_params=dag_params,
-                      representative_count=representative_count,
-                      processing_tps=processing_tps,
-                      view_timeout_s=view_timeout_s,
-                      propose_delay_s=propose_delay_s, max_batch=max_batch,
-                      f_override=faults.f_override if faults else None)
-        params = chain_params or BITCOIN
-        overrides = {}
-        if block_interval_s is not None:
-            overrides["target_block_interval_s"] = block_interval_s
-        if confirmation_depth is not None:
-            overrides["confirmation_depth"] = confirmation_depth
-        if overrides:
-            params = replace(params, **overrides)
-        ledger: Ledger = BlockchainLedger(
-            params=params,
-            node_count=count,
-            link_params=link_params,
-            seed=seed,
-            fee=fee if fee is not None else 1,
-            mempool_limits=mempool_limits,
-            prune_interval_s=prune_interval_s,
-            prune_keep_depth=(prune_keep_depth if prune_keep_depth is not None
-                              else DEFAULT_KEEP_DEPTH),
-            byzantine_nodes=faults.count if behavior else 0,
-            byzantine_behavior=behavior or "selfish",
-            plane_factory=plane_factory,
-        )
-    elif paradigm == "dag":
-        reject_unused(chain_params=chain_params,
-                      block_interval_s=block_interval_s,
-                      confirmation_depth=confirmation_depth, fee=fee,
-                      mempool_limits=mempool_limits,
-                      prune_keep_depth=prune_keep_depth,
-                      view_timeout_s=view_timeout_s,
-                      propose_delay_s=propose_delay_s, max_batch=max_batch,
-                      f_override=faults.f_override if faults else None)
-        ledger = DagLedger(
-            params=dag_params or NanoParams(work_difficulty=1),
-            node_count=count,
-            representative_count=(representative_count
-                                  if representative_count is not None
-                                  else max(2, count // 2)),
-            link_params=link_params,
-            seed=seed,
-            processing_tps=processing_tps,
-            prune_interval_s=prune_interval_s,
-            byzantine_nodes=faults.count if behavior else 0,
-            byzantine_behavior=behavior or "tip-spam",
-            plane_factory=plane_factory,
-        )
-    else:  # bft
-        reject_unused(chain_params=chain_params,
-                      block_interval_s=block_interval_s,
-                      confirmation_depth=confirmation_depth, fee=fee,
-                      mempool_limits=mempool_limits, dag_params=dag_params,
-                      representative_count=representative_count,
-                      processing_tps=processing_tps,
-                      prune_interval_s=prune_interval_s,
-                      prune_keep_depth=prune_keep_depth)
-        ledger = BftLedger(
-            node_count=count,
-            link_params=link_params,
-            seed=seed,
-            view_timeout_s=view_timeout_s if view_timeout_s is not None else 4.0,
-            propose_delay_s=(propose_delay_s if propose_delay_s is not None
-                             else 0.25),
-            max_batch=max_batch if max_batch is not None else 16,
-            byzantine_nodes=faults.count if behavior else 0,
-            byzantine_behavior=behavior or "equivocate",
-            quorum_f_override=faults.f_override if faults else None,
-        )
-
+    knobs = _given(
+        chain_params=chain_params, block_interval_s=block_interval_s,
+        confirmation_depth=confirmation_depth, fee=fee,
+        mempool_limits=mempool_limits, dag_params=dag_params,
+        representative_count=representative_count,
+        processing_tps=processing_tps, prune_interval_s=prune_interval_s,
+        prune_keep_depth=prune_keep_depth, view_timeout_s=view_timeout_s,
+        propose_delay_s=propose_delay_s, max_batch=max_batch,
+        f_override=faults.f_override if faults else None)
+    stray = [name for name in knobs if name not in _PARADIGM_KNOBS[paradigm]]
+    if stray:
+        raise ValueError(
+            f"knobs {', '.join(stray)} do not apply to "
+            f"paradigm {paradigm!r}")
+    chain_overrides = _given(
+        target_block_interval_s=knobs.pop("block_interval_s", None),
+        confirmation_depth=knobs.pop("confirmation_depth", None))
+    if chain_overrides:
+        knobs["chain_params"] = replace(
+            knobs.get("chain_params", BITCOIN), **chain_overrides)
+    if byzantine:
+        knobs.update(byzantine_nodes=faults.count,
+                     byzantine_behavior=faults.behavior)
+    knobs.update(_given(node_count=node_count, plane_factory=plane_factory))
+    ledger = _ADAPTERS[paradigm](
+        seed=seed, link_params=link_params,
+        **{_CONSTRUCTOR_KEYWORD.get(name, name): value
+           for name, value in knobs.items()})
+    if (topology_scale is not None
+            and topology_scale.total_nodes < ledger.node_count):
+        raise ValueError(
+            f"topology_scale.total_nodes ({topology_scale.total_nodes}) "
+            f"is below the fully-simulated node count ({ledger.node_count})")
     return Deployment(ledger=ledger, paradigm=paradigm, engine=engine,
                       byzantine=faults, workload=workload,
                       topology_scale=topology_scale)

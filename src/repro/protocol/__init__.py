@@ -25,12 +25,7 @@ explicit:
 
 ``ConsensusEngine``
     the paradigm-specific piece (chain selection, ORV elections, tip
-    selection) behind a uniform ingest interface;
-
-``LedgerStateMachine``
-    the structural surface of a running deployment
-    (``repro.core.ledger.Ledger`` satisfies it) so paradigm-agnostic
-    tooling can type against this package instead of ``repro.core``.
+    selection) behind a uniform ingest interface.
 
 Layering contract (enforced by ``scripts/check_layering.py``): this
 package never imports ``repro.blockchain``, ``repro.dag``,
@@ -40,7 +35,6 @@ stack, not the other way around.
 
 from repro.protocol.interfaces import (
     ConsensusEngine,
-    LedgerStateMachine,
     MessagePlane,
     aggregate_layer_counters,
     protocol_nodes,
@@ -54,7 +48,6 @@ __all__ = [
     "ConsensusEngine",
     "IntakeCounters",
     "IntakeLayer",
-    "LedgerStateMachine",
     "MessagePlane",
     "ProtocolNode",
     "TransportCounters",

@@ -165,38 +165,6 @@ class ConsensusEngine(abc.ABC):
         return {}
 
 
-@runtime_checkable
-class LedgerStateMachine(Protocol):
-    """Structural type of a running deployment driven by payments.
-
-    This is the surface :mod:`repro.core.adapters` exposes (its
-    ``Ledger`` ABC satisfies this protocol), restated here so
-    paradigm-agnostic layers — the fault injector, the invariant
-    monitor, the fuzzer — can type against ``repro.protocol`` without
-    importing the adapter package, keeping the dependency arrows
-    pointing one way.
-    """
-
-    name: str
-    paradigm: str
-
-    def setup(self, accounts: int, initial_balance: int) -> None: ...
-
-    def submit(self, event: Any) -> Optional[Any]: ...
-
-    def advance(self, duration_s: float) -> None: ...
-
-    def now(self) -> float: ...
-
-    def is_confirmed(self, entry: Any) -> bool: ...
-
-    def balance(self, account_index: int) -> int: ...
-
-    def serialized_size(self) -> int: ...
-
-    def stats(self) -> Any: ...
-
-
 def protocol_nodes(nodes: Any) -> List[Any]:
     """The subset of ``nodes`` running on the protocol stack.
 

@@ -82,10 +82,9 @@ class OpenLoopInjector:
     ) -> "OpenLoopInjector":
         """Injector whose draws come from a forked simulator stream, so
         adding open-loop traffic perturbs no other component's RNG."""
-        deployment = ledger.deployment()
-        if deployment is None:
-            raise ValueError("open-loop injection needs a simulated deployment")
-        rng: random.Random = deployment.simulator.fork_rng(stream)
+        if ledger.simulator is None:
+            raise ValueError("open-loop injection needs a deployment past setup()")
+        rng: random.Random = ledger.simulator.fork_rng(stream)
         workload = PaymentWorkload.from_rng(
             rng, accounts=accounts, rate_tps=rate_tps, zipf_alpha=zipf_alpha
         )
@@ -97,10 +96,9 @@ class OpenLoopInjector:
         Must be called after ``ledger.setup``; traffic is offered over
         ``[now, now + duration_s)`` as the caller advances the sim.
         """
-        deployment = self.ledger.deployment()
-        if deployment is None:
-            raise ValueError("open-loop injection needs a simulated deployment")
-        simulator = deployment.simulator
+        simulator = self.ledger.simulator
+        if simulator is None:
+            raise ValueError("open-loop injection needs a deployment past setup()")
         self._start_time = simulator.now
         self._events = self.workload.events(self.duration_s)
         self._lookahead = next(self._events, None)
@@ -114,9 +112,8 @@ class OpenLoopInjector:
 
     def _tick(self) -> None:
         assert self._events is not None and self._start_time is not None
-        deployment = self.ledger.deployment()
-        assert deployment is not None
-        elapsed = deployment.simulator.now - self._start_time
+        now = self.ledger.simulator.now
+        elapsed = now - self._start_time
         while self._lookahead is not None and self._lookahead.time_s <= elapsed:
             event = self._lookahead
             self._lookahead = next(self._events, None)
@@ -126,7 +123,7 @@ class OpenLoopInjector:
                 self.report.rejected += 1
             else:
                 self.report.submitted += 1
-                self.report.submit_times[entry] = deployment.simulator.now
+                self.report.submit_times[entry] = now
 
     # ------------------------------------------------------------- analysis
 

@@ -30,6 +30,21 @@ class TestUtxoWallet:
         tx = wallet.pay(bob.address, 300, fee=10)
         assert wallet.balance == 690  # change tracked immediately
 
+    def test_restore_undoes_a_refused_payment(self, funded_wallet, rng):
+        wallet, _ = funded_wallet
+        bob = KeyPair.generate(rng)
+        before, spendable = wallet.snapshot(), wallet.spendable()
+        refused = wallet.pay(bob.address, 300, fee=10)
+        assert wallet.spendable() != spendable
+        wallet.restore(before)
+        assert wallet.spendable() == spendable and wallet.balance == 1_000
+        # The retry spends the original inputs, not the refused change;
+        # the snapshot itself is not aliased by the live view.
+        retry = wallet.pay(bob.address, 300, fee=10)
+        assert [i.outpoint for i in retry.inputs] == [i.outpoint for i in refused.inputs]
+        wallet.restore(before)
+        assert wallet.balance == 1_000
+
     def test_chained_unconfirmed_payments(self, funded_wallet, rng):
         """The reason wallets exist: spending twice before anything is
         mined must not reuse the first payment's inputs."""

@@ -55,6 +55,11 @@ class TestCommands:
         assert "entries confirmed" in out
         assert "nano" in out and "bitcoin" in out
 
+    def test_compare_rejects_an_empty_roster(self, capsys):
+        # ``--nodes 0`` used to build the 5-node default silently.
+        assert main(["compare", "--nodes", "0", "--duration", "10"]) == 2
+        assert "error: node_count must be at least 1" in capsys.readouterr().err
+
     def test_report_stdout(self, capsys):
         assert main(["report"]) == 0
         out = capsys.readouterr().out

@@ -94,11 +94,9 @@ class TestCheckCapabilities:
 
     def test_deployment_view_exposes_machinery(self, small_pair):
         for ledger in small_pair:
-            view = ledger.deployment()
-            assert view is not None
-            assert view.simulator is not None
-            assert view.network is not None
-            assert len(view.nodes) >= 3
+            assert ledger.simulator is not None
+            assert ledger.network is not None
+            assert len(ledger.nodes) >= 3
 
     def test_healthy_audit_passes(self, small_pair):
         for ledger in small_pair:
@@ -142,6 +140,31 @@ class TestCheckCapabilities:
             ledger.advance(120.0)
             report = ledger.audit()
             assert report.ok, f"{ledger.paradigm}: {report.render()}"
+
+    def test_refused_double_spend_leaves_no_trace(self):
+        """A double spend whose honest leg the full mempool refuses is
+        no conflict at all: nothing is sent and the wallet is rolled
+        back, so the sender's next payment still confirms."""
+        from repro.blockchain.mempool import MempoolLimits
+        from repro.net.link import FAST_LINK
+        from repro.workloads.generators import PaymentEvent
+
+        ledger = BlockchainLedger(
+            params=FAST_BITCOIN, node_count=3, link_params=FAST_LINK, seed=1,
+            mempool_limits=MempoolLimits(max_count=1))
+        ledger.setup(accounts=4, initial_balance=1_000_000)
+        event = PaymentEvent(time_s=0.0, sender_index=0, recipient_index=1, amount=10)
+        assert ledger.submit(event) is not None
+        ledger.advance(1.0)  # gossip fills every replica's one-entry pool
+        assert ledger.submit_double_spend(event) == []
+        ledger.advance(200.0)
+        assert ledger.submit(event) is not None
+        ledger.advance(200.0)
+        stats = ledger.stats()
+        assert (stats.entries_created, stats.entries_confirmed) == (2, 2)
+        assert ledger.balance(1) == 1_000_020
+        assert ledger.balance(2) == 1_000_000  # the decoy never went out
+        assert ledger.audit().ok
 
 
 class TestComparison:

@@ -55,6 +55,51 @@ def test_inapplicable_knobs_are_rejected():
         )
 
 
+@pytest.mark.parametrize("paradigm", sorted(PARADIGM_ENGINES))
+def test_node_count_below_one_is_rejected(paradigm):
+    # 0 used to fall through ``node_count or default`` to 5 / 8 / 4 nodes.
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="node_count"):
+            build_deployment(paradigm, node_count=count)
+
+
+def test_default_representatives_fit_a_tiny_roster():
+    # The default used to be max(2, n // 2): two representatives on a
+    # one-node roster, refused with an error about a knob nobody passed.
+    assert build_deployment("dag").ledger.representative_count == 4  # of 8
+    assert build_deployment("dag", node_count=5).ledger.representative_count == 2
+    deployment = build_deployment("dag", node_count=1, seed=1)
+    assert deployment.ledger.representative_count == 1
+    ledger = deployment.setup(2, 1_000).ledger
+    entry = ledger.submit(PaymentEvent(time_s=0.0, sender_index=0,
+                                       recipient_index=1, amount=5))
+    ledger.advance(10.0)
+    assert ledger.is_confirmed(entry) and ledger.balance(1) == 1_005
+    # An explicit count is still checked against the roster.
+    with pytest.raises(ValueError, match="representatives"):
+        build_deployment("dag", node_count=2,
+                         representative_count=3).setup(2, 1_000)
+
+
+def test_only_the_knobs_the_caller_set_are_forwarded():
+    """Every default has one home, the adapter constructor: a bare
+    factory call builds exactly what a bare adapter call builds."""
+    from repro.core.adapters import BftLedger, BlockchainLedger, DagLedger
+
+    for paradigm, adapter in (("blockchain", BlockchainLedger),
+                              ("dag", DagLedger), ("bft", BftLedger)):
+        built, bare = build_deployment(paradigm).ledger, adapter()
+        assert type(built) is adapter
+        skip = ("_rng", "_stats")
+        assert ({k: v for k, v in vars(built).items() if k not in skip}
+                == {k: v for k, v in vars(bare).items() if k not in skip})
+    tuned = build_deployment("blockchain", block_interval_s=30.0, fee=7,
+                             node_count=3).ledger
+    assert tuned.params.target_block_interval_s == 30.0
+    assert tuned.params.confirmation_depth == BlockchainLedger().params.confirmation_depth
+    assert (tuned.fee, tuned.node_count) == (7, 3)
+
+
 def test_byzantine_behavior_must_match_paradigm():
     with pytest.raises(ValueError, match="not wired"):
         build_deployment("blockchain",

@@ -11,9 +11,10 @@ from dataclasses import replace
 import pytest
 
 from repro.blockchain.mempool import MempoolLimits
-from repro.blockchain.params import BITCOIN
+from repro.blockchain.params import BITCOIN, ETHEREUM
 from repro.core.adapters import BlockchainLedger, DagLedger
 from repro.net.link import FAST_LINK
+from repro.workloads.generators import PaymentEvent
 from repro.workloads.open_loop import OpenLoopInjector
 
 pytestmark = pytest.mark.soak
@@ -33,13 +34,10 @@ def run_soak(make_ledger):
     for label, pruned in (("pruned", True), ("control", False)):
         ledger = make_ledger(pruned)
         ledger.setup(8, 10**9)
-        deployment = ledger.deployment()
         series = []
-        deployment.simulator.schedule_periodic(
+        ledger.simulator.schedule_periodic(
             PRUNE_INTERVAL_S,
-            lambda: series.append(
-                (deployment.simulator.now, ledger.serialized_size())
-            ),
+            lambda: series.append((ledger.now(), ledger.serialized_size())),
             until=DURATION_S,
         )
         injector = OpenLoopInjector.from_sim_stream(
@@ -114,3 +112,66 @@ class TestDagSoak:
         plateau = max(size for _, size in pruned_series[mid:])
         assert plateau < pruned_series[mid][1] * 1.5
         assert pruned_series[-1][1] < control_series[-1][1]
+
+
+class TestBoundedMempoolKeepsConfirming:
+    """A refused submission must cost exactly that payment.  The adapter
+    used to keep the wallet's optimistic state (spent inputs + change,
+    or the bumped nonce) of a transaction the node's full mempool had
+    turned away, so every later payment of that sender chained off a
+    transaction no node held: admitted, never minable, parked in the
+    pool until the whole chain stopped confirming."""
+
+    @pytest.mark.parametrize("base,funding", [(BITCOIN, 1_000_000),
+                                              (ETHEREUM, 10**9)],
+                             ids=["utxo", "account"])
+    def test_sender_recovers_after_a_rejected_burst(self, base, funding):
+        ledger = BlockchainLedger(
+            params=replace(base, target_block_interval_s=15.0,
+                           confirmation_depth=2),
+            node_count=3, link_params=FAST_LINK, seed=1,
+            mempool_limits=MempoolLimits(max_count=3),
+        )
+        ledger.setup(4, funding)
+
+        def pay(sender, recipient):
+            return ledger.submit(PaymentEvent(
+                time_s=0.0, sender_index=sender, recipient_index=recipient,
+                amount=10))
+
+        burst = [pay(0, 1) for _ in range(8)]
+        assert sum(entry is not None for entry in burst) == 3  # the cap
+        ledger.advance(200.0)
+        later = []
+        for sender, count in ((0, 5), (2, 4)):
+            for _ in range(count):
+                later.append(pay(sender, 3))
+                ledger.advance(60.0)
+        ledger.advance(200.0)
+        assert all(entry is not None for entry in later)
+        stats = ledger.stats()
+        assert (stats.entries_created, stats.entries_confirmed) == (12, 12)
+        assert [len(node.mempool) for node in ledger.nodes] == [0, 0, 0]
+
+    def test_saturated_chain_keeps_confirming_and_drains(self):
+        """Twice the chain's capacity into a 400-entry pool for 1 200 s:
+        most offers are refused, everything admitted must still confirm
+        (the wedged run stopped at 269 with all three pools full)."""
+        ledger = BlockchainLedger(
+            params=PARAMS, node_count=3, link_params=FAST_LINK, seed=0,
+            mempool_limits=MempoolLimits(max_count=400),
+        )
+        ledger.setup(10, 10**9)
+        injector = OpenLoopInjector.from_sim_stream(
+            ledger, accounts=10, rate_tps=2.0, duration_s=1200.0)
+        injector.start()
+        ledger.advance(1200.0)
+        report = injector.report
+        assert report.rejected > report.offered // 4  # it did saturate
+        ledger.advance(3000.0)
+        confirmed = ledger.stats().entries_confirmed
+        assert confirmed > 1000
+        # Not yet ==: a transaction *evicted* after admission still
+        # strands its children (ROADMAP item 4 (a)).
+        assert confirmed >= report.submitted - 1
+        assert [len(node.mempool) for node in ledger.nodes] == [0, 0, 0]
