@@ -93,21 +93,6 @@ class ChainConsensus(ConsensusEngine):
     def integrate(self, block: Block) -> bool:
         return self._node._integrate_block(block)
 
-    def signature_items(self, block: Block):
-        return _block_signature_items(block)
-
-
-def _block_signature_items(block: Block) -> List[tuple]:
-    """Every signature triple a block body will verify (both tx models)."""
-    items: List[tuple] = []
-    for tx in block.transactions:
-        if isinstance(tx, Transaction):
-            if not tx.is_coinbase:
-                items.extend(tx.signature_items())
-        elif isinstance(tx, AccountTransaction):
-            items.extend(tx.signature_items())
-    return items
-
 
 class BlockchainNode(ProtocolNode):
     """A validating full node for either reference implementation."""
@@ -217,16 +202,6 @@ class BlockchainNode(ProtocolNode):
                 # A competitor published: the selfish miner answers with
                 # its private chain (Eyal & Sirer's race).
                 self._maybe_release_private()
-
-    def message_signature_items(self, message: Message):
-        if message.kind == MSG_TX:
-            tx = message.payload
-            if isinstance(tx, Transaction) and tx.is_coinbase:
-                return ()
-            return tx.signature_items()
-        if message.kind == MSG_BLOCK:
-            return _block_signature_items(message.payload)
-        return ()
 
     def _admit_transaction(self, tx: AnyTransaction) -> bool:
         self.stats.txs_seen += 1

@@ -36,8 +36,6 @@ from repro.metrics.tables import render_table
 #: subcommand (fuzz/sweep/soak/perf) shares: ``both`` is the paper's
 #: differential pair, ``all`` adds the BFT engine.
 _PARADIGM_CHOICES = ("all", "both", "blockchain", "dag", "bft")
-_ENGINE_CHOICES = ("pow", "orv", "hotstuff")
-_ENGINE_PARADIGM = {"pow": "blockchain", "orv": "dag", "hotstuff": "bft"}
 
 #: Module prefixes that tag an experiment as paradigm-specific for
 #: ``sweep --paradigm``; experiments matching none are cross-cutting
@@ -51,9 +49,10 @@ _SWEEP_MODULE_PREFIXES = {
 
 def _selection_parent(paradigm_default: Optional[str] = None,
                       profile_default: Optional[str] = None,
-                      profile_help: str = "named scenario profile",
+                      profile_help: Optional[str] = None,
                       ) -> argparse.ArgumentParser:
-    """The shared ``--paradigm``/``--engine``/``--profile`` option block.
+    """The shared ``--paradigm`` (and, where fuzz scenario profiles
+    apply, ``--profile``) option block.
 
     Built once per subcommand as an argparse *parent parser* so every
     deployment-shaped command accepts the same spelling (no copy-pasted
@@ -63,11 +62,9 @@ def _selection_parent(paradigm_default: Optional[str] = None,
                         default=paradigm_default,
                         help="paradigm selection (both = blockchain+dag, "
                              "all = +bft)")
-    parent.add_argument("--engine", choices=_ENGINE_CHOICES, default=None,
-                        help="consensus engine (default: the selected "
-                             "paradigm's native engine)")
-    parent.add_argument("--profile", default=profile_default,
-                        help=profile_help)
+    if profile_help is not None:
+        parent.add_argument("--profile", default=profile_default,
+                            help=profile_help)
     return parent
 
 
@@ -79,19 +76,6 @@ def _resolve_paradigms(selection: Optional[str]) -> List[str]:
     if selection == "all":
         return list(ALL_PARADIGMS)
     return [selection]
-
-
-def _engine_error(paradigms: List[str], engine: Optional[str]) -> Optional[str]:
-    """Engine/paradigm consistency check; None when compatible."""
-    if engine is None:
-        return None
-    from repro.core.deploy import PARADIGM_ENGINES
-
-    bad = [p for p in paradigms if engine not in PARADIGM_ENGINES[p]]
-    if bad:
-        return (f"engine {engine!r} does not apply to paradigm(s) "
-                f"{', '.join(bad)}")
-    return None
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -281,10 +265,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     paradigms = _resolve_paradigms(args.paradigm)
-    error = _engine_error(paradigms, args.engine)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     print(f"fuzzing {len(seeds)} seeds x {len(paradigms)} paradigm(s), "
           f"profile {profile.name} ({profile.describe()})", file=sys.stderr)
@@ -328,10 +308,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     if args.paradigm == "bft":
         print("error: the bft paradigm has no pruning path to soak "
               "(choose blockchain or dag)", file=sys.stderr)
-        return 2
-    error = _engine_error([args.paradigm], args.engine)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
         return 2
     if args.profile is not None:
         # Borrow the deployment knobs of a named fuzz profile, so e.g.
@@ -580,19 +556,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_bench_json,
     )
 
-    if args.profile is not None:
-        print("error: --profile names fuzz scenarios; it does not apply "
-              "to sweep (use fuzz/soak)", file=sys.stderr)
-        return 2
     selector = args.paradigm
-    if args.engine is not None:
-        owner = _ENGINE_PARADIGM[args.engine]
-        if selector in (None, "all", "both"):
-            selector = owner
-        elif selector != owner:
-            print(f"error: engine {args.engine!r} does not apply to "
-                  f"paradigm {selector!r}", file=sys.stderr)
-            return 2
     if args.all or selector not in (None, "all", "both"):
         experiment_ids = list(EXPERIMENTS)
     elif args.experiment:
@@ -682,19 +646,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         print(f"  {result.name}: {result.ops_per_s:,.1f} ops/s "
               f"({result.wall_s:.3f} s)", file=sys.stderr)
 
-    if args.profile is not None:
-        print("error: --profile names fuzz scenarios; it does not apply "
-              "to perf (use fuzz/soak)", file=sys.stderr)
-        return 2
     selector = args.paradigm
-    if args.engine is not None:
-        owner = _ENGINE_PARADIGM[args.engine]
-        if selector in (None, "all", "both"):
-            selector = owner
-        elif selector != owner:
-            print(f"error: engine {args.engine!r} does not apply to "
-                  f"paradigm {selector!r}", file=sys.stderr)
-            return 2
     names = list(args.bench) or None
     if selector not in (None, "all", "both"):
         from repro.perf.suite import BENCHES
@@ -907,10 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="parameter-grid fan-out across worker processes",
-        parents=[_selection_parent(
-            profile_help="not applicable to sweep (accepted for uniform "
-                         "spelling; rejected at runtime)",
-        )],
+        parents=[_selection_parent()],
     )
     sweep.add_argument("--experiment", "-e", action="append", default=[],
                        help="experiment id (repeatable)")
@@ -946,10 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf", help="hot-path microbenchmark suite -> BENCH_PERF.json",
-        parents=[_selection_parent(
-            profile_help="not applicable to perf (accepted for uniform "
-                         "spelling; rejected at runtime)",
-        )],
+        parents=[_selection_parent()],
     )
     perf.add_argument("bench", nargs="*",
                       help="bench names (default: the whole suite)")

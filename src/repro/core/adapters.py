@@ -136,7 +136,7 @@ class BlockchainLedger(Ledger):
             node.selfish_mining = True
             node.byz_rng = self.simulator.fork_rng(
                 f"byz:{self.byzantine_behavior}:{node.node_id}")
-            self._mark_byzantine(node)
+            self._flag_byzantine(node)
         if self.prune_interval_s is not None:
             # Bounded-memory soak: every replica sheds old block bodies
             # on a periodic tick while the run continues (Section V-A).
@@ -344,7 +344,7 @@ class DagLedger(Ledger):
         for node in self.nodes[: self.byzantine_nodes]:
             # Conflicting-tip spam (the DAG family): marked replicas are
             # the injection points :meth:`submit_tip_spam` floods from.
-            self._mark_byzantine(node)
+            self._flag_byzantine(node)
         if self.prune_interval_s is not None:
             # Live *current*-node pruning (Section V-B): trim every
             # replica to heads + unsettled sends on a periodic tick.
@@ -544,7 +544,7 @@ class BftLedger(Ledger):
             if node.is_byzantine:
                 node.colluders = tuple(
                     sorted(byz_ids - {node.node_id}))
-                self._mark_byzantine(node)
+                self._flag_byzantine(node)
         for node in self.nodes:
             node.start()
 

@@ -3,9 +3,9 @@
 Each paradigm's adapter has its own constructor signature
 (``BlockchainLedger(params=..., fee=...)``,
 ``DagLedger(representative_count=...)``), which leaves no clean slot for
-selecting a consensus engine or an adversary mix.
+an adversary mix or a scaled topology.
 :func:`build_deployment` is the single entry point: pick a paradigm,
-optionally an engine and a :class:`~repro.faults.ByzantineSpec`, and get
+optionally a :class:`~repro.faults.ByzantineSpec`, and get
 back a uniform :class:`Deployment` handle exposing the ledger, its
 simulator/network machinery and the aggregated per-layer counters.  It
 validates and forwards only the knobs the caller set; every default
@@ -14,14 +14,13 @@ lives in the adapter constructors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.blockchain.mempool import MempoolLimits
-from repro.blockchain.params import BITCOIN, ChainParams
+from repro.blockchain.params import ChainParams
 from repro.core.adapters import BftLedger, BlockchainLedger, DagLedger
 from repro.core.ledger import Ledger
-from repro.dag.params import NanoParams
 from repro.faults import ByzantineSpec, FaultInjector
 from repro.net.aggregate import TopologyScale, attach_clusters
 from repro.net.link import LinkParams
@@ -29,13 +28,6 @@ from repro.protocol import aggregate_layer_counters
 
 #: Paradigms the factory can stand up (the cross-paradigm matrix).
 PARADIGMS = ("blockchain", "dag", "bft")
-
-#: Consensus engines per paradigm; the first entry is the default.
-PARADIGM_ENGINES: Dict[str, tuple] = {
-    "blockchain": ("pow",),
-    "dag": ("orv",),       # open representative voting (Nano elections)
-    "bft": ("hotstuff",),  # quorum-certificate two-phase commit
-}
 
 #: The adapter standing up each paradigm (and the home of its defaults).
 _ADAPTERS = {"blockchain": BlockchainLedger, "dag": DagLedger, "bft": BftLedger}
@@ -50,26 +42,15 @@ _PARADIGM_BEHAVIORS = {
 #: Paradigm-specific ``build_deployment`` knobs; setting one on another
 #: paradigm is an error.
 _PARADIGM_KNOBS = {
-    "blockchain": ("chain_params", "block_interval_s", "confirmation_depth",
-                   "fee", "mempool_limits", "prune_interval_s",
+    "blockchain": ("chain_params", "mempool_limits", "prune_interval_s",
                    "prune_keep_depth"),
-    "dag": ("dag_params", "representative_count", "processing_tps",
-            "prune_interval_s"),
-    "bft": ("view_timeout_s", "propose_delay_s", "max_batch", "f_override"),
+    "dag": ("representative_count", "processing_tps", "prune_interval_s"),
+    "bft": ("view_timeout_s", "max_batch", "f_override"),
 }
 
 #: Knobs whose adapter constructor keyword is spelled differently.
-_CONSTRUCTOR_KEYWORD = {"chain_params": "params", "dag_params": "params",
+_CONSTRUCTOR_KEYWORD = {"chain_params": "params",
                         "f_override": "quorum_f_override"}
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """An open-loop traffic description for :meth:`Deployment.start_workload`."""
-
-    rate_tps: float
-    duration_s: float
-    zipf_alpha: float = 0.8
 
 
 @dataclass
@@ -83,9 +64,7 @@ class Deployment:
 
     ledger: Ledger
     paradigm: str
-    engine: str
     byzantine: Optional[ByzantineSpec] = None
-    workload: Optional[WorkloadSpec] = None
     topology_scale: Optional[TopologyScale] = None
     #: Mean-field clusters attached at setup when ``topology_scale`` asks
     #: for more nodes than the fully-simulated boundary provides.
@@ -167,22 +146,6 @@ class Deployment:
         if network is not None and hasattr(network, "close"):
             network.close()
 
-    def start_workload(self, accounts: int,
-                       spec: Optional[WorkloadSpec] = None):
-        """Arm the open-loop injector described by ``spec`` (or the
-        spec captured at build time) on the running deployment."""
-        from repro.workloads.open_loop import OpenLoopInjector
-
-        spec = spec or self.workload
-        if spec is None:
-            raise ValueError("no WorkloadSpec given or captured at build time")
-        injector = OpenLoopInjector.from_sim_stream(
-            self.ledger, accounts=accounts, rate_tps=spec.rate_tps,
-            duration_s=spec.duration_s, zipf_alpha=spec.zipf_alpha,
-        )
-        injector.start()
-        return injector
-
 
 def _given(**knobs) -> Dict[str, object]:
     """The knobs the caller actually set.  Only these travel on to the
@@ -193,33 +156,26 @@ def _given(**knobs) -> Dict[str, object]:
 def build_deployment(
     paradigm: str,
     *,
-    engine: Optional[str] = None,
     faults: Optional[ByzantineSpec] = None,
     mempool_limits: Optional[MempoolLimits] = None,
-    workload: Optional[WorkloadSpec] = None,
     node_count: Optional[int] = None,
     seed: int = 0,
     link_params: Optional[LinkParams] = None,
     topology_scale: Optional[Union[int, TopologyScale]] = None,
     # paradigm-specific knobs (validated against the paradigm)
     chain_params: Optional[ChainParams] = None,
-    block_interval_s: Optional[float] = None,
-    confirmation_depth: Optional[int] = None,
-    fee: Optional[int] = None,
-    dag_params: Optional[NanoParams] = None,
     representative_count: Optional[int] = None,
     processing_tps: Optional[float] = None,
     prune_interval_s: Optional[float] = None,
     prune_keep_depth: Optional[int] = None,
     view_timeout_s: Optional[float] = None,
-    propose_delay_s: Optional[float] = None,
     max_batch: Optional[int] = None,
 ) -> Deployment:
     """Construct a deployment of ``paradigm`` behind a uniform signature.
 
-    ``engine`` selects the consensus engine (each paradigm's native
-    engine by default — see :data:`PARADIGM_ENGINES`).  ``faults`` wires
-    a Byzantine adversary mix: the spec's ``count`` marks the roster
+    Each paradigm runs its native consensus engine (PoW heaviest chain,
+    Nano representative voting, HotStuff quorum certificates).  ``faults``
+    wires a Byzantine adversary mix: the spec's ``count`` marks the roster
     prefix, ``behavior`` must belong to the paradigm's family set, and
     ``f_override`` (BFT only) adjusts the quorum threshold ``n - f``.
     ``topology_scale`` (an int total-node count or a
@@ -238,12 +194,6 @@ def build_deployment(
     if paradigm not in PARADIGMS:
         raise ValueError(f"unknown paradigm {paradigm!r} "
                          f"(choose from {', '.join(PARADIGMS)})")
-    engines = PARADIGM_ENGINES[paradigm]
-    engine = engine or engines[0]
-    if engine not in engines:
-        raise ValueError(
-            f"paradigm {paradigm!r} has no engine {engine!r} "
-            f"(choose from {', '.join(engines)})")
     if node_count is not None and node_count < 1:
         raise ValueError(f"node_count must be at least 1 (got {node_count})")
     byzantine = faults is not None and faults.count > 0
@@ -275,25 +225,17 @@ def build_deployment(
             )
 
     knobs = _given(
-        chain_params=chain_params, block_interval_s=block_interval_s,
-        confirmation_depth=confirmation_depth, fee=fee,
-        mempool_limits=mempool_limits, dag_params=dag_params,
+        chain_params=chain_params, mempool_limits=mempool_limits,
         representative_count=representative_count,
         processing_tps=processing_tps, prune_interval_s=prune_interval_s,
         prune_keep_depth=prune_keep_depth, view_timeout_s=view_timeout_s,
-        propose_delay_s=propose_delay_s, max_batch=max_batch,
+        max_batch=max_batch,
         f_override=faults.f_override if faults else None)
     stray = [name for name in knobs if name not in _PARADIGM_KNOBS[paradigm]]
     if stray:
         raise ValueError(
             f"knobs {', '.join(stray)} do not apply to "
             f"paradigm {paradigm!r}")
-    chain_overrides = _given(
-        target_block_interval_s=knobs.pop("block_interval_s", None),
-        confirmation_depth=knobs.pop("confirmation_depth", None))
-    if chain_overrides:
-        knobs["chain_params"] = replace(
-            knobs.get("chain_params", BITCOIN), **chain_overrides)
     if byzantine:
         knobs.update(byzantine_nodes=faults.count,
                      byzantine_behavior=faults.behavior)
@@ -307,6 +249,5 @@ def build_deployment(
         raise ValueError(
             f"topology_scale.total_nodes ({topology_scale.total_nodes}) "
             f"is below the fully-simulated node count ({ledger.node_count})")
-    return Deployment(ledger=ledger, paradigm=paradigm, engine=engine,
-                      byzantine=faults, workload=workload,
+    return Deployment(ledger=ledger, paradigm=paradigm, byzantine=faults,
                       topology_scale=topology_scale)

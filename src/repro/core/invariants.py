@@ -179,7 +179,7 @@ def audit_lattice(nodes: Sequence[NanoNode], expected_supply: int) -> AuditRepor
                 if block.previous != prev.block_hash:
                     report.add(
                         "linkage",
-                        f"{node.node_id}/{account.short()}: broken chain link at "
+                        f"{node.node_id}/{chain.account.short()}: broken chain link at "
                         f"{block.block_hash.short()}",
                     )
     return report

@@ -116,7 +116,7 @@ class Ledger(abc.ABC):
                         if self.plane_factory is not None
                         else Network(self.simulator))
 
-    def _mark_byzantine(self, node) -> None:
+    def _flag_byzantine(self, node) -> None:
         node.is_byzantine = True
         self.network.tracer.emit(
             self.simulator.now, BYZANTINE, src=node.node_id,

@@ -25,7 +25,6 @@ This is a faithful-in-shape simplification (documented in DESIGN.md):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from repro.common.memo import cached
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -80,10 +79,6 @@ class Unit:
 
     def verify_signature(self) -> bool:
         return verify_signature(self.public_key, bytes(self.unit_hash), self.signature)
-
-    def signature_item(self) -> tuple:
-        """Triple for :func:`repro.crypto.keys.verify_signatures_batch`."""
-        return (self.public_key, bytes(self.unit_hash), self.signature)
 
 
 def make_unit(

@@ -67,9 +67,6 @@ class ByteballConsensus(ConsensusEngine):
     def on_applied(self, unit: Unit) -> None:
         self._node.stats.processed += 1
 
-    def signature_items(self, unit: Unit):
-        return (unit.signature_item(),)
-
 
 class ByteballNode(ProtocolNode):
     """Full witnessed-DAG node: replica + gossip + local tip references."""
@@ -140,11 +137,6 @@ class ByteballNode(ProtocolNode):
     def handle_message(self, sender_id: str, message: Message) -> None:
         if message.kind == MSG_BB_UNIT:
             self.ingest_quietly(message.payload)
-
-    def message_signature_items(self, message: Message):
-        if message.kind == MSG_BB_UNIT:
-            return (message.payload.signature_item(),)
-        return ()
 
     def on_parked(self, unit: Unit, missing: Hash) -> None:
         self.stats.parked += 1

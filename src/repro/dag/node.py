@@ -105,7 +105,7 @@ class NanoConsensus(ConsensusEngine):
         self._node._maybe_vote_on_sight(block)
 
     def signature_items(self, block: NanoBlock):
-        return ((block.public_key, bytes(block.block_hash), block.signature),)
+        return (block.signature_item(),)
 
 
 class NanoNode(ProtocolNode):
@@ -248,7 +248,7 @@ class NanoNode(ProtocolNode):
         # republishes on reconnect (a wallet flushing its unconfirmed
         # sends) — without that, the rest of the network can never learn
         # the block and per-account heads diverge forever.
-        self._ingest(block)
+        self.ingest(block)
         self.transport.publish(block, self._block_message(block))
 
     def _block_message(self, block: NanoBlock) -> Message:
@@ -270,20 +270,9 @@ class NanoNode(ProtocolNode):
         elif message.kind == MSG_NANO_VOTE:
             self._receive_vote(message.payload)
 
-    def message_signature_items(self, message: Message):
-        """Batch-prewarm hook: triples for a coalesced delivery burst."""
-        if message.kind == MSG_NANO_BLOCK:
-            block = message.payload
-            return ((block.public_key, bytes(block.block_hash), block.signature),)
-        if message.kind == MSG_NANO_VOTE:
-            vote = message.payload.vote
-            if vote.signature:
-                return (vote.signature_item(),)
-        return ()
-
     def _receive_block(self, block: NanoBlock) -> None:
         if self.processing_tps is None or self.network is None:
-            self._ingest_quietly(block)
+            self.ingest_quietly(block)
             return
         # Hardware model: blocks queue behind a fixed per-block service
         # time; a saturated node processes at its capacity, no faster.
@@ -293,18 +282,9 @@ class NanoNode(ProtocolNode):
         self._busy_until = start + service
         sim.schedule(
             self._busy_until - sim.now,
-            lambda: self._ingest_quietly(block),
+            lambda: self.ingest_quietly(block),
             label=f"dag-process:{self.node_id}",
         )
-
-    def _ingest_quietly(self, block: NanoBlock) -> None:
-        self.ingest_quietly(block)
-
-    def _ingest(self, block: NanoBlock) -> None:
-        # The shared stack pipeline: duplicate check, dependency parking
-        # ("not properly broadcasted", Section IV-B), integration through
-        # NanoConsensus, and dependency-arrival retry of parked blocks.
-        self.ingest(block)
 
     # ------------------------------------------------------------- bootstrap
 
@@ -364,7 +344,8 @@ class NanoNode(ProtocolNode):
             # on the challenger, so adopt it instead of electing.
             self._adopt_confirmed(challenger.block_hash)
             return
-        incumbent = self._incumbent_for(challenger)
+        incumbent = self._applied_successor(
+            challenger.account, challenger.previous)
         candidates = [challenger.block_hash]
         if incumbent is not None:
             candidates.append(incumbent.block_hash)
@@ -383,17 +364,6 @@ class NanoNode(ProtocolNode):
             )
             self._record_conflict_vote(payload)
             self._broadcast_vote(payload)
-
-    def _incumbent_for(self, challenger: NanoBlock) -> Optional[NanoBlock]:
-        chain = self.lattice.chain(challenger.account)
-        if chain is None:
-            return None
-        if challenger.previous.is_zero():
-            return chain.blocks[0] if chain.blocks else None
-        for i, blk in enumerate(chain.blocks):
-            if blk.block_hash == challenger.previous and i + 1 < len(chain.blocks):
-                return chain.blocks[i + 1]
-        return None
 
     # ---------------------------------------------------------------- votes
 
@@ -478,7 +448,7 @@ class NanoNode(ProtocolNode):
         # directly: blocks parked in the unchecked buffer waiting on the
         # winner (a recipient's receive gossiped while we still held the
         # losing branch) must be retried, and auto-receive must fire.
-        self._ingest_quietly(winning_block)
+        self.ingest_quietly(winning_block)
 
     def _record_conflict_vote(self, payload: VotePayload) -> None:
         assert payload.conflict_account is not None
@@ -518,7 +488,7 @@ class NanoNode(ProtocolNode):
         if winning_block is not None:
             # Same intake path as gossip (see _adopt_confirmed): retries
             # unchecked dependents of the winner and settles auto-receives.
-            self._ingest_quietly(winning_block)
+            self.ingest_quietly(winning_block)
 
     def _applied_successor(
         self, account: Address, contested_previous: Hash

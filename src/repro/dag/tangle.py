@@ -70,10 +70,6 @@ class TangleTransaction:
     def verify_signature(self) -> bool:
         return verify_signature(self.public_key, bytes(self.tx_hash), self.signature)
 
-    def signature_item(self) -> tuple:
-        """Triple for :func:`repro.crypto.keys.verify_signatures_batch`."""
-        return (self.public_key, bytes(self.tx_hash), self.signature)
-
     def verify_work(self, difficulty: float) -> bool:
         return check_antispam(bytes(self.trunk) + bytes(self.branch), self.work, difficulty)
 

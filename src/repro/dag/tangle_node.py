@@ -67,9 +67,6 @@ class TangleConsensus(ConsensusEngine):
     def on_applied(self, tx: TangleTransaction) -> None:
         self._node.stats.processed += 1
 
-    def signature_items(self, tx: TangleTransaction):
-        return (tx.signature_item(),)
-
 
 class TangleNode(ProtocolNode):
     """Full tangle node: replica + gossip + local tip selection."""
@@ -135,15 +132,7 @@ class TangleNode(ProtocolNode):
 
     def handle_message(self, sender_id: str, message: Message) -> None:
         if message.kind == MSG_TANGLE_TX:
-            self._ingest(message.payload)
-
-    def message_signature_items(self, message: Message):
-        if message.kind == MSG_TANGLE_TX:
-            return (message.payload.signature_item(),)
-        return ()
-
-    def _ingest(self, tx: TangleTransaction) -> None:
-        self.ingest(tx)
+            self.ingest(message.payload)
 
     def on_parked(self, tx: TangleTransaction, missing: Hash) -> None:
         self.stats.parked += 1

@@ -46,10 +46,6 @@ class Vote:
     def signed_payload(self) -> bytes:
         return self._payload
 
-    def signature_item(self) -> Tuple[bytes, bytes, bytes]:
-        """Triple for :func:`repro.crypto.keys.verify_signatures_batch`."""
-        return (self.public_key, self._payload, self.signature)
-
     def verify(self) -> bool:
         if not self.signature:
             return False

@@ -22,14 +22,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.common.rng import exponential
 from repro.net.link import LinkParams
 from repro.net.network import Network
-from repro.protocol import aggregate_layer_counters
-from repro.trace import (
-    BYZANTINE,
-    CRASH,
-    DEGRADE,
-    RESTART,
-    RESTORE,
-)
+from repro.protocol import aggregate_layer_counters, protocol_nodes
+from repro.trace import CRASH, DEGRADE, RESTART, RESTORE
 
 #: Byzantine behaviour families the adapters know how to wire.  Each
 #: family draws from its own ``fork_rng`` stream (``byz:<family>:<node>``)
@@ -122,7 +116,6 @@ class FaultInjector:
         self.restarts_injected = 0
         self.partitions_injected = 0
         self.heals_injected = 0
-        self.byzantine_marked = 0
         #: links currently under degradation: (true original params,
         #: number of still-active degradation windows).  The depth count
         #: makes overlapping degrade/restore windows compose — only the
@@ -279,31 +272,15 @@ class FaultInjector:
     def heal_at(self, time_s: float) -> None:
         self.simulator.schedule_at(time_s, self.heal, label="fault:heal")
 
-    # ------------------------------------------------------------ byzantine
-
-    def mark_byzantine(self, node_id: str, behavior: str) -> None:
-        """Record that ``node_id`` runs adversarial ``behavior``.
-
-        The paradigm-specific wiring (vote handling, private chains,
-        spam sources) lives in the node/adapters; this keeps the
-        cross-paradigm bookkeeping — the ``is_byzantine`` flag, a trace
-        record, the fault-count rollup — in one paradigm-free place.
-        """
-        if behavior not in BYZANTINE_FAMILIES:
-            raise ValueError(f"unknown Byzantine behavior {behavior!r}")
-        node = self.network.node(node_id)
-        node.is_byzantine = True
-        self.byzantine_marked += 1
-        self.tracer.emit(self.simulator.now, BYZANTINE, src=node_id,
-                         reason=behavior)
-
     # --------------------------------------------------------------- query
 
     def fault_counts(self) -> Dict[str, int]:
         return {
             "crashes": self.crashes_injected,
             "restarts": self.restarts_injected,
-            "byzantine_nodes": self.byzantine_marked,
+            "byzantine_nodes": sum(
+                node.is_byzantine
+                for node in protocol_nodes(self.network.nodes())),
             "degraded_links_active": len(self._degraded),
             "partitions": self.partitions_injected,
             "heals": self.heals_injected,

@@ -381,8 +381,7 @@ class Network:
 
         Items come in scheduling order; a reliable send that finds the
         node offline is retried, a plain one is just dropped.  The
-        survivors are handed over in one ``deliver_batch`` call (one
-        signature prewarm at the node).
+        survivors are handed over in one ``deliver_batch`` call.
         """
         node = self._nodes[items[0][1]]
         deliverable = []
@@ -432,15 +431,12 @@ class Network:
         Items are processed strictly in scheduling order, deliver then
         forward per message, which keeps RNG draw order (and therefore
         golden fingerprints) independent of how many arrivals share the
-        instant.  The batch's win is the up-front signature prewarm
-        across the whole burst.
+        instant.
         """
         dst = items[0][1]
         node = self._nodes[dst]
         seen = self._seen[dst]
         inflight = self._inflight[dst]
-        if len(items) > 1 and node.online:
-            node.prewarm_messages([item[2] for item in items])
         for src, _dst, message, key, attempt in items:
             if not self._arrive(node, src, message):
                 self._schedule_retry(src, dst, message, attempt)

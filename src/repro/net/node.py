@@ -97,26 +97,11 @@ class NetworkNode:
     def deliver_batch(self, items) -> None:
         """Deliver the ``(sender, message)`` direct sends that reach this
         node at one instant — how every :meth:`send` / :meth:`send_reliable`
-        arrives, a lone message being a one-item burst.
-
-        Semantically identical to calling :meth:`deliver` per item in
-        order; the default does exactly that after a behavior-neutral
-        :meth:`prewarm_messages` pass that lets stack nodes amortize
-        signature verification over the burst.
+        arrives, a lone message being a one-item burst: :meth:`deliver`
+        per item, in order.
         """
-        if len(items) > 1 and self.online:
-            self.prewarm_messages([message for _, message in items])
         for sender_id, message in items:
             self.deliver(sender_id, message)
-
-    def prewarm_messages(self, messages) -> None:
-        """Batch pre-verification hook for a same-instant arrival burst
-        (direct sends via :meth:`deliver_batch`, gossip via the network).
-
-        Must be behavior-neutral (cache warming only).  Base nodes do
-        nothing; protocol-stack nodes batch-verify the burst's signatures
-        so the scalar checks downstream all hit the sigcache.
-        """
 
     def handle_message(self, sender_id: str, message: Message) -> None:
         """Application hook — override in subclasses."""

@@ -1,8 +1,8 @@
 """repro.perf — microbenchmarks and profiling for the hot paths.
 
 * :mod:`repro.perf.suite`   — deterministic microbenchmarks (event loop,
-  gossip, hashing, lattice settlement, E9/E14 trials), report building,
-  and the regression gate used by CI.
+  gossip, hashing, lattice settlement), report building, and the
+  regression gate used by CI.
 * :mod:`repro.perf.profiling` — cProfile wrapper with top-N hotspot
   output, exposed as ``repro profile <bench>``.
 

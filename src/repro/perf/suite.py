@@ -2,10 +2,11 @@
 
 Each bench exercises one layer every experiment bottoms out in — the
 discrete-event loop, gossip fan-out, canonical-encode-then-hash, and
-block-lattice settlement — plus two end-to-end experiment trials (E9 and
-E14) measured by wall clock.  All benches are deterministic (fixed seeds)
-and depend only on public APIs, so the same suite runs against any
-revision of the codebase and the numbers stay comparable.
+block-lattice settlement.  Whole runs are measured per layer by the
+repository benchmark (``perfbench/``), not here.  All benches are
+deterministic (fixed seeds) and depend only on public APIs, so the same
+suite runs against any revision of the codebase and the numbers stay
+comparable.
 
 Results are normalized by a *calibration score* (a fixed pure-Python spin
 loop) so comparisons across machines of different speeds — a laptop
@@ -489,61 +490,6 @@ def _bench_intake_park_revive(scale: float) -> Tuple[int, float]:
     return ops, wall
 
 
-# --------------------------------------------------------------------------
-# End-to-end experiment trials (wall clock)
-# --------------------------------------------------------------------------
-
-
-def _run_experiment(experiment_id: str, params: Dict[str, float],
-                    seed: int) -> Tuple[int, float]:
-    from repro.core.experiment import EXPERIMENTS
-
-    runner = EXPERIMENTS[experiment_id].load_runner()
-    start = perf_counter()
-    result = runner(params, seed)
-    wall = perf_counter() - start
-    assert result["experiment_id"] == experiment_id
-    return 1, wall
-
-
-def _bench_e9_blockchain_tps(scale: float) -> Tuple[int, float]:
-    """One E9 saturation trial (reduced horizon) — blockchain TPS
-    end-to-end wall clock."""
-    duration = max(60.0, 300.0 * scale)
-    return _run_experiment("E9", {"offered_tps": 20.0, "duration_s": duration},
-                           seed=1)
-
-
-def _bench_e14_dag_tps(scale: float) -> Tuple[int, float]:
-    """One E14 offered-load trial — DAG TPS end-to-end wall clock."""
-    duration = max(4.0, 15.0 * scale)
-    return _run_experiment(
-        "E14",
-        {"offered_tps": 60.0, "processing_tps": 0.0, "duration_s": duration},
-        seed=1,
-    )
-
-
-def _bench_bft_commit(scale: float) -> Tuple[int, float]:
-    """Quorum-certificate commit throughput: payments through a 4-node
-    HotStuff deployment, counted as committed payments."""
-    from repro.core.deploy import build_deployment
-    from repro.workloads.generators import PaymentEvent
-
-    payments = max(5, int(40 * scale))
-    deployment = build_deployment("bft", seed=3, propose_delay_s=0.05)
-    deployment.setup(accounts=4, initial_balance=1_000_000)
-    ledger = deployment.ledger
-    start = perf_counter()
-    for i in range(payments):
-        ledger.submit(PaymentEvent(time_s=ledger.now(), sender_index=i % 4,
-                                   recipient_index=(i + 1) % 4, amount=5))
-        ledger.advance(1.0)
-    ledger.advance(30.0)
-    wall = perf_counter() - start
-    return ledger.stats().entries_confirmed, wall
-
-
 BENCHES: Dict[str, Bench] = {
     bench.name: bench
     for bench in [
@@ -571,13 +517,6 @@ BENCHES: Dict[str, Bench] = {
               _bench_mempool_admit, paradigms=("blockchain",)),
         Bench("intake_park_revive", "out-of-order park + dependency revive",
               _bench_intake_park_revive, repeats=2, paradigms=("dag",)),
-        Bench("e9_blockchain_tps", "E9 saturation trial wall clock",
-              _bench_e9_blockchain_tps, repeats=1,
-              paradigms=("blockchain",)),
-        Bench("e14_dag_tps", "E14 offered-load trial wall clock",
-              _bench_e14_dag_tps, repeats=1, paradigms=("dag",)),
-        Bench("bft_commit", "HotStuff quorum-commit throughput",
-              _bench_bft_commit, repeats=2, paradigms=("bft",)),
     ]
 }
 

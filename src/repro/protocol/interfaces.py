@@ -145,11 +145,12 @@ class ConsensusEngine(abc.ABC):
     def signature_items(self, artifact: Any) -> Any:
         """``(public_key, message, signature)`` triples ``artifact`` carries.
 
-        Burst ingest and delivery feed these to
-        :func:`repro.crypto.keys.verify_signatures_batch` before a burst
-        is ingested, so the engine's own scalar checks all hit the
-        sigcache.  Must be side-effect-free; engines whose artifacts are
-        unsigned keep the empty default.
+        :meth:`ProtocolNode.ingest_batch` feeds these to
+        :func:`repro.crypto.keys.prewarm_signatures` before a burst is
+        ingested, so the engine's own scalar checks all hit the
+        sigcache.  Must be side-effect-free; only engines fed through
+        ``ingest_batch`` (the lattice bootstrap) override the empty
+        default.
         """
         return ()
 

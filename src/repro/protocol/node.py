@@ -15,7 +15,6 @@ from typing import Any, Dict, Hashable, Optional
 
 from repro.common.errors import ReproError
 from repro.crypto.keys import prewarm_signatures
-from repro.net.message import Message
 from repro.net.node import NetworkNode
 from repro.protocol.intake import DEFAULT_INTAKE_CAPACITY, IntakeLayer
 from repro.protocol.interfaces import ConsensusEngine
@@ -155,29 +154,6 @@ class ProtocolNode(NetworkNode):
         for key in applied_keys:
             self.retry_dependents(key)
         return len(applied_keys)
-
-    def prewarm_messages(self, messages: Any) -> None:
-        """Batch-verify the signatures a coalesced burst carries.
-
-        Behavior-neutral (sigcache warming only — see
-        :func:`repro.crypto.keys.prewarm_signatures`); the scalar checks
-        inside each engine's validation then all hit the cache.
-        """
-        triples: list = []
-        collect = self.message_signature_items
-        for message in messages:
-            triples.extend(collect(message))
-        if triples:
-            prewarm_signatures(triples)
-
-    def message_signature_items(self, message: Message) -> Any:
-        """Signature triples carried by one gossip message.
-
-        Subclasses map their message kinds to the engine's
-        :meth:`~ConsensusEngine.signature_items` (plus any non-artifact
-        signed payloads such as votes).  Must be side-effect-free.
-        """
-        return ()
 
     def retry_dependents(self, key: Hashable) -> int:
         """Re-ingest everything parked on the just-integrated ``key``.

@@ -114,35 +114,6 @@ class EventQueue:
                 return event
         return None
 
-    def pop_due(self, until: Optional[float] = None) -> Optional[Event]:
-        """Fused peek+pop: the next live event with ``time <= until``.
-
-        Returns ``None`` (leaving the event queued) when the next live
-        event lies beyond ``until`` or the queue is drained.  This is the
-        single heap access the simulator's run loop makes per event —
-        there is no separate peek pass.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                heappop(heap)
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            heappop(heap)
-            event._queue = None
-            self.popped += 1
-            return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
-        return heap[0][0] if heap else None
-
     def stats(self) -> dict:
         """Lifetime counters — how much scheduling a run generated."""
         return {"pushed": self._sequence, "popped": self.popped,

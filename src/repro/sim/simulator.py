@@ -187,7 +187,7 @@ class Simulator:
         processed = 0
         popped = 0
         self._halted = False
-        # Hot loop: EventQueue.pop_due inlined (same package, see
+        # Hot loop: the queue's peek + pop is inlined (same package, see
         # events.py) so each event costs one heap access and zero extra
         # Python calls; heap and queue are bound to locals once and the
         # pop counter is flushed back in one write at exit.
@@ -195,46 +195,8 @@ class Simulator:
         heap = queue._heap
         pop = heappop
         limit = max_events if max_events is not None else float("inf")
+        horizon = until if until is not None else float("inf")
         try:
-            if until is None:
-                # No horizon: every live entry fires, so pop directly —
-                # no peek, no per-event bound check.
-                while heap and not self._halted and processed < limit:
-                    entry = pop(heap)
-                    event = entry[2]
-                    if event.cancelled:
-                        continue
-                    event._queue = None
-                    popped += 1
-                    self._now = entry[0]
-                    key = event.coalesce_key
-                    if key is None:
-                        event.action()
-                        processed += 1
-                        continue
-                    # Coalesce: drain the run of same-(time, key) events
-                    # at the heap top into one dispatch (order-preserving
-                    # — see schedule_batchable).
-                    time = entry[0]
-                    dispatch = event.action
-                    batch = [event.payload]
-                    while heap and processed + len(batch) < limit:
-                        top = heap[0]
-                        if top[0] != time:
-                            break
-                        nxt = top[2]
-                        if nxt.cancelled:
-                            pop(heap)
-                            continue
-                        if nxt.coalesce_key != key or nxt.action is not dispatch:
-                            break
-                        pop(heap)
-                        nxt._queue = None
-                        popped += 1
-                        batch.append(nxt.payload)
-                    dispatch(batch)
-                    processed += len(batch)
-                return
             while not self._halted and processed < limit:
                 event = None
                 while heap:
@@ -243,7 +205,7 @@ class Simulator:
                     if candidate.cancelled:
                         pop(heap)
                         continue
-                    if entry[0] > until:
+                    if entry[0] > horizon:
                         break
                     pop(heap)
                     candidate._queue = None
@@ -253,7 +215,7 @@ class Simulator:
                 if event is None:
                     # Queue drained (or next event past the horizon): the
                     # clock still ends at ``until`` when one was given.
-                    if until > self._now:
+                    if until is not None and until > self._now:
                         self._now = until
                     break
                 self._now = entry[0]
@@ -262,8 +224,10 @@ class Simulator:
                     event.action()
                     processed += 1
                     continue
-                # Batch members share the popped event's timestamp, which
-                # already passed the ``until`` bound — no extra check.
+                # Coalesce: drain the run of same-(time, key) events at
+                # the heap top into one dispatch (order-preserving — see
+                # schedule_batchable).  Members share the popped event's
+                # timestamp, which already passed the horizon check.
                 time = entry[0]
                 dispatch = event.action
                 batch = [event.payload]

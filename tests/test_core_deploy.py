@@ -1,25 +1,25 @@
 """The uniform deployment factory (ISSUE 7's API redesign).
 
 ``build_deployment`` is the single constructor every bench, test and
-CLI command goes through; these tests pin its contract: paradigm/engine
+CLI command goes through; these tests pin its contract: paradigm
 validation, honest rejection of inapplicable knobs, Byzantine-spec
 wiring, the uniform ``Deployment`` accessors, and the fuzzer's
 ``build_fuzz_deployment`` wrapper covering every paradigm.
 """
 
+import inspect
+from dataclasses import replace
+
 import pytest
 
+from repro.blockchain.params import BITCOIN
 from repro.check.generator import profile_named
 from repro.check.runner import (
     ALL_PARADIGMS,
     PARADIGMS,
     build_fuzz_deployment,
 )
-from repro.core.deploy import (
-    PARADIGM_ENGINES,
-    WorkloadSpec,
-    build_deployment,
-)
+from repro.core.deploy import build_deployment
 from repro.faults import ByzantineSpec
 from repro.workloads.generators import PaymentEvent
 
@@ -27,26 +27,31 @@ from repro.workloads.generators import PaymentEvent
 def test_unknown_paradigm_and_engine_raise():
     with pytest.raises(ValueError, match="unknown paradigm"):
         build_deployment("tangle3000")
-    with pytest.raises(ValueError, match="no engine"):
-        build_deployment("blockchain", engine="hotstuff")
-    with pytest.raises(ValueError, match="no engine"):
-        build_deployment("bft", engine="pow")
+    # One engine per paradigm: the paradigm name is the only selector.
+    with pytest.raises(TypeError, match="engine"):
+        build_deployment("bft", engine="hotstuff")
 
 
-def test_engine_defaults_to_paradigm_native():
-    for paradigm, engines in PARADIGM_ENGINES.items():
-        deployment = build_deployment(paradigm)
-        assert deployment.paradigm == paradigm
-        assert deployment.engine == engines[0]
+def test_factory_keywords_are_pinned():
+    """A new factory knob is a reviewed diff: every keyword here has a
+    caller outside the tests that sets it."""
+    assert set(inspect.signature(build_deployment).parameters) == {
+        "paradigm", "faults", "node_count", "seed", "link_params",
+        "topology_scale",
+        "chain_params", "mempool_limits", "prune_interval_s",
+        "prune_keep_depth",                              # blockchain
+        "representative_count", "processing_tps",        # dag
+        "view_timeout_s", "max_batch",                   # bft
+    }
 
 
 def test_inapplicable_knobs_are_rejected():
     with pytest.raises(ValueError, match="do not apply"):
         build_deployment("blockchain", view_timeout_s=2.0)
     with pytest.raises(ValueError, match="do not apply"):
-        build_deployment("dag", fee=3)
+        build_deployment("dag", chain_params=BITCOIN)
     with pytest.raises(ValueError, match="do not apply"):
-        build_deployment("bft", confirmation_depth=2)
+        build_deployment("bft", prune_interval_s=30.0)
     # f_override is a quorum knob: BFT only.
     with pytest.raises(ValueError, match="do not apply"):
         build_deployment(
@@ -55,7 +60,7 @@ def test_inapplicable_knobs_are_rejected():
         )
 
 
-@pytest.mark.parametrize("paradigm", sorted(PARADIGM_ENGINES))
+@pytest.mark.parametrize("paradigm", sorted(ALL_PARADIGMS))
 def test_node_count_below_one_is_rejected(paradigm):
     # 0 used to fall through ``node_count or default`` to 5 / 8 / 4 nodes.
     for count in (0, -3):
@@ -93,11 +98,11 @@ def test_only_the_knobs_the_caller_set_are_forwarded():
         skip = ("_rng", "_stats")
         assert ({k: v for k, v in vars(built).items() if k not in skip}
                 == {k: v for k, v in vars(bare).items() if k not in skip})
-    tuned = build_deployment("blockchain", block_interval_s=30.0, fee=7,
+    params = replace(BITCOIN, target_block_interval_s=30.0)
+    tuned = build_deployment("blockchain", chain_params=params,
                              node_count=3).ledger
-    assert tuned.params.target_block_interval_s == 30.0
-    assert tuned.params.confirmation_depth == BlockchainLedger().params.confirmation_depth
-    assert (tuned.fee, tuned.node_count) == (7, 3)
+    assert tuned.params is params
+    assert (tuned.fee, tuned.node_count) == (BlockchainLedger().fee, 3)
 
 
 def test_byzantine_behavior_must_match_paradigm():
@@ -149,17 +154,14 @@ def test_byzantine_spec_marks_nodes():
     assert marked[0].byzantine_behavior == "equivocate"
 
 
-def test_workload_spec_round_trip():
+def test_fault_counts_report_the_marked_byzantine_nodes():
+    # Regression: the injector reported a counter of its own that no
+    # marking path bumped, so this read 0 whatever the adapter wired.
     deployment = build_deployment(
-        "dag", workload=WorkloadSpec(rate_tps=2.0, duration_s=5.0),
-    ).setup(4, 1_000_000)
-    injector = deployment.start_workload(accounts=4)
-    deployment.ledger.advance(10.0)
-    assert injector.report.offered > 0
-
-    bare = build_deployment("dag").setup(4, 1_000_000)
-    with pytest.raises(ValueError, match="WorkloadSpec"):
-        bare.start_workload(accounts=4)
+        "bft", faults=ByzantineSpec(count=1)).setup(4, 1_000_000)
+    assert deployment.fault_injector().fault_counts()["byzantine_nodes"] == 1
+    honest = build_deployment("bft").setup(4, 1_000_000)
+    assert honest.fault_injector().fault_counts()["byzantine_nodes"] == 0
 
 
 def test_build_ledger_shim_still_works():

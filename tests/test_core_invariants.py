@@ -160,3 +160,24 @@ class TestLatticeAudit:
         tb.simulator.run(until=tb.simulator.now + 10)
         report = audit_lattice(tb.nodes, expected_supply=10**15)
         assert any(v.invariant == "agreement" for v in report.violations)
+
+    def test_linkage_violation_names_the_broken_account(self):
+        """The linkage detail must name the chain it found broken (it
+        used to print whichever account the agreement loop ended on)."""
+        tb = build_nano_testbed(node_count=1, representative_count=1, seed=7)
+        users = fund_accounts(tb, 2, 10**6, settle_time=2.0)
+        node = tb.nodes[0]
+        for sender, recipient in (users, users[::-1]):
+            node.send_payment(sender.address, recipient.address, 5)
+        tb.simulator.run(until=tb.simulator.now + 5)
+        for user in users:
+            chain = node.lattice.chain(user.address)
+            assert chain.height >= 2
+            chain.blocks.reverse()  # every link now points the wrong way
+            report = audit_lattice(tb.nodes, expected_supply=10**15)
+            chain.blocks.reverse()
+            details = [v.detail for v in report.violations
+                       if v.invariant == "linkage"]
+            assert details
+            assert all(d.startswith(f"{node.node_id}/{user.address.short()}:")
+                       for d in details), details

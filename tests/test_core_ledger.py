@@ -1,9 +1,11 @@
 """Tests for the abstract Ledger helpers (repro.core.ledger)."""
 
+from dataclasses import replace
 from typing import List, Optional
 
 import pytest
 
+from repro.blockchain.params import BITCOIN
 from repro.common.types import Hash
 from repro.crypto.hashing import sha256
 from repro.core.deploy import PARADIGMS, build_deployment
@@ -85,7 +87,8 @@ class TestRunWorkload:
 
 
 #: Short blocks so a blockchain confirms inside the test's horizon.
-KNOBS = {"blockchain": dict(block_interval_s=15.0, confirmation_depth=2)}
+KNOBS = {"blockchain": dict(chain_params=replace(
+    BITCOIN, target_block_interval_s=15.0, confirmation_depth=2))}
 
 
 def build(paradigm):

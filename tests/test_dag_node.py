@@ -236,7 +236,7 @@ class TestSpamThrottle:
             work_difficulty=1,  # far below required difficulty
         )
         with pytest.raises(ValidationError):
-            tb.nodes[0]._ingest(cheap)
+            tb.nodes[0].ingest(cheap)
 
 
 class TestOfflineRepublish:
@@ -280,12 +280,12 @@ class TestElectionAdoptionRetriesUnchecked:
 
         replica = next(n for n in tb.nodes if u0.address not in n.local_accounts)
         replica.set_online(False)  # isolate: drive its ledger directly
-        replica._ingest(loser)
+        replica.ingest(loser)
         receive = make_receive(
             u1_key, replica.lattice.chain(u1.address).head,
             winner.block_hash, 500, work_difficulty=1,
         )
-        replica._ingest(receive)  # source missing -> parked
+        replica.ingest(receive)  # source missing -> parked
         assert receive.block_hash not in replica.lattice
 
         replica._conflict_buffer[winner.block_hash] = winner

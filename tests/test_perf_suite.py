@@ -5,6 +5,7 @@ reports, the CI gate's arithmetic), never absolute speed.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -37,11 +38,23 @@ class TestRunBench:
     def test_registry_names_are_runnable(self):
         # Every registered bench accepts a scale knob; exercise the two
         # cheapest end-to-end.
-        assert "event_loop" in BENCHES and "e9_blockchain_tps" in BENCHES
+        assert "event_loop" in BENCHES and "delivery_coalesce" in BENCHES
         result = run_bench("event_loop", scale=0.01)
         assert result.ops > 0
         assert result.wall_s > 0
         assert result.ops_per_s == pytest.approx(result.ops / result.wall_s)
+
+    def test_committed_reports_name_only_registered_benches(self):
+        """Both committed reports list rows of the registry and nothing
+        else, and every gated row has a reference denominator (a row
+        without one reports no speedup and drifts unnoticed)."""
+        root = Path(__file__).resolve().parent.parent
+        gate = json.loads((root / "BENCH_PERF.json").read_text())
+        reference = json.loads(
+            (root / "benchmarks/perf/baseline_unoptimized.json").read_text())
+        assert set(gate["benchmarks"]) <= set(BENCHES)
+        assert set(reference["benchmarks"]) <= set(BENCHES)
+        assert set(gate["benchmarks"]) <= set(reference["benchmarks"])
 
     def test_unknown_bench_rejected(self):
         with pytest.raises(KeyError):

@@ -10,8 +10,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto.keys import KeyPair
-from repro.net.link import FAST_LINK
+from repro.core.deploy import build_deployment
+from repro.crypto.keys import KeyPair, clear_sigcache, sigcache_counters
+from repro.net.link import FAST_LINK, LinkParams
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.topology import complete_topology
@@ -24,6 +25,7 @@ from repro.blockchain.transaction import build_transaction
 from repro.dag.byteball_node import ByteballNode
 from repro.dag.tangle import issue_transaction
 from repro.dag.tangle_node import MSG_TANGLE_TX, TangleNode
+from repro.workloads.generators import PaymentEvent
 
 FAST_BITCOIN = replace(BITCOIN, target_block_interval_s=10.0, confirmation_depth=3)
 
@@ -424,3 +426,47 @@ class TestByteballNode:
             sim.run(until=sim.now + 1)
         sim.run(until=sim.now + 5)
         assert all(n.is_stable(first.unit_hash) for n in nodes)
+
+
+# ---------------------------------------------------------------------------
+# Same-instant delivery bursts
+# ---------------------------------------------------------------------------
+
+
+class TestSameInstantBurst:
+    def test_signed_nano_burst_over_zero_jitter_links(self):
+        """A node is handed a multi-item batch only when arrivals share
+        an instant *and* are consecutive in scheduling order: zero-jitter
+        links and an origin with a single peer.  Nothing batch-verifies
+        that burst, and nothing needs to: every signature was cached when
+        its block or vote was signed, so the scalar checks never miss."""
+        clear_sigcache()
+        deployment = build_deployment(
+            "dag", node_count=2, seed=1,
+            link_params=LinkParams(jitter_s=0.0)).setup(2, 1_000_000)
+        ledger, network = deployment.ledger, deployment.network
+        batch_sizes = []
+        dispatch = network._gossip_dispatch
+
+        def recording_dispatch(items):
+            batch_sizes.append(len(items))
+            dispatch(items)
+
+        network._gossip_dispatch = recording_dispatch
+        for _ in range(6):  # six chained sends published at one instant
+            assert ledger.submit(PaymentEvent(
+                time_s=ledger.now(), sender_index=0, recipient_index=1,
+                amount=5)) is not None
+        ledger.advance(10.0)
+
+        assert max(batch_sizes) >= 6
+        origin = ledger.testbed.node_for(ledger.keys[0].address)
+        heads = {chain.account: chain.head.block_hash
+                 for chain in origin.lattice.chains()}
+        assert len(heads) == 3  # genesis + both users
+        for node in deployment.nodes:
+            assert {chain.account: chain.head.block_hash
+                    for chain in node.lattice.chains()} == heads
+        assert ledger.balance(1) == 1_000_030
+        assert ledger.audit().ok
+        assert sigcache_counters()["sigcache.misses"] == 0

@@ -35,16 +35,15 @@ class TestEventQueue:
         event.cancel()
         assert len(q) == 1
 
-    def test_peek_skips_cancelled(self):
+    def test_pop_skips_cancelled(self):
         q = EventQueue()
         event = q.push(1.0, lambda: None)
         q.push(5.0, lambda: None)
         event.cancel()
-        assert q.peek_time() == 5.0
+        assert q.pop().time == 5.0
 
     def test_empty_pop(self):
         assert EventQueue().pop() is None
-        assert EventQueue().peek_time() is None
 
 
 class TestSimulator:
