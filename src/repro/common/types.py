@@ -1,124 +1,98 @@
 """Typed identifiers shared across the blockchain and DAG subsystems.
 
 The paper compares two ledger paradigms that both identify entries by
-cryptographic hash and owners by address.  Using small frozen wrapper
-classes (instead of raw ``bytes``) makes APIs self-documenting, prevents
-mixing a transaction id with an address, and gives every id a stable
-hex rendering for logs and tables.
+cryptographic hash and owners by address.  Using small typed classes
+(instead of raw ``bytes``) makes APIs self-documenting, fixes each id's
+length at construction, and gives every id a stable hex rendering for
+logs and tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 HASH_SIZE = 32
 ADDRESS_SIZE = 20
 
-_ZERO_HASH_BYTES = b"\x00" * HASH_SIZE
-_ZERO_ADDRESS_BYTES = b"\x00" * ADDRESS_SIZE
 
+class _FixedBytes(bytes):
+    """An immutable byte string of one fixed length, rendered as hex.
 
-@dataclass(frozen=True, order=True)
-class Hash:
-    """A 32-byte cryptographic digest identifying a block, node or tx.
+    Ids key the hottest dicts and sets in every ledger (block index,
+    pending table, cemented set, flood records), so they *are* ``bytes``:
+    hashing and equality run in C with the hash cached on the object,
+    and ``hash(Hash(b)) == hash(b)`` — which is what keeps dict and set
+    iteration order, and with it every fingerprint, where it was.
 
-    Hashes key the hottest dicts and sets in both ledgers (block index,
-    pending table, cemented set), so ``__hash__``/``__eq__`` are hand
-    written to delegate straight to the wrapped bytes instead of the
-    tuple-building dataclass-generated versions.
+    The price is one loosening: an id compares equal to the raw bytes it
+    wraps (``Hash(b) == b``), and orders against any ``bytes``.  A
+    ``Hash`` still never equals an ``Address`` — their lengths differ.
     """
 
-    value: bytes
+    __slots__ = ()
+    SIZE = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes) or len(self.value) != HASH_SIZE:
-            raise ValueError(f"Hash must be {HASH_SIZE} bytes, got {self.value!r}")
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Hash:
-            return self.value == other.value  # type: ignore[attr-defined]
-        return NotImplemented
+    def __new__(cls, value: bytes):
+        if not isinstance(value, bytes) or len(value) != cls.SIZE:
+            raise ValueError(
+                f"{cls.__name__} must be {cls.SIZE} bytes, got {value!r}")
+        return bytes.__new__(cls, value)
 
     @classmethod
-    def zero(cls) -> "Hash":
-        """The all-zero hash, used as the genesis predecessor reference."""
-        return _ZERO_HASH
+    def zero(cls):
+        """The all-zero id (for a hash: the genesis predecessor)."""
+        return cls._ZERO
 
     @classmethod
-    def from_hex(cls, text: str) -> "Hash":
+    def from_hex(cls, text: str):
         return cls(bytes.fromhex(text))
 
     @property
-    def hex(self) -> str:
-        return self.value.hex()
+    def value(self) -> bytes:
+        """The wrapped bytes as a plain ``bytes`` object."""
+        return bytes(self)
+
+    @property
+    def hex(self) -> str:  # type: ignore[override]
+        return bytes.hex(self)
 
     def short(self, n: int = 8) -> str:
         """First ``n`` hex chars — convenient for log lines and diagrams."""
-        return self.value.hex()[:n]
+        return bytes.hex(self)[:n]
 
     def is_zero(self) -> bool:
-        return self.value == _ZERO_HASH_BYTES
-
-    def __bytes__(self) -> bytes:
-        return self.value
+        return self == self._ZERO
 
     def __repr__(self) -> str:
-        return f"Hash({self.short()}…)"
+        return f"{self.__class__.__name__}({self.short()}…)"
+
+    # ``bytes.__str__`` would otherwise leak ``b'\\x..'`` into f-strings
+    # and the JSONL trace dump.
+    __str__ = __repr__
 
 
-_ZERO_HASH = Hash(_ZERO_HASH_BYTES)
+class Hash(_FixedBytes):
+    """A 32-byte cryptographic digest identifying a block, node or tx."""
 
+    __slots__ = ()
+    SIZE = HASH_SIZE
+
+
+Hash._ZERO = Hash(bytes(HASH_SIZE))
 
 # A transaction id is a hash; the alias documents intent at call sites.
 TxId = Hash
 BlockId = Hash
 
 
-@dataclass(frozen=True, order=True)
-class Address:
+class Address(_FixedBytes):
     """A 20-byte account address derived from a public key."""
 
-    value: bytes
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes) or len(self.value) != ADDRESS_SIZE:
-            raise ValueError(f"Address must be {ADDRESS_SIZE} bytes, got {self.value!r}")
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Address:
-            return self.value == other.value  # type: ignore[attr-defined]
-        return NotImplemented
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Address":
-        return cls(bytes.fromhex(text))
-
-    @classmethod
-    def zero(cls) -> "Address":
-        return _ZERO_ADDRESS
-
-    @property
-    def hex(self) -> str:
-        return self.value.hex()
-
-    def short(self, n: int = 8) -> str:
-        return self.value.hex()[:n]
-
-    def __bytes__(self) -> bytes:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Address({self.short()}…)"
+    __slots__ = ()
+    SIZE = ADDRESS_SIZE
 
 
-_ZERO_ADDRESS = Address(_ZERO_ADDRESS_BYTES)
+Address._ZERO = Address(bytes(ADDRESS_SIZE))
 
 HashLike = Union[Hash, bytes]
 

@@ -129,11 +129,11 @@ class _Node:
                 if child is None:
                     parts.append(_EMPTY)
                 else:
-                    parts += (_HASH_PREFIX, child.value)
+                    parts += (_HASH_PREFIX, child)
         elif self.child is None:
             parts += (_EMPTY, _NO_CHILDREN)
         else:
-            parts += (_HASH_PREFIX, self.child.value, _NO_CHILDREN)
+            parts += (_HASH_PREFIX, self.child, _NO_CHILDREN)
         return b"".join(parts)
 
 

@@ -32,14 +32,19 @@ class Message:
     size_bytes: int
     dedup_key: Optional[Hash] = None
     msg_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
+    #: Bytes on the wire including protocol overhead.
+    wire_size: int = field(init=False, repr=False, compare=False)
+    _gossip_key: object = field(init=False, repr=False, compare=False)
 
-    @property
-    def wire_size(self) -> int:
-        """Bytes on the wire including protocol overhead."""
-        return self.size_bytes + MESSAGE_OVERHEAD_BYTES
+    def __post_init__(self) -> None:
+        # Both are read once per hop and never change: computed here, not
+        # per access.
+        object.__setattr__(self, "wire_size",
+                           self.size_bytes + MESSAGE_OVERHEAD_BYTES)
+        object.__setattr__(self, "_gossip_key", (
+            self.kind,
+            self.dedup_key if self.dedup_key is not None else self.msg_id))
 
     def gossip_key(self) -> object:
         """Identity used for duplicate suppression while flooding."""
-        if self.dedup_key is not None:
-            return (self.kind, self.dedup_key)
-        return (self.kind, self.msg_id)
+        return self._gossip_key

@@ -8,6 +8,12 @@ or :meth:`Network.kick_retries` (called when a node restarts).  This is
 what lets propagation recover after a partition instead of deadlocking
 on the duplicate-suppression cache.
 
+Duplicate suppression is one :class:`FloodRecord` per gossip key — two
+bitmasks over node indices, *seen* and *claimed* — created by
+:meth:`Network.gossip` and carried in every scheduled hop, so a node
+that has nothing left to forward finds that out with one integer test
+instead of probing a cache per neighbour.
+
 Every transmission attempt is accounted in a :class:`repro.trace.Tracer`:
 it is recorded as ``schedule`` when handed to a link and resolves as
 exactly one ``deliver`` or ``drop``, so completed runs satisfy
@@ -75,8 +81,11 @@ class RetransmitPolicy:
 
 
 class SeenCache:
-    """Bounded LRU of gossip keys — duplicate suppression without the
-    unbounded `_seen` growth of long runs."""
+    """The order in which one node forgets gossip keys (bounded LRU).
+
+    Whether the node *has* seen a key is a bit in that key's
+    :class:`FloodRecord`; this keeps only what bounding the memory
+    needs, so long runs do not grow without limit."""
 
     def __init__(self, capacity: Optional[int] = 65536) -> None:
         if capacity is not None and capacity <= 0:
@@ -84,22 +93,39 @@ class SeenCache:
         self.capacity = capacity
         self._entries: "OrderedDict[object, None]" = OrderedDict()
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 
-    def add(self, key: object) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        self._entries[key] = None
-        if self.capacity is not None and len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+    def add(self, key: object) -> Optional[object]:
+        """Remember ``key`` as the newest; returns the key this pushed
+        out, whose seen bit the caller then clears."""
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            return None
+        entries[key] = None
+        if self.capacity is not None and len(entries) > self.capacity:
+            return entries.popitem(last=False)[0]
+        return None
 
-    def discard(self, key: object) -> None:
-        self._entries.pop(key, None)
+
+class FloodRecord:
+    """Who has one gossip key, as two bitmasks over node indices.
+
+    ``seen`` holds the nodes that remember the key, ``claimed`` the
+    nodes a delivery-or-retry chain is bringing it to — ownership, not
+    scheduling, is what suppresses duplicates.  A hop in flight or on a
+    retry timer holds its claim and carries the record, so it never
+    looks the key up; the table drops a record once both masks are
+    zero.  The masks are Python ints: past 64 nodes they simply grow.
+    """
+
+    __slots__ = ("key", "seen", "claimed")
+
+    def __init__(self, key: object) -> None:
+        self.key = key
+        self.seen = 0
+        self.claimed = 0
 
 
 class Network:
@@ -139,13 +165,17 @@ class Network:
         self._nodes: Dict[str, NetworkNode] = {}
         self._links: Dict[Tuple[str, str], LinkParams] = {}
         self._neighbors: Dict[str, List[str]] = {}
-        self._seen: Dict[str, SeenCache] = {}
-        #: keys with an active delivery-or-retry chain per destination
-        self._inflight: Dict[str, set] = {}
+        #: node id -> its bit in the flood masks (``1 << attach index``)
+        self._bit: Dict[str, int] = {}
+        self._neighbor_mask: Dict[str, int] = {}
+        self._memory: Dict[str, SeenCache] = {}
+        #: gossip key -> record, while any node remembers or is owed it
+        self._floods: Dict[object, FloodRecord] = {}
         #: transmissions that exhausted retries, revived on heal/kick
         self._parked: "OrderedDict[Tuple[str, str, object], Message]" = OrderedDict()
-        #: pending backoff timers (timer, message), fast-forwarded on heal/kick
-        self._retry_timers: Dict[Tuple[str, str, object], Tuple[object, Message]] = {}
+        #: pending backoff timers, fast-forwarded on heal/kick
+        self._retry_timers: Dict[Tuple[str, str, object],
+                                 Tuple[object, Message, FloodRecord]] = {}
         self._partitions: List[set] = []
         self._rng = simulator.fork_rng("network")
         self._retry_rng = simulator.fork_rng("network-retransmit")
@@ -160,8 +190,9 @@ class Network:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self._nodes[node.node_id] = node
         self._neighbors[node.node_id] = []
-        self._seen[node.node_id] = SeenCache(self._seen_cache_size)
-        self._inflight[node.node_id] = set()
+        self._bit[node.node_id] = 1 << len(self._bit)
+        self._neighbor_mask[node.node_id] = 0
+        self._memory[node.node_id] = SeenCache(self._seen_cache_size)
         node.attached(self)
 
     def connect(self, a: str, b: str, params: Optional[LinkParams] = None) -> None:
@@ -172,6 +203,7 @@ class Network:
                 raise KeyError(f"unknown node in link {src}->{dst}")
             if (src, dst) not in self._links:
                 self._neighbors[src].append(dst)
+                self._neighbor_mask[src] |= self._bit[dst]
             self._links[(src, dst)] = params
 
     def set_link(self, a: str, b: str, params: LinkParams,
@@ -236,29 +268,26 @@ class Network:
         deadline: pending timers are fast-forwarded and parked (given-up)
         transmissions get a fresh attempt budget.  ``dst`` limits the
         kick to one destination (a node that just came back online)."""
-        for key3, (timer, message) in list(self._retry_timers.items()):
-            if dst is not None and key3[1] != dst:
+        for key3, (timer, message, record) in list(self._retry_timers.items()):
+            src, target, _key = key3
+            if dst is not None and target != dst:
                 continue
             del self._retry_timers[key3]
             timer.cancel()  # type: ignore[attr-defined]
-            src, target, key = key3
-            if key in self._seen[target]:
-                # Already delivered via another path while the timer was
-                # pending — dropping the timer is the whole kick.  Same
-                # guard as the parked pass below; ``_attempt_gossip``
-                # would also bail, this just skips the dead attempt (and
-                # releases the inflight claim) explicitly.
-                self._inflight[target].discard(key)
-                continue
-            self._attempt_gossip(src, target, message, attempt=1)
+            # If another path delivered while the timer was pending,
+            # ``_attempt_gossip`` releases the claim and dropping the
+            # timer is the whole kick.
+            self._attempt_gossip(src, target, message, record, 1)
         for (src, target, key), message in list(self._parked.items()):
             if dst is not None and target != dst:
                 continue
             del self._parked[(src, target, key)]
-            if key in self._seen[target] or key in self._inflight[target]:
+            record = self._flood(key)
+            bit = self._bit[target]
+            if (record.seen | record.claimed) & bit:
                 continue
-            self._inflight[target].add(key)
-            self._attempt_gossip(src, target, message, attempt=1)
+            record.claimed |= bit
+            self._attempt_gossip(src, target, message, record, 1)
 
     def _backoff(self, src: str, dst: str, message: Message,
                  attempt: int) -> Optional[float]:
@@ -280,24 +309,22 @@ class Network:
         return delay
 
     def _schedule_retry(self, src: str, dst: str, message: Message,
-                        attempt: int) -> None:
-        """A gossip attempt failed: back off and retry, or park it."""
-        key = message.gossip_key()
+                        record: FloodRecord, attempt: int) -> None:
+        """A gossip attempt failed: back off and retry (the claim on
+        ``dst`` stays held), or park it (the claim is released)."""
+        key3 = (src, dst, record.key)
         delay = self._backoff(src, dst, message, attempt)
         if delay is None:
-            self._inflight[dst].discard(key)
-            self._parked[(src, dst, key)] = message
+            self._release(record, self._bit[dst])
+            self._parked[key3] = message
             return
 
         def retry() -> None:
-            self._retry_timers.pop((src, dst, key), None)
-            if key in self._seen[dst]:  # another path delivered meanwhile
-                self._inflight[dst].discard(key)
-                return
-            self._attempt_gossip(src, dst, message, attempt + 1)
+            self._retry_timers.pop(key3, None)
+            self._attempt_gossip(src, dst, message, record, attempt + 1)
 
         timer = self.simulator.schedule(delay, retry, label="retransmit")
-        self._retry_timers[(src, dst, key)] = (timer, message)
+        self._retry_timers[key3] = (timer, message, record)
 
     def _retry_reliable(self, src: str, dst: str, message: Message,
                         attempt: int) -> None:
@@ -395,34 +422,72 @@ class Network:
 
     def gossip(self, origin: str, message: Message) -> None:
         """Flood ``message`` from ``origin`` through the whole topology."""
-        self._seen[origin].add(message.gossip_key())
-        self._forward(origin, origin, message)
+        record = self._flood(message.gossip_key())
+        self._remember(origin, record)
+        self._forward(origin, origin, message, record)
 
-    def _forward(self, node_id: str, came_from: str, message: Message) -> None:
-        key = message.gossip_key()
+    def _flood(self, key: object) -> FloodRecord:
+        """The record of ``key``, entered in the table if it is new."""
+        record = self._floods.get(key)
+        if record is None:
+            record = self._floods[key] = FloodRecord(key)
+        return record
+
+    def _remember(self, node_id: str, record: FloodRecord) -> None:
+        """``node_id`` has the message: set its seen bit, and clear the
+        bit of the key its bounded memory forgot to make room."""
+        bit = self._bit[node_id]
+        record.seen |= bit
+        evicted = self._memory[node_id].add(record.key)
+        if evicted is not None:
+            forgotten = self._floods[evicted]
+            forgotten.seen &= ~bit
+            if not (forgotten.seen | forgotten.claimed):
+                del self._floods[evicted]
+
+    def _release(self, record: FloodRecord, bit: int) -> None:
+        """End the delivery-or-retry chain that owned ``bit``."""
+        record.claimed &= ~bit
+        if not (record.seen | record.claimed):
+            del self._floods[record.key]
+
+    def _forward(self, node_id: str, came_from: str, message: Message,
+                 record: FloodRecord) -> None:
+        known = record.seen | record.claimed
+        if not known:
+            # The handler that just ran pushed this key out of the node's
+            # memory and nothing else held the record, so the table
+            # dropped it; go on with what the key maps to now, if anything.
+            record = self._floods.get(record.key, record)
+            known = record.seen | record.claimed
+        # A peer is skipped when it already received the message or a
+        # chain from another path owns it; usually that is all of them.
+        todo = self._neighbor_mask[node_id] & ~(known | self._bit[came_from])
+        if not todo:
+            return
+        bits = self._bit
         for peer in self._neighbors[node_id]:
-            if peer == came_from:
-                continue
-            # A peer is skipped when it already received the message or a
-            # delivery/retry chain from another path owns it — ownership,
-            # not scheduling, is what suppresses duplicates now.
-            if key in self._seen[peer] or key in self._inflight[peer]:
-                continue
-            self._inflight[peer].add(key)
-            self._attempt_gossip(node_id, peer, message, attempt=1)
+            bit = bits[peer]
+            if todo & bit:
+                if not known:
+                    # Only this claim holds a dropped record in the table,
+                    # and a hop that parks at once drops it again.
+                    self._floods[record.key] = record
+                record.claimed |= bit
+                self._attempt_gossip(node_id, peer, message, record, 1)
 
     def _attempt_gossip(self, src: str, dst: str, message: Message,
-                        attempt: int) -> None:
-        key = message.gossip_key()
-        if key in self._seen[dst]:
-            self._inflight[dst].discard(key)
+                        record: FloodRecord, attempt: int) -> None:
+        bit = self._bit[dst]
+        if record.seen & bit:  # another path delivered meanwhile
+            self._release(record, bit)
             return
         delay = self._attempt(src, dst, message, attempt)
         if delay is None:
-            self._schedule_retry(src, dst, message, attempt)
+            self._schedule_retry(src, dst, message, record, attempt)
             return
         self.simulator.schedule_batchable(
-            delay, self._gossip_dispatch, (src, dst, message, key, attempt),
+            delay, self._gossip_dispatch, (src, dst, message, record, attempt),
             ("g", dst), label=f"gossip:{message.kind}")
 
     def _deliver_gossip_batch(self, items: List[tuple]) -> None:
@@ -435,18 +500,32 @@ class Network:
         """
         dst = items[0][1]
         node = self._nodes[dst]
-        seen = self._seen[dst]
-        inflight = self._inflight[dst]
-        for src, _dst, message, key, attempt in items:
+        unclaim = ~self._bit[dst]
+        for src, _dst, message, record, attempt in items:
             if not self._arrive(node, src, message):
-                self._schedule_retry(src, dst, message, attempt)
+                self._schedule_retry(src, dst, message, record, attempt)
                 continue
-            seen.add(key)
-            inflight.discard(key)
+            self._remember(dst, record)
+            record.claimed &= unclaim  # seen now, so the record lives on
             node.deliver(src, message)
-            self._forward(dst, src, message)
+            self._forward(dst, src, message, record)
 
     # --------------------------------------------------------------- metrics
+
+    def has_seen(self, node_id: str, key: object) -> bool:
+        """Does ``node_id`` remember the gossip key (and so refuse it)?"""
+        record = self._floods.get(key)
+        return record is not None and bool(record.seen & self._bit[node_id])
+
+    def is_claimed(self, node_id: str, key: object) -> bool:
+        """Is a delivery-or-retry chain bringing ``key`` to ``node_id``?"""
+        record = self._floods.get(key)
+        return record is not None and bool(record.claimed & self._bit[node_id])
+
+    def remembered(self, node_id: str) -> int:
+        """How many gossip keys ``node_id`` remembers; never more than
+        ``seen_cache_size``."""
+        return len(self._memory[node_id])
 
     def pending_retries(self) -> int:
         """Transmissions waiting on a backoff timer or parked for heal."""

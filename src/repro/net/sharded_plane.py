@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.net.link import LinkParams, WAN_LINK
 from repro.net.message import Message
-from repro.net.network import Network, RetransmitPolicy
+from repro.net.network import FloodRecord, Network, RetransmitPolicy
 from repro.net.node import NetworkNode
 from repro.sim.sharded import ShardedConfig, ShardedPropagation
 from repro.sim.simulator import Simulator
@@ -179,8 +179,8 @@ class ShardedMessagePlane(Network):
         reference semantics (offline/partition at arrival drops and
         enters the retransmit/park chain over the direct replica link).
         """
-        key = message.gossip_key()
-        self._seen[origin].add(key)
+        record = self._flood(message.gossip_key())
+        self._remember(origin, record)
         self._ensure_crowd()
         label = f"msg:{self._msg_seq}"
         self._msg_seq += 1
@@ -211,13 +211,14 @@ class ShardedMessagePlane(Network):
             dt = float(arrivals[self._crowd_index[dst]])
             if not np.isfinite(dt):
                 continue
-            if key in self._seen[dst] or key in self._inflight[dst]:
+            bit = self._bit[dst]
+            if (record.seen | record.claimed) & bit:
                 continue
-            self._inflight[dst].add(key)
-            self._schedule_crowd_delivery(origin, dst, message, dt)
+            record.claimed |= bit
+            self._schedule_crowd_delivery(origin, dst, message, record, dt)
 
     def _schedule_crowd_delivery(self, src: str, dst: str, message: Message,
-                                 delay: float) -> None:
+                                 record: FloodRecord, delay: float) -> None:
         """One replica delivery timed by the crowd, resolved exactly.
 
         Same accounting as :meth:`Network._attempt_gossip` (one
@@ -227,25 +228,25 @@ class ShardedMessagePlane(Network):
         link, carried the message — and there is no re-forward: the
         crowd already did the fan-out.
         """
-        key = message.gossip_key()
+        bit = self._bit[dst]
         tracer = self.tracer
         if tracer.enabled:
             tracer.record_schedule(self.simulator.now, src, dst,
                                    message.kind, 1)
 
         def deliver() -> None:
-            if key in self._seen[dst]:
-                self._inflight[dst].discard(key)
+            if record.seen & bit:
+                self._release(record, bit)
                 return
             node = self._nodes[dst]
             if self._crosses_partition(src, dst):
                 self._drop(src, dst, message, REASON_PARTITION)
             elif self._arrive(node, src, message):
-                self._seen[dst].add(key)
-                self._inflight[dst].discard(key)
+                self._remember(dst, record)
+                self._release(record, bit)
                 node.deliver(src, message)
                 return
-            self._schedule_retry(src, dst, message, attempt=1)
+            self._schedule_retry(src, dst, message, record, 1)
 
         self.simulator.schedule(delay, deliver,
                                 label=f"gossip:{message.kind}")

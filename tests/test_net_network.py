@@ -285,16 +285,18 @@ class TestPartitions:
         nodes[0].broadcast(message)
         sim.run(until=1.0)
         assert net.pending_retries() == 1
-        # n1 now receives the message via another path (out of band).
+        # n1 now learns the message another way: it originates the same
+        # key itself (n0 has it already, so nothing is forwarded back).
         key = message.gossip_key()
-        net._seen["n1"].add(key)
+        net.gossip("n1", message)
+        assert net.has_seen("n1", key)
         net.kick_retries()
         sim.run()
         # The kick dropped the dead timer: no delivery, no new retries,
         # and the inflight claim was released.
         assert nodes[1].received == []
         assert net.pending_retries() == 0
-        assert key not in net._inflight["n1"]
+        assert not net.is_claimed("n1", key)
         assert net.tracer.in_flight == 0
 
     def test_seen_cache_is_bounded(self):
@@ -305,7 +307,45 @@ class TestPartitions:
             nodes[0].broadcast(make_message(f"m{i}"))
             sim.run()
         assert len(nodes[1].received) == 100
-        assert len(net._seen["n1"]) <= 8
+        assert net.remembered("n1") <= 8
+
+    def test_flood_records_do_not_leak(self):
+        """10 000 floods through a lossy, periodically partitioned net:
+        a record lives only while a node remembers its key (at most
+        ``seen_cache_size`` per node) or a hop or retry timer still owes
+        it to someone — parked hops hold nothing.  Each partition spans
+        fewer floods than the cache holds keys: reviving more keys at
+        once than a node can remember re-floods for ever, on any
+        implementation."""
+        from repro.net.network import RetransmitPolicy
+
+        sim = Simulator(seed=7)
+        net = Network(sim, seen_cache_size=8, retransmit=RetransmitPolicy(
+            base_delay_s=0.02, max_delay_s=0.1, max_attempts=3))
+        nodes = complete_topology(net, 6, Recorder, LinkParams(
+            latency_s=0.005, jitter_s=0.001, bandwidth_bps=1e9,
+            loss_probability=0.05))
+        ids = net.node_ids()
+
+        def check():
+            assert all(net.remembered(node_id) <= 8 for node_id in ids)
+            assert all(r.seen | r.claimed for r in net._floods.values())
+            owed = net.pending_retries() + net.tracer.in_flight
+            assert len(net._floods) <= 8 * len(ids) + owed
+
+        for i in range(10_000):
+            if i % 500 == 100:
+                net.partition([ids[:3], ids[3:]])
+            elif i % 500 == 106:
+                net.heal()
+            nodes[i % 6].broadcast(make_message(i))
+            sim.run(until=sim.now + 0.02)
+            if i % 100 == 5:
+                check()
+        net.heal()
+        sim.run(max_events=100_000)
+        assert net.pending_retries() == 0 and net.tracer.in_flight == 0
+        check()
 
 
 class TestReliableTransmit:
