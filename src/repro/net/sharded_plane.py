@@ -33,6 +33,7 @@ streams — so a deployment's state digest and the plane's own
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -98,6 +99,7 @@ class ShardedMessagePlane(Network):
                      else simulator.fork_rng("sharded-plane").getrandbits(48))
         self._replica_order: List[str] = []
         self._crowd_index: Dict[str, int] = {}
+        self._replica_rows: Optional[np.ndarray] = None
         self._prop: Optional[ShardedPropagation] = None
         self._workers = None
         self._msg_seq = 0
@@ -132,8 +134,9 @@ class ShardedMessagePlane(Network):
                 f"total_nodes={self.total_nodes} < {replicas} replicas")
         # Evenly spaced crowd positions; strictly increasing because
         # total_nodes >= replicas, so the embedding is injective.
-        for k, node_id in enumerate(self._replica_order):
-            self._crowd_index[node_id] = k * self.total_nodes // replicas
+        self._replica_rows = np.arange(replicas) * self.total_nodes // replicas
+        self._crowd_index = dict(zip(self._replica_order,
+                                     self._replica_rows.tolist()))
         # The retransmit fallback recovers a crowd delivery lost to a
         # partition/offline window over the *direct* replica link, so
         # every replica pair needs one — top up whatever topology the
@@ -193,23 +196,19 @@ class ShardedMessagePlane(Network):
         )
         self._crowd_fp.update(result.fingerprint().encode())
         arrivals = result.arrivals
-        replica_rows = np.asarray(
-            [self._crowd_index[n] for n in self._replica_order])
-        replica_reached = int(np.count_nonzero(
-            np.isfinite(arrivals[replica_rows])))
+        reached = np.isfinite(arrivals)
         self.messages_modeled += 1
-        self.modeled_deliveries += result.reached - replica_reached
+        self.modeled_deliveries += int(
+            np.count_nonzero(reached)
+            - np.count_nonzero(reached[self._replica_rows]))
         self.cross_shard_messages += result.cross_shard_messages
         self.crowd_epochs += result.epochs
-        finite = arrivals[np.isfinite(arrivals)]
-        if len(finite):
-            self.propagation_max_s = max(self.propagation_max_s,
-                                         float(finite.max()))
-        for dst in self._replica_order:
-            if dst == origin:
-                continue
-            dt = float(arrivals[self._crowd_index[dst]])
-            if not np.isfinite(dt):
+        # The origin's own arrival (0.0) is always finite.
+        self.propagation_max_s = max(self.propagation_max_s,
+                                     float(arrivals[reached].max()))
+        for dst, dt in zip(self._replica_order,
+                           arrivals[self._replica_rows].tolist()):
+            if dst == origin or not math.isfinite(dt):
                 continue
             bit = self._bit[dst]
             if (record.seen | record.claimed) & bit:

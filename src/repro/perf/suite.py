@@ -490,6 +490,44 @@ def _bench_intake_park_revive(scale: float) -> Tuple[int, float]:
     return ops, wall
 
 
+#: Digest over the ``sharded_flood`` propagations per node count, captured
+#: on the commit before the CSR kernel: the bench asserts it, so a faster
+#: kernel that relaxes a different schedule fails instead of scoring.
+_SHARDED_FLOOD_DIGESTS = {
+    10_000: "d074543a307d3e6c",
+    5_000: "aba956bad142b291",
+    1_000: "8228559729d2f6ea",
+}
+
+
+def _bench_sharded_flood(scale: float) -> Tuple[int, float]:
+    """Crowd propagations the way the sharded message plane issues them:
+    labelled ``run_with`` floods over one open inline shard backend."""
+    import hashlib
+
+    from repro.net.link import WAN_LINK
+    from repro.sim.sharded import ShardedConfig, ShardedPropagation
+
+    nodes = max(1000, int(10_000 * scale))
+    floods = 12
+    prop = ShardedPropagation(ShardedConfig.with_link(
+        WAN_LINK, total_nodes=nodes, shards=4, seed=1))
+    digest = hashlib.sha256()
+    reached = 0
+    with prop.open() as workers:
+        start = perf_counter()
+        for i in range(floods):
+            result = prop.run_with(workers, (i * 2503) % nodes,
+                                   label=f"msg:{i}", payload_bytes=200 + i)
+            reached += result.reached
+            digest.update(result.fingerprint().encode())
+        wall = perf_counter() - start
+    assert reached == floods * nodes
+    expected = _SHARDED_FLOOD_DIGESTS.get(nodes)
+    assert expected is None or digest.hexdigest()[:16] == expected
+    return reached, wall
+
+
 BENCHES: Dict[str, Bench] = {
     bench.name: bench
     for bench in [
@@ -517,6 +555,8 @@ BENCHES: Dict[str, Bench] = {
               _bench_mempool_admit, paradigms=("blockchain",)),
         Bench("intake_park_revive", "out-of-order park + dependency revive",
               _bench_intake_park_revive, repeats=2, paradigms=("dag",)),
+        Bench("sharded_flood", "labelled crowd floods over one shard backend",
+              _bench_sharded_flood),
     ]
 }
 

@@ -14,8 +14,13 @@ results:
 * each shard draws its out-edge delays in one vectorized batch from a
   ``fork_rng``-derived stream (label ``shard:<index>``), so the draws
   depend only on (seed, shard index) — never on process scheduling;
-* barrier merges happen in shard order and messages are sorted by
-  ``(time, dst)`` before routing, so the merge order is deterministic.
+* barrier merges gather the shards' replies in shard order and route
+  them unsorted: arrivals are applied with a scatter-min, whose result
+  does not depend on the order of its operands, so no ordering of a
+  barrier batch can change an arrival time;
+* each shard stores its out-edges in CSR form (sorted by head, one
+  ``indptr`` row per owned node), so a relaxation sweep touches only
+  the out-edges of the frontier it holds, never the whole edge list.
 
 What runs here is the propagation kernel of the gossip fabric — a
 single-source first-arrival computation with per-edge delays sampled
@@ -91,6 +96,10 @@ class ShardedConfig:
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
 
+    def shard_bounds(self) -> np.ndarray:
+        """``shards + 1`` node boundaries: shard i owns [b[i], b[i+1])."""
+        return np.arange(self.shards + 1) * self.total_nodes // self.shards
+
     @classmethod
     def with_link(cls, link, **kwargs) -> "ShardedConfig":
         """Build from anything exposing LinkParams' four link fields."""
@@ -154,11 +163,12 @@ class ShardState:
     """
 
     def __init__(self, config: ShardedConfig, index: int) -> None:
-        n, shards = config.total_nodes, config.shards
         self.config = config
         self.index = index
-        self.lo = index * n // shards
-        self.hi = (index + 1) * n // shards
+        bounds = config.shard_bounds()
+        self.lo = int(bounds[index])
+        self.hi = int(bounds[index + 1])
+        owned_nodes = self.hi - self.lo
         heads, tails = build_edges(config)
         owned = (heads >= self.lo) & (heads < self.hi)
         # Deterministic edge order (head, then tail) so the shard's
@@ -166,13 +176,19 @@ class ShardState:
         order = np.lexsort((tails[owned], heads[owned]))
         self.heads = heads[owned][order]
         self.tails = tails[owned][order]
-        rng = np.random.default_rng(_np_seed(config.seed, f"shard:{index}"))
-        self.weights = _edge_delays(config, len(self.heads), rng)
-        self.dist = np.full(self.hi - self.lo, np.inf)
-        self.dirty = np.zeros(self.hi - self.lo, dtype=bool)
-        #: best arrival already announced per cross-shard edge (dedupe)
-        self.announced = np.full(len(self.heads), np.inf)
+        # CSR over that order: owned node v's out-edges are the slice
+        # indptr[v] : indptr[v + 1].
+        self.indptr = np.zeros(owned_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.heads - self.lo, minlength=owned_nodes),
+                  out=self.indptr[1:])
+        #: shard-local target row; meaningful for internal edges only
+        self.local_tails = self.tails - self.lo
         self.external = (self.tails < self.lo) | (self.tails >= self.hi)
+        self.dist = np.empty(owned_nodes)
+        self.dirty = np.empty(owned_nodes, dtype=bool)
+        #: best arrival already announced per cross-shard edge (dedupe)
+        self.announced = np.empty(len(self.heads))
+        self.reset(None)
 
     def step(self, times: np.ndarray, nodes: np.ndarray,
              horizon: float) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -180,38 +196,44 @@ class ShardState:
 
         Returns ``(out_times, out_nodes, pending)`` where the out arrays
         are cross-shard arrival candidates and ``pending`` counts owned
-        nodes still awaiting relaxation beyond the horizon.
+        nodes still awaiting relaxation beyond the horizon.  The order
+        of the incoming batch is immaterial (scatter-min).
         """
+        dist, dirty, indptr = self.dist, self.dirty, self.indptr
         if len(nodes):
             local = np.asarray(nodes, dtype=np.int64) - self.lo
             # Scatter-min, not assignment: one barrier batch can carry
             # several candidates for the same node (one per inbound
             # cross-shard edge) and a plain fancy-index write would let
             # the last — not the best — win.
-            before = self.dist[local]
-            np.minimum.at(self.dist, local, np.asarray(times, dtype=float))
-            self.dirty[local[self.dist[local] < before]] = True
+            before = dist[local]
+            np.minimum.at(dist, local, np.asarray(times, dtype=float))
+            dirty[local[dist[local] < before]] = True
         out_times: List[np.ndarray] = []
         out_nodes: List[np.ndarray] = []
         while True:
-            active = np.flatnonzero(self.dirty & (self.dist < horizon))
+            active = np.flatnonzero(dirty & (dist < horizon))
             if not len(active):
                 break
-            self.dirty[active] = False
-            edges = np.flatnonzero(np.isin(self.heads, active + self.lo))
-            if not len(edges):
+            dirty[active] = False
+            # Gather the frontier's out-edges, ascending: for each active
+            # node the run indptr[v] .. indptr[v + 1].
+            starts = indptr[active]
+            counts = indptr[active + 1] - starts
+            ends = np.cumsum(counts)
+            if not ends[-1]:
                 continue
-            candidate = self.dist[self.heads[edges] - self.lo] \
-                + self.weights[edges]
-            targets = self.tails[edges]
+            edges = np.arange(ends[-1]) + np.repeat(starts - ends + counts,
+                                                    counts)
+            candidate = np.repeat(dist[active], counts) + self.weights[edges]
             external = self.external[edges]
             # Internal scatter-min; improved nodes go back on the front.
-            internal_t = targets[~external] - self.lo
-            internal_c = candidate[~external]
+            internal = ~external
+            internal_t = self.local_tails[edges[internal]]
             if len(internal_t):
-                before = self.dist[internal_t]
-                np.minimum.at(self.dist, internal_t, internal_c)
-                self.dirty[internal_t[self.dist[internal_t] < before]] = True
+                before = dist[internal_t]
+                np.minimum.at(dist, internal_t, candidate[internal])
+                dirty[internal_t[dist[internal_t] < before]] = True
             # Cross-shard: announce only candidates that beat what this
             # edge already sent (re-announcements happen when an earlier
             # path improves retroactively).
@@ -219,23 +241,28 @@ class ShardState:
             ext_c = candidate[external]
             better = ext_c < self.announced[ext_edges]
             if np.any(better):
-                self.announced[ext_edges[better]] = ext_c[better]
-                out_times.append(ext_c[better])
-                out_nodes.append(targets[external][better])
-        pending = int(np.count_nonzero(self.dirty & np.isfinite(self.dist)))
+                ext_edges = ext_edges[better]
+                ext_c = ext_c[better]
+                self.announced[ext_edges] = ext_c
+                out_times.append(ext_c)
+                out_nodes.append(self.tails[ext_edges])
+        pending = int(np.count_nonzero(dirty & np.isfinite(dist)))
         if out_times:
             return (np.concatenate(out_times), np.concatenate(out_nodes),
                     pending)
         return np.zeros(0), np.zeros(0, dtype=np.int64), pending
 
-    def reset(self, label: str, payload_bytes: Optional[int] = None) -> int:
+    def reset(self, label: Optional[str],
+              payload_bytes: Optional[int] = None) -> int:
         """Rearm the shard for a fresh propagation labelled ``label``.
 
         The message plane reuses one set of (possibly worker-process)
         shards for every gossiped message; each message re-draws its
         per-edge delays from a stream derived only from
         ``(seed, label, shard index)`` — never from worker scheduling —
-        so jobs=1 and jobs=N stay byte-identical per message.  A
+        so jobs=1 and jobs=N stay byte-identical per message.  With no
+        label the stream is the constructor's, so an unlabelled run on a
+        used backend equals the same run on a fresh one.  A
         ``payload_bytes`` override retimes the serialization term for
         the actual message size.  Returns the owned-node count so the
         barrier ``call`` has a payload-shaped reply.
@@ -243,12 +270,14 @@ class ShardState:
         config = self.config
         if payload_bytes is not None and payload_bytes != config.payload_bytes:
             config = dataclasses.replace(config, payload_bytes=payload_bytes)
-        rng = np.random.default_rng(
-            _np_seed(config.seed, f"{label}:shard:{self.index}"))
+        stream = f"shard:{self.index}"
+        if label is not None:
+            stream = f"{label}:{stream}"
+        rng = np.random.default_rng(_np_seed(config.seed, stream))
         self.weights = _edge_delays(config, len(self.heads), rng)
-        self.dist = np.full(self.hi - self.lo, np.inf)
-        self.dirty = np.zeros(self.hi - self.lo, dtype=bool)
-        self.announced = np.full(len(self.heads), np.inf)
+        self.dist.fill(np.inf)
+        self.dirty.fill(False)
+        self.announced.fill(np.inf)
         return self.hi - self.lo
 
     def collect(self) -> np.ndarray:
@@ -314,12 +343,10 @@ class ShardedPropagation:
 
     def __init__(self, config: ShardedConfig) -> None:
         self.config = config
+        self._uppers = config.shard_bounds()[1:]
 
     def _owner(self, nodes: np.ndarray) -> np.ndarray:
-        n, shards = self.config.total_nodes, self.config.shards
-        # Must match ShardState's bounds: shard i owns [i*n//s, (i+1)*n//s).
-        uppers = np.asarray([(i + 1) * n // shards for i in range(shards)])
-        return np.searchsorted(uppers, nodes, side="right")
+        return np.searchsorted(self._uppers, nodes, side="right")
 
     def open(self, jobs: int = 1):
         """Shard backend for :meth:`run_with` — a context manager.
@@ -343,24 +370,20 @@ class ShardedPropagation:
                  jobs: int = 1) -> ShardedResult:
         """One propagation from ``origin`` over an open shard backend.
 
-        With ``label`` set, every shard first re-draws its edge delays
-        from the ``(seed, label)``-derived stream (see
-        :meth:`ShardState.reset`) so one backend can serve a whole
-        message sequence deterministically; without it the shards run as
-        constructed (the legacy single-shot path).
+        Every shard is rearmed first (see :meth:`ShardState.reset`), so
+        one backend can serve a whole sequence of propagations: with
+        ``label`` set the edge delays are re-drawn from the
+        ``(seed, label)``-derived stream, without it they are the
+        constructor's draw.
         """
         config = self.config
         if not 0 <= origin < config.total_nodes:
             raise ValueError("origin out of range")
         shards = config.shards
-        if label is not None:
-            workers.call("reset", [(label, payload_bytes)
-                                   for _ in range(shards)])
-        # Owner shard boundaries follow ShardState: lo = i * n // shards.
-        inbox_times: List[np.ndarray] = [np.zeros(0) for _ in range(shards)]
-        inbox_nodes: List[np.ndarray] = [np.zeros(0, dtype=np.int64)
-                                         for _ in range(shards)]
-        origin_shard = int(self._owner(np.asarray([origin]))[0])
+        workers.call("reset", [(label, payload_bytes)] * shards)
+        inbox_times: List[np.ndarray] = [np.zeros(0)] * shards
+        inbox_nodes: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * shards
+        origin_shard = int(self._owner(origin))
         inbox_times[origin_shard] = np.asarray([0.0])
         inbox_nodes[origin_shard] = np.asarray([origin], dtype=np.int64)
         horizon = config.epoch_s
@@ -375,8 +398,8 @@ class ShardedPropagation:
             replies = workers.call("step", payloads)
             epochs += 1
             horizon += config.epoch_s
-            # Barrier merge, in deterministic order: shard-ordered
-            # gather, then a (time, dst) sort before routing.
+            # Barrier merge: shard-ordered gather, routed unsorted — the
+            # receiving scatter-min makes the batch order immaterial.
             all_times = np.concatenate([r[0] for r in replies])
             all_nodes = np.concatenate(
                 [np.asarray(r[1], dtype=np.int64) for r in replies])
@@ -384,9 +407,6 @@ class ShardedPropagation:
             cross += len(all_times)
             if not len(all_times) and pending == 0:
                 break
-            order = np.lexsort((all_nodes, all_times))
-            all_times = all_times[order]
-            all_nodes = all_nodes[order]
             owners = self._owner(all_nodes)
             for i in range(shards):
                 mine = owners == i
