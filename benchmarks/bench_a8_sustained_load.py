@@ -104,9 +104,8 @@ def sweep(paradigm, loads, p, seed):
 def scale_curve(paradigm, p, seed):
     """Loaded latency vs modeled population: the same offered load is
     replayed while ``topology_scale`` walks 10^2 -> 10^5 total nodes on
-    the aggregate plane (clusters past the nesting threshold switch to
-    the nested cluster-of-clusters law automatically).  Returns one
-    ``(total_nodes, LoadPoint, scale_stats)`` triple per decade."""
+    the aggregate plane.  Returns one ``(total_nodes, LoadPoint,
+    scale_stats)`` triple per decade."""
     rate = float(p["scale_blockchain_tps"] if paradigm == "blockchain"
                  else p["scale_dag_tps"])
     points = []

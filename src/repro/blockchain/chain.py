@@ -98,9 +98,6 @@ class ChainStore:
     def main_chain(self) -> List[Block]:
         return [self._entries[h].block for h in self._main_chain]
 
-    def main_chain_ids(self) -> List[Hash]:
-        return list(self._main_chain)
-
     def is_on_main_chain(self, block_id: Hash) -> bool:
         entry = self._entries.get(block_id)
         if entry is None:

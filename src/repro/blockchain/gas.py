@@ -10,8 +10,6 @@ geth voting rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.blockchain.transaction import AccountTransaction
 
 #: Intrinsic gas of a plain value transfer.
@@ -50,13 +48,3 @@ def adjust_gas_limit(parent_limit: int, parent_gas_used: int, desired_limit: int
     else:
         new_limit = max(desired_limit, parent_limit - max_step)
     return max(new_limit, MIN_GAS_LIMIT)
-
-
-@dataclass(frozen=True)
-class GasPolicy:
-    """A miner's stance on block capacity."""
-
-    desired_gas_limit: int
-
-    def next_limit(self, parent_limit: int, parent_gas_used: int) -> int:
-        return adjust_gas_limit(parent_limit, parent_gas_used, self.desired_gas_limit)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import ReproError, ValidationError
+from repro.common.errors import GenesisMismatchError, ReproError, ValidationError
 from repro.common.types import Address, Hash, TxId
 from repro.crypto.pow import MAX_TARGET
 from repro.net.message import Message
@@ -322,6 +322,25 @@ class BlockchainNode(ProtocolNode):
 
     # ------------------------------------------------------------- catch-up
 
+    def _genesis_state(self) -> Tuple[Hash, Optional[Hash]]:
+        """Genesis block id plus, on account chains, the state root the
+        genesis allocations produced (a UTXO genesis state *is* its
+        block's transactions)."""
+        genesis_id = self.chain.genesis.block_id
+        if self.state is None:
+            return genesis_id, None
+        return genesis_id, self._state_roots[genesis_id]
+
+    def _require_shared_genesis(self, peer: "BlockchainNode") -> None:
+        """Refuse to join a peer whose blocks could never validate here:
+        replayed onto another genesis state, every one would be swallowed
+        as a ``ReproError`` or parked, and the join would report 0."""
+        if self._genesis_state() != peer._genesis_state():
+            raise GenesisMismatchError(
+                f"{self.node_id} cannot sync from {peer.node_id}: their "
+                "genesis states differ (was the joiner built without "
+                "the chain's genesis_allocations?)")
+
     def sync_from(self, peer: "BlockchainNode") -> int:
         """Adopt main-chain blocks this replica is missing from a peer.
 
@@ -331,6 +350,7 @@ class BlockchainNode(ProtocolNode):
         updates apply as if the blocks had arrived by gossip.  Returns
         the number of blocks adopted.
         """
+        self._require_shared_genesis(peer)
         adopted = 0
         for block in peer.chain.main_chain()[1:]:
             if block.block_id in self.chain:
@@ -359,6 +379,7 @@ class BlockchainNode(ProtocolNode):
         """
         if self.utxo is None or peer.utxo is None:
             return self.sync_from(peer)
+        self._require_shared_genesis(peer)
         from repro.storage.pruning import DEFAULT_KEEP_DEPTH
 
         depth = DEFAULT_KEEP_DEPTH if keep_depth is None else keep_depth
@@ -510,10 +531,6 @@ class BlockchainNode(ProtocolNode):
             rng=sim.fork_rng(f"miner:{self.node_id}"),
         )
         self._reschedule_mining()
-
-    def stop_mining(self) -> None:
-        self._miner = None
-        self._mining_epoch += 1
 
     @property
     def miner(self) -> Optional[SimulatedMiner]:

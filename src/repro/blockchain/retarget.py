@@ -82,9 +82,6 @@ class LiveRetargeter:
             )
         )
 
-    def measured_intervals(self) -> List[float]:
-        return [r.measured_interval_s for r in self.history]
-
 
 def apply_hashrate_shock(nodes: List[BlockchainNode], boost: float) -> None:
     """Multiply every miner's hash power (new hardware joins/leaves)."""

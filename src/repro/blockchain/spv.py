@@ -107,9 +107,6 @@ class SpvClient:
     def total_work(self) -> float:
         return sum(self._headers[h].work for h in self._chain)
 
-    def header_at(self, height: int) -> BlockHeader:
-        return self._headers[self._chain[height]]
-
     def storage_bytes(self) -> int:
         """What the client stores: headers only."""
         return sum(self._headers[h].size_bytes for h in self._chain)

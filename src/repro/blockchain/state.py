@@ -292,9 +292,6 @@ class AccountState:
 
     # ------------------------------------------------------------ accounting
 
-    def trie_node_count(self) -> int:
-        return self._trie.node_count()
-
     def store_size_bytes(self) -> int:
         """Bytes of *all* stored state versions (one per root read, i.e.
         per block) — what fast sync prunes."""

@@ -281,9 +281,6 @@ class AccountTransaction:
             .getvalue()
         )
 
-    def _body(self) -> bytes:
-        return self._body_bytes
-
     @cached
     def _serialized(self) -> bytes:
         return Encoder.shared().raw(self._body_bytes).bytes(self.signature).getvalue()

@@ -237,9 +237,6 @@ class Schedule:
         return Schedule(seed=self.seed, profile=self.profile,
                         ops=self.ops[:index] + self.ops[index + 1:])
 
-    def replace_ops(self, ops: List[ScheduleOp]) -> "Schedule":
-        return Schedule(seed=self.seed, profile=self.profile, ops=list(ops))
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "seed": self.seed,

@@ -37,8 +37,9 @@ class InvalidProofOfWorkError(ValidationError):
     """A proof-of-work solution does not meet the required target."""
 
 
-class InvalidSignatureError(ValidationError):
-    """A signature does not verify against the claimed public key."""
+class GenesisMismatchError(ReproError):
+    """A joining replica's genesis state is unseeded or differs from its
+    peer's, so nothing the peer serves could ever connect."""
 
 
 class PrunedHistoryError(ReproError):

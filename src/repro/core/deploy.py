@@ -183,9 +183,9 @@ def build_deployment(
     that population: on the default ``plane="aggregate"`` the
     ``node_count`` fully-simulated nodes become the boundary and the
     surplus is modeled by mean-field
-    :class:`~repro.net.aggregate.AggregateCluster` leaves (nested
-    cluster-of-clusters at 10^5+); ``plane="sharded"`` instead runs the
-    deployment's full protocol traffic over a
+    :class:`~repro.net.aggregate.AggregateCluster` leaves;
+    ``plane="sharded"`` instead runs the deployment's full protocol
+    traffic over a
     :class:`~repro.net.sharded_plane.ShardedMessagePlane` crowd
     (blockchain/dag only).
     Unused paradigm-specific knobs raise rather than silently ignore,

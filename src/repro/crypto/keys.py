@@ -274,10 +274,6 @@ def prewarm_signatures(items: Iterable[Tuple[bytes, bytes, bytes]]) -> None:
         verify_signatures_batch(batch)
 
 
-def verify_hash_signature(public_key: bytes, digest: Hash, signature: bytes) -> bool:
-    return verify_signature(public_key, bytes(digest), signature)
-
-
 def sigcache_counters() -> Dict[str, int]:
     """Process-global sigcache accounting, layer-counter namespaced."""
     return {

@@ -60,9 +60,6 @@ class AccountChain:
     def representative(self) -> Address:
         return self.head.representative
 
-    def block_at(self, index: int) -> NanoBlock:
-        return self.blocks[index]
-
 
 class Lattice:
     """All account chains, the pending table, and cementing state."""
@@ -453,6 +450,3 @@ class Lattice:
                 self._cement_frontier[block.account] = index + 1
                 return
         self._cement_frontier[block.account] = len(chain.blocks)
-
-    def cemented_count(self) -> int:
-        return len(self._cemented)

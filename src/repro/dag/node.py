@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.common.errors import ForkDetectedError, ReproError, ValidationError
+from repro.common.errors import (
+    ForkDetectedError,
+    GenesisMismatchError,
+    ReproError,
+    ValidationError,
+)
 from repro.common.types import Address, Hash
 from repro.crypto.keys import KeyPair
 from repro.net.message import Message
@@ -295,7 +300,16 @@ class NanoNode(ProtocolNode):
         real Nano nodes catch up through bootstrapping.  Blocks are
         ingested locally (no re-gossip); cross-chain ordering is handled
         by the unchecked buffer.  Returns the number of blocks adopted.
+        Raises :class:`GenesisMismatchError` when this replica's genesis
+        is not the peer's (a node that never ran ``install_genesis``
+        would park every block forever).
         """
+        genesis = self.lattice.genesis_account
+        if genesis is None or genesis != peer.lattice.genesis_account:
+            raise GenesisMismatchError(
+                f"{self.node_id} cannot bootstrap from {peer.node_id}: "
+                + ("no genesis installed" if genesis is None
+                   else "the two lattices have different genesis accounts"))
         missing = [
             block
             for chain in peer.lattice.chains()

@@ -145,9 +145,6 @@ class ElectionManager:
     def election_for(self, account: Address, contested_previous: Hash) -> Optional[Election]:
         return self._elections.get((account, contested_previous))
 
-    def live_elections(self) -> List[Election]:
-        return [e for e in self._elections.values() if e.winner is None]
-
     def record_conflict_vote(
         self, account: Address, contested_previous: Hash, vote: Vote
     ) -> Optional[Hash]:

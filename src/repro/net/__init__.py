@@ -10,16 +10,14 @@ Three message planes implement the
 :class:`Network` (reference), the :class:`ShardedMessagePlane` (full
 protocol traffic over an epoch-barrier crowd, 10^4-10^6 nodes) and the
 mean-field aggregate tier (:class:`AggregateCluster` /
-:func:`attach_clusters`, nested cluster-of-clusters at 10^5+).
+:func:`attach_clusters`, one infection law at every population).
 """
 
 from repro.net.aggregate import (
     AggregateCluster,
     TopologyScale,
     attach_clusters,
-    nested_consistency_at_scale,
     validate_aggregate_model,
-    validate_nested_aggregate_model,
 )
 from repro.net.link import LinkParams
 from repro.net.message import Message
@@ -38,9 +36,7 @@ __all__ = [
     "TopologyScale",
     "attach_clusters",
     "complete_topology",
-    "nested_consistency_at_scale",
     "random_regular_topology",
     "small_world_topology",
     "validate_aggregate_model",
-    "validate_nested_aggregate_model",
 ]

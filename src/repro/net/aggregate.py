@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.net.link import LinkParams, WAN_LINK
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
+from repro.net.network import Network, RetransmitPolicy
 from repro.net.node import NetworkNode
 
 __all__ = [
@@ -43,20 +44,10 @@ __all__ = [
     "TopologyScale",
     "attach_clusters",
     "sample_flood_times",
-    "sample_nested_flood_times",
     "exact_flood_times",
-    "exact_clustered_flood_times",
     "ks_statistic",
     "validate_aggregate_model",
-    "validate_nested_aggregate_model",
-    "nested_consistency_at_scale",
 ]
-
-#: Auto-nesting threshold: clusters at least this large are modeled as a
-#: cluster-of-clusters (one gateway flood + per-sub-cluster interiors).
-NESTED_AUTO_THRESHOLD = 20_000
-#: Target sub-cluster size when auto-nesting picks the fanout.
-NESTED_AUTO_LEAF = 10_000
 
 
 # --------------------------------------------------------------------------
@@ -93,15 +84,29 @@ def hop_layers(count: int, degree: int) -> List[int]:
     return layers
 
 
-def _retransmit_extra(
-    rng: np.random.Generator,
-    n: int,
-    loss: float,
-    base_delay_s: float = 0.5,
-    multiplier: float = 2.0,
-    max_delay_s: float = 30.0,
-    max_attempts: int = 6,
-) -> np.ndarray:
+def cumulative_backoff(policy: RetransmitPolicy) -> np.ndarray:
+    """Un-jittered delay accumulated over a hop's lost attempts.
+
+    Entry ``k`` is the sum of ``policy``'s first ``k`` backoff steps,
+    ``k = 0 .. max_attempts - 1`` (the retry budget; beyond it the exact
+    network parks the transmission until a heal, which the aggregate
+    tier does not model).
+    """
+    steps = np.minimum(
+        policy.base_delay_s
+        * policy.multiplier ** np.arange(policy.max_attempts - 1),
+        policy.max_delay_s,
+    )
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+#: The schedule of the policy every :class:`Network` runs by default —
+#: the one the exact floods this law is validated against retransmit on.
+_BACKOFF_S = cumulative_backoff(RetransmitPolicy())
+
+
+def _retransmit_extra(rng: np.random.Generator, n: int,
+                      loss: float) -> np.ndarray:
     """Vectorized extra delay from lost attempts + exponential backoff.
 
     Failures per hop are geometric in the link's loss probability; each
@@ -112,15 +117,10 @@ def _retransmit_extra(
     if loss <= 0.0:
         return np.zeros(n)
     # rng.geometric counts trials to first success; failures = trials - 1,
-    # clipped at the retry budget (beyond it the exact network parks the
-    # transmission until a heal, which the aggregate tier does not model).
+    # clipped at the retry budget.
     failures = np.minimum(rng.geometric(1.0 - loss, size=n) - 1,
-                          max_attempts - 1)
-    steps = np.minimum(
-        base_delay_s * multiplier ** np.arange(max_attempts - 1), max_delay_s
-    )
-    cumulative = np.concatenate(([0.0], np.cumsum(steps)))
-    return cumulative[failures] * rng.uniform(0.75, 1.25, size=n)
+                          len(_BACKOFF_S) - 1)
+    return _BACKOFF_S[failures] * rng.uniform(0.75, 1.25, size=n)
 
 
 def sample_flood_times(
@@ -161,58 +161,6 @@ def sample_flood_times(
     return times
 
 
-def sample_nested_flood_times(
-    count: int,
-    fanout: int,
-    degree: int,
-    link: LinkParams,
-    wire_size: int,
-    rng: np.random.Generator,
-    boundary_link: Optional[LinkParams] = None,
-    min_leaf: int = 1_000,
-) -> np.ndarray:
-    """Cluster-of-clusters infection timeline: gateways, then interiors.
-
-    The nested tier models one huge cluster as ``fanout`` sub-clusters
-    joined by a gateway overlay: the message first floods the ``fanout``
-    gateways (a :func:`sample_flood_times` draw over ``boundary_link``),
-    then each gateway seeds its own sub-cluster interior, offset by that
-    gateway's arrival.  Sub-clusters larger than ``fanout * min_leaf``
-    recurse, so depth composes as ``log(fanout) + log(count / fanout) =
-    log(count)`` — the same effective hop depth as a flat flood of the
-    whole population, which is why the nested law stays consistent with
-    the exact-validated flat law (pinned by
-    :func:`nested_consistency_at_scale`).
-    """
-    if count <= 0:
-        return np.zeros(0)
-    if fanout < 2 or count <= fanout:
-        return sample_flood_times(count, degree, link, wire_size, rng)
-    boundary = boundary_link if boundary_link is not None else link
-    gateway_degree = max(2, min(degree, fanout))
-    gateways = sample_flood_times(fanout, gateway_degree, boundary,
-                                  wire_size, rng)
-    interior = count - fanout
-    base, remainder = divmod(interior, fanout)
-    parts = [gateways]
-    for index in range(fanout):
-        size = base + (1 if index < remainder else 0)
-        if size <= 0:
-            continue
-        if size > fanout * min_leaf:
-            sub = sample_nested_flood_times(
-                size, fanout, degree, link, wire_size, rng,
-                boundary_link=boundary_link, min_leaf=min_leaf)
-        else:
-            sub = sample_flood_times(size, degree, link, wire_size, rng)
-        # Sub-cluster assignment is exchangeable, so offsetting by the
-        # sorted gateway times is a pure relabeling.
-        parts.append(gateways[index] + sub)
-    times = np.concatenate(parts)
-    times.sort()
-    return times
-
-
 # --------------------------------------------------------------------------
 # The aggregate cluster process
 # --------------------------------------------------------------------------
@@ -239,24 +187,16 @@ class AggregateCluster(NetworkNode):
         link: LinkParams = WAN_LINK,
         tick_s: float = 0.25,
         seed: Optional[int] = None,
-        fanout: int = 0,
-        boundary_link: Optional[LinkParams] = None,
     ) -> None:
         super().__init__(node_id)
         if size <= 0:
             raise ValueError("cluster size must be positive")
         if tick_s <= 0:
             raise ValueError("tick_s must be positive")
-        if fanout < 0:
-            raise ValueError("fanout must be non-negative")
         self.size = size
         self.degree = degree
         self.link = link
         self.tick_s = tick_s
-        #: >= 2 switches the interior to the nested cluster-of-clusters
-        #: law (:func:`sample_nested_flood_times`); 0/1 keeps it flat.
-        self.fanout = fanout
-        self.boundary_link = boundary_link
         self._seed = seed
         self._rng: Optional[np.random.Generator] = None
         #: active timelines: key -> (arrival_s, sorted times, delivered idx)
@@ -290,17 +230,10 @@ class AggregateCluster(NetworkNode):
             return
         simulator = self.network.simulator
         arrival = simulator.now
-        if self.fanout >= 2:
-            times = arrival + sample_nested_flood_times(
-                self.size, self.fanout, self.degree, self.link,
-                message.wire_size, self._generator(),
-                boundary_link=self.boundary_link,
-            )
-        else:
-            times = arrival + sample_flood_times(
-                self.size, self.degree, self.link, message.wire_size,
-                self._generator(),
-            )
+        times = arrival + sample_flood_times(
+            self.size, self.degree, self.link, message.wire_size,
+            self._generator(),
+        )
         self._active[key] = [arrival, times, 0]
         self.messages_modeled += 1
         if self._tick_task is None:
@@ -368,10 +301,8 @@ class TopologyScale:
 
     ``"aggregate"``
         the surplus is distributed across one :class:`AggregateCluster`
-        per boundary node (flat mean-field interiors; clusters at least
-        ``NESTED_AUTO_THRESHOLD`` nodes auto-switch to the nested
-        cluster-of-clusters law unless ``nested_fanout`` pins it).
-        Serves 10^3-10^6 with modeled propagation only.
+        per boundary node (mean-field interiors, one infection law at
+        every size).  Serves 10^3-10^6 with modeled propagation only.
 
     ``"sharded"``
         the whole deployment runs on a
@@ -387,11 +318,6 @@ class TopologyScale:
     tick_s: float = 0.25
     cluster_link: LinkParams = field(default_factory=lambda: WAN_LINK)
     plane: str = "aggregate"
-    #: None = auto (nest clusters >= NESTED_AUTO_THRESHOLD); 0/1 = flat;
-    #: >= 2 = force that fanout.
-    nested_fanout: Optional[int] = None
-    #: gateway-overlay link of the nested law (defaults to cluster_link)
-    boundary_link: Optional[LinkParams] = None
     shards: int = 4
     chords: int = 2
     jobs: int = 1
@@ -405,8 +331,6 @@ class TopologyScale:
             raise ValueError("tick_s must be positive")
         if self.plane not in ("aggregate", "sharded"):
             raise ValueError("plane must be 'aggregate' or 'sharded'")
-        if self.nested_fanout is not None and self.nested_fanout < 0:
-            raise ValueError("nested_fanout must be non-negative")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.chords < 0:
@@ -414,18 +338,8 @@ class TopologyScale:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
-    def cluster_fanout(self, size: int) -> int:
-        """Nested fanout an aggregate cluster of ``size`` should use."""
-        if self.nested_fanout is not None:
-            return self.nested_fanout if self.nested_fanout >= 2 else 0
-        if size < NESTED_AUTO_THRESHOLD:
-            return 0
-        return max(2, min(size // NESTED_AUTO_LEAF, 64))
 
-
-def attach_clusters(network, scale: TopologyScale,
-                    boundary_ids: Optional[Sequence[str]] = None,
-                    ) -> List[AggregateCluster]:
+def attach_clusters(network, scale: TopologyScale) -> List[AggregateCluster]:
     """Bridge aggregate clusters onto a network's boundary nodes.
 
     The surplus of ``scale.total_nodes`` over the boundary ring is split
@@ -433,8 +347,7 @@ def attach_clusters(network, scale: TopologyScale,
     ``scale.cluster_link``.  Returns the clusters (possibly empty when
     the boundary alone already covers ``total_nodes``).
     """
-    boundary = list(boundary_ids) if boundary_ids is not None \
-        else network.node_ids()
+    boundary = network.node_ids()
     if not boundary:
         raise ValueError("network has no boundary nodes to bridge")
     surplus = scale.total_nodes - len(boundary)
@@ -451,8 +364,6 @@ def attach_clusters(network, scale: TopologyScale,
             degree=scale.cluster_degree,
             link=scale.cluster_link,
             tick_s=scale.tick_s,
-            fanout=scale.cluster_fanout(size),
-            boundary_link=scale.boundary_link,
         )
         network.add_node(cluster)
         network.connect(boundary_id, cluster.node_id, scale.cluster_link)
@@ -491,7 +402,6 @@ def exact_flood_times(
     ``count - 1`` nodes — the ground truth the aggregate model is held
     to.
     """
-    from repro.net.network import Network
     from repro.net.topology import random_regular_topology
     from repro.sim.simulator import Simulator
 
@@ -534,69 +444,6 @@ def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.abs(cdf_a - cdf_b).max())
 
 
-def exact_clustered_flood_times(
-    group_count: int,
-    group_size: int,
-    degree: int,
-    link: LinkParams,
-    seed: int,
-    payload_bytes: int = 256,
-    boundary_link: Optional[LinkParams] = None,
-) -> np.ndarray:
-    """One exact flood over a real cluster-of-clusters graph.
-
-    The ground truth of the nested law: an ingress node feeds a
-    random-regular *gateway overlay* (one gateway per group, linked over
-    ``boundary_link``); each gateway is a member of its own
-    random-regular group interior over ``link``.  Returns the sorted
-    arrival times of all ``group_count * group_size`` non-ingress nodes.
-    """
-    import networkx as nx
-
-    from repro.net.network import Network
-    from repro.sim.simulator import Simulator
-
-    boundary = boundary_link if boundary_link is not None else link
-    simulator = Simulator(seed=seed)
-    network = Network(simulator)
-    ingress = _TimeRecorder("ingress")
-    network.add_node(ingress)
-    gateways: List[str] = []
-    recorders: List[_TimeRecorder] = []
-    for g in range(group_count):
-        ids = [f"g{g}:n{i}" for i in range(group_size)]
-        for node_id in ids:
-            node = _TimeRecorder(node_id)
-            network.add_node(node)
-            recorders.append(node)
-        interior_degree = min(degree, group_size - 1)
-        if interior_degree >= 2 and group_size > interior_degree:
-            graph = nx.random_regular_graph(
-                interior_degree, group_size, seed=seed * 1009 + g)
-        else:
-            graph = nx.complete_graph(group_size)
-        for a, b in graph.edges():
-            network.connect(ids[a], ids[b], link)
-        gateways.append(ids[0])
-    gateway_degree = min(max(2, min(degree, group_count)), group_count - 1)
-    if gateway_degree >= 2 and group_count > gateway_degree:
-        overlay = nx.random_regular_graph(
-            gateway_degree, group_count, seed=seed * 2003)
-    else:
-        overlay = nx.complete_graph(group_count)
-    for a, b in overlay.edges():
-        network.connect(gateways[a], gateways[b], boundary)
-    for gateway in gateways[:max(2, min(degree, group_count))]:
-        network.connect("ingress", gateway, boundary)
-    message = Message(kind="flood", payload="x" * payload_bytes,
-                      size_bytes=payload_bytes)
-    ingress.broadcast(message)
-    simulator.run()
-    times = [node.delivery_time for node in recorders
-             if node.delivery_time is not None]
-    return np.sort(np.asarray(times, dtype=float))
-
-
 def validate_aggregate_model(
     count: int = 24,
     degree: int = 4,
@@ -626,90 +473,4 @@ def validate_aggregate_model(
         "exact_p95": float(np.percentile(exact, 95)),
         "aggregate_p95": float(np.percentile(aggregate, 95)),
         "samples_per_side": int(len(exact)),
-    }
-
-
-def validate_nested_aggregate_model(
-    group_count: int = 4,
-    group_size: int = 24,
-    degree: int = 4,
-    link: LinkParams = LinkParams(latency_s=0.05, jitter_s=0.04,
-                                  bandwidth_bps=50_000_000.0),
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    payload_bytes: int = 256,
-    boundary_link: Optional[LinkParams] = None,
-) -> dict:
-    """Nested law vs exact cluster-of-clusters floods at small N.
-
-    The nested analogue of :func:`validate_aggregate_model`: pools exact
-    clustered floods (:func:`exact_clustered_flood_times`) against the
-    nested sampler with ``fanout = group_count``, same KS + moments
-    report, tolerance pinned by the test suite.
-    """
-    wire_size = payload_bytes + MESSAGE_OVERHEAD_BYTES
-    exact = np.concatenate([
-        exact_clustered_flood_times(group_count, group_size, degree, link,
-                                    seed, payload_bytes, boundary_link)
-        for seed in seeds
-    ])
-    # min_leaf = group_size keeps the sampler at exactly two levels,
-    # matching the two-level ground-truth graph.
-    nested = np.concatenate([
-        sample_nested_flood_times(
-            group_count * group_size, group_count, degree, link, wire_size,
-            np.random.default_rng(seed), boundary_link=boundary_link,
-            min_leaf=group_size)
-        for seed in seeds
-    ])
-    return {
-        "ks": ks_statistic(exact, nested),
-        "exact_mean": float(exact.mean()),
-        "nested_mean": float(nested.mean()),
-        "exact_p95": float(np.percentile(exact, 95)),
-        "nested_p95": float(np.percentile(nested, 95)),
-        "samples_per_side": int(len(exact)),
-    }
-
-
-def nested_consistency_at_scale(
-    total: int = 100_000,
-    fanout: Optional[int] = None,
-    degree: int = 8,
-    link: LinkParams = WAN_LINK,
-    seeds: Sequence[int] = (0, 1, 2),
-    payload_bytes: int = 256,
-) -> dict:
-    """Nested vs flat law at a scale the exact simulator cannot reach.
-
-    The flat :func:`sample_flood_times` law is exact-validated at small
-    N (:func:`validate_aggregate_model`) and scale-free in form, so at
-    10^5-10^6 it serves as the reference the nested decomposition must
-    reproduce — gateway depth plus sub-cluster depth must compose to the
-    same timeline as one flat flood.  ``fanout=None`` uses the same
-    auto rule as :meth:`TopologyScale.cluster_fanout`.
-    """
-    if fanout is None:
-        fanout = max(2, min(total // NESTED_AUTO_LEAF, 64))
-    wire_size = payload_bytes + MESSAGE_OVERHEAD_BYTES
-    flat = np.concatenate([
-        sample_flood_times(total, degree, link, wire_size,
-                           np.random.default_rng(seed))
-        for seed in seeds
-    ])
-    nested = np.concatenate([
-        sample_nested_flood_times(total, fanout, degree, link, wire_size,
-                                  np.random.default_rng(seed))
-        for seed in seeds
-    ])
-    mean_err = abs(float(nested.mean()) - float(flat.mean())) \
-        / float(flat.mean())
-    return {
-        "ks": ks_statistic(flat, nested),
-        "flat_mean": float(flat.mean()),
-        "nested_mean": float(nested.mean()),
-        "mean_err": mean_err,
-        "flat_p95": float(np.percentile(flat, 95)),
-        "nested_p95": float(np.percentile(nested, 95)),
-        "fanout": int(fanout),
-        "samples_per_side": int(len(flat)),
     }

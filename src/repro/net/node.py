@@ -16,7 +16,7 @@ class NetworkNode:
     The plane is usually the exact :class:`~repro.net.network.Network`,
     but nodes only rely on the
     :class:`~repro.protocol.interfaces.MessagePlane` contract, so the
-    same node runs unchanged on the sharded or nested-aggregate tiers.
+    same node runs unchanged on the sharded or aggregate tiers.
     Subclasses (blockchain nodes, DAG nodes, channel parties...) override
     :meth:`handle_message`.  Traffic counters feed the per-node load
     analysis of Section VI (the "consumer hardware" centralization

@@ -10,7 +10,7 @@ explicit:
     the structural contract of the fabric nodes publish into
     (publish/deliver/seen/retransmit semantics plus layer counters);
     the exact ``repro.net.Network`` is its reference implementation,
-    and the sharded / nested-aggregate tiers implement it too so the
+    and the sharded / aggregate tiers implement it too so the
     same stack scales to 10^5-10^6 nodes;
 
 ``TransportLayer``

@@ -42,7 +42,7 @@ class MessagePlane(Protocol):
     (the reference — bit-identical goldens are pinned on it), the
     sharded plane (:class:`repro.net.sharded_plane.ShardedMessagePlane`,
     full protocol traffic over an epoch-barrier crowd at 10^4-10^6
-    nodes) and the nested-aggregate tier
+    nodes) and the aggregate tier
     (:class:`repro.net.aggregate.AggregateCluster` leaves hanging off an
     exact boundary).  ``repro.net`` / ``repro.sim`` may import *this
     module only* from the protocol package (enforced by

@@ -2,7 +2,7 @@
 
 Any :class:`~repro.protocol.interfaces.MessagePlane` provides the raw
 primitives (flooding, retransmit/backoff, online gating) — the exact
-``repro.net.Network`` by default, the sharded or nested-aggregate planes
+``repro.net.Network`` by default, the sharded or aggregate planes
 at scale; :class:`TransportLayer` adds the *node-side* publication
 contract every paradigm needs: an artifact created while the node is
 offline cannot be broadcast (``NetworkNode.broadcast`` is a silent

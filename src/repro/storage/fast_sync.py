@@ -16,7 +16,6 @@ from typing import List
 from repro.blockchain.chain import ChainStore
 from repro.blockchain.receipts import Receipt
 from repro.blockchain.state import AccountState
-from repro.blockchain.transaction import AccountTransaction
 
 #: Geth's pivot offset: state is fetched at head − 1024.
 DEFAULT_PIVOT_OFFSET = 1024
@@ -35,10 +34,6 @@ class FastSyncResult:
     fast_sync_bytes: int
     fast_sync_txs_replayed: int
     state_snapshot_bytes: int
-
-    @property
-    def bytes_saved(self) -> int:
-        return self.full_sync_bytes - self.fast_sync_bytes
 
     @property
     def replay_saved(self) -> int:
@@ -91,13 +86,3 @@ def prune_state_deltas(state: AccountState) -> int:
     """Drop all historical state versions, keeping only the current root —
     the end state of a fast-synced database.  Returns bytes freed."""
     return state.prune_history()
-
-
-def collect_account_txs(chain: ChainStore) -> List[AccountTransaction]:
-    """All account transactions on the main chain (helper for benches)."""
-    out: List[AccountTransaction] = []
-    for block in chain.main_chain():
-        out.extend(
-            tx for tx in block.transactions if isinstance(tx, AccountTransaction)
-        )
-    return out

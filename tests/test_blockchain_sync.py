@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.common.errors import GenesisMismatchError
 from repro.crypto.keys import KeyPair
 from repro.net.link import FAST_LINK
 from repro.net.network import Network
@@ -11,9 +12,11 @@ from repro.net.topology import complete_topology
 from repro.sim.simulator import Simulator
 from repro.blockchain.block import build_genesis_with_allocations
 from repro.blockchain.node import BlockchainNode
-from repro.blockchain.params import BITCOIN
+from repro.blockchain.params import BITCOIN, ETHEREUM
 
 PARAMS = replace(BITCOIN, target_block_interval_s=10.0, confirmation_depth=3)
+ACCOUNT_PARAMS = replace(ETHEREUM, target_block_interval_s=10.0,
+                         confirmation_depth=3)
 
 
 def build_world(seed=9, node_count=4):
@@ -121,6 +124,56 @@ class TestStateSyncFrom:
         )
         assert (joiner.transport.counters.state_sync_bytes
                 < full_bytes + peer.utxo.serialized_size_bytes())
+
+
+class TestJoinerGenesisState:
+    """A joiner whose genesis state is not the peer's is refused with a
+    typed error before any block is replayed; it used to swallow every
+    block's ``ReproError`` and report "0 adopted"."""
+
+    def build_account_world(self):
+        keys = [KeyPair.from_seed(bytes([i + 1]) * 32) for i in range(2)]
+        allocations = {k.address: 10**6 for k in keys}
+        genesis = build_genesis_with_allocations({keys[0].address: 1})
+        sim = Simulator(seed=9)
+        nodes = complete_topology(
+            Network(sim), 3,
+            lambda nid: BlockchainNode(nid, ACCOUNT_PARAMS, genesis,
+                                       genesis_allocations=allocations),
+            FAST_LINK)
+        for i, node in enumerate(nodes):
+            node.start_pow_mining(
+                1 / 3, KeyPair.from_seed(bytes([77 + i]) * 32).address)
+        sim.run(until=150)
+        assert nodes[0].chain.height >= 5
+        return nodes[0], genesis, allocations
+
+    def test_account_joiner_without_allocations_is_refused(self):
+        peer, genesis, allocations = self.build_account_world()
+        joiner = BlockchainNode("joiner", ACCOUNT_PARAMS, genesis)
+        for join in (joiner.sync_from, joiner.state_sync_from):
+            with pytest.raises(GenesisMismatchError, match="genesis"):
+                join(peer)
+        assert joiner.chain.height == 0
+        assert joiner.stats.blocks_rejected == 0 and len(joiner.intake) == 0
+        # Seeded with the chain's allocations the same join converges,
+        # and a joiner with nothing left to adopt still reports 0.
+        seeded = BlockchainNode("seeded", ACCOUNT_PARAMS, genesis,
+                                genesis_allocations=allocations)
+        assert seeded.sync_from(peer) == peer.chain.height
+        assert seeded.chain.head.block_id == peer.chain.head.block_id
+        assert seeded.sync_from(peer) == 0
+        assert seeded.state_sync_from(peer) == 0
+
+    def test_foreign_genesis_block_is_refused(self):
+        sim, net, nodes, genesis = build_world()
+        sim.run(until=100)
+        other = build_genesis_with_allocations(
+            {KeyPair.from_seed(b"\x09" * 32).address: 5})
+        joiner = BlockchainNode("joiner", PARAMS, other)
+        with pytest.raises(GenesisMismatchError):
+            joiner.state_sync_from(nodes[0], keep_depth=3)
+        assert joiner.chain.height == 0 and len(joiner.intake) == 0
 
 
 class TestDeterminism:

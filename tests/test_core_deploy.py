@@ -201,6 +201,35 @@ def test_topology_scale_attaches_clusters_at_setup():
                             topology_scale=scale).topology_scale is scale
 
 
+def test_crowd_aggregate_shaped_deployment_matches_parent_golden():
+    """The shape of perfbench's ``crowd_aggregate`` (six clusters of
+    16 665-16 666 nodes under a 6-node lattice) after 20 s of open-loop
+    payments.  Digest and scale stats were captured on the parent of the
+    change that deleted the nested law — the path this deployment takes
+    never selected it, so "equal", not "close"."""
+    from repro.workloads.open_loop import OpenLoopInjector
+
+    deployment = build_deployment("dag", node_count=6,
+                                  representative_count=3,
+                                  topology_scale=100_000, seed=1)
+    deployment.setup(20, 10**9)
+    OpenLoopInjector.from_sim_stream(
+        deployment.ledger, accounts=20, rate_tps=2.0,
+        duration_s=20.0).start()
+    deployment.ledger.advance(35.0)
+    assert [c.size for c in deployment.clusters] == [16_666] * 4 + [16_665] * 2
+    assert deployment.ledger.state_digest() == (
+        "d4f869e614690eaf35b456991d988ca18b674df137c19dd447b6a26f7d674e49")
+    assert deployment.scale_stats() == {
+        "scaled": 1.0,
+        "boundary_nodes": 6.0,
+        "modeled_nodes": 99_994.0,
+        "modeled_deliveries": 33_597_984.0,
+        "messages_modeled": 2_016.0,
+        "propagation_max_s": 0.7874924746032121,
+    }
+
+
 def test_topology_scale_below_boundary_is_rejected():
     with pytest.raises(ValueError, match="below the fully-simulated"):
         build_deployment("blockchain", node_count=5, topology_scale=3)

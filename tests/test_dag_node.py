@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ValidationError
+from repro.common.errors import GenesisMismatchError, ValidationError
 from repro.crypto.keys import KeyPair
 from repro.net.link import LinkParams
 from repro.dag.blocks import make_send
@@ -84,6 +84,23 @@ class TestReplication:
             n.balance(u1.address) for n in tb.nodes if n is not receiver_node
         }
         assert live_balances == {100_999}
+
+
+    def test_bootstrap_without_genesis_is_refused(self, funded):
+        """A fresh node that never ran ``install_genesis`` used to park
+        the peer's whole ledger forever and report "0 adopted"."""
+        tb, users = funded
+        peer = tb.nodes[0]
+        joiner = NanoNode("joiner", peer.params)
+        with pytest.raises(GenesisMismatchError, match="no genesis"):
+            joiner.bootstrap_from(peer)
+        assert len(joiner.intake) == 0
+        assert joiner.lattice.block_count() == 0
+        # With the genesis installed the same call replays everything.
+        genesis = peer.lattice.chain(peer.lattice.genesis_account).blocks[0]
+        joiner.lattice.install_genesis(genesis)
+        assert joiner.bootstrap_from(peer) == peer.lattice.block_count() - 1
+        assert joiner.bootstrap_from(peer) == 0
 
 
 class TestStateSync:

@@ -6,27 +6,27 @@ fully-simulated small-N flood, so model drift fails loudly instead of
 silently skewing the 10^4-node scale benches.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.net.aggregate import (
-    NESTED_AUTO_THRESHOLD,
     AggregateCluster,
     TopologyScale,
     aggregate_flood_times,
     attach_clusters,
+    cumulative_backoff,
     exact_flood_times,
     hop_layers,
     ks_statistic,
-    nested_consistency_at_scale,
     sample_flood_times,
-    sample_nested_flood_times,
     validate_aggregate_model,
-    validate_nested_aggregate_model,
 )
-from repro.net.link import FAST_LINK, LinkParams
+from repro.net.link import FAST_LINK, WAN_LINK, LinkParams
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import Network, RetransmitPolicy
 from repro.net.node import NetworkNode
 from repro.net.topology import complete_topology
 from repro.sim.simulator import Simulator
@@ -96,6 +96,60 @@ class TestSampleFloodTimes:
     def test_empty(self):
         assert len(sample_flood_times(0, 8, FAST_LINK, 100,
                                       np.random.default_rng(0))) == 0
+
+    #: (count, degree, link, wire_size, seed) -> sha256(times.tobytes())[:16],
+    #: captured on the parent of the change that deleted the nested law:
+    #: the one law left must be the same bytes it always was, below and
+    #: above the 20 000-node size where clusters used to switch laws.
+    GOLDEN = [
+        (24, 4, LinkParams(latency_s=0.05, jitter_s=0.04,
+                           bandwidth_bps=50_000_000.0), 296, 0,
+         "70c60c8f7514076f"),
+        (500, 8, FAST_LINK, 1000, 7, "e693ba99b7047f56"),
+        (300, 6, LinkParams(latency_s=0.05, jitter_s=0.0,
+                            loss_probability=0.4), 500, 3,
+         "9a843686fead7929"),
+        (16_666, 8, WAN_LINK, 340, 1, "82f55381adb4acee"),
+        (30_000, 8, WAN_LINK, 340, 2, "d1a6cb0cdd88cffc"),
+        (250_000, 8, LinkParams(latency_s=0.1, jitter_s=0.05,
+                                loss_probability=0.05), 340, 5,
+         "1eea7abf175d48d6"),
+    ]
+
+    @pytest.mark.parametrize(
+        "count,degree,link,wire_size,seed,digest", GOLDEN,
+        ids=[f"n{row[0]}-seed{row[4]}" for row in GOLDEN])
+    def test_golden_draws(self, count, degree, link, wire_size, seed,
+                          digest):
+        times = sample_flood_times(count, degree, link, wire_size,
+                                   np.random.default_rng(seed))
+        assert hashlib.sha256(times.tobytes()).hexdigest()[:16] == digest
+
+
+class _NoJitter:
+    """Stands in for the retransmit RNG: every jitter factor is 1."""
+
+    def uniform(self, low, high):
+        return 1.0
+
+
+class TestRetransmitSchedule:
+    """The aggregate law reads its backoff from the policy object the
+    exact plane retransmits on, so the two cannot drift apart."""
+
+    @pytest.mark.parametrize("policy", [
+        RetransmitPolicy(),
+        RetransmitPolicy(base_delay_s=0.2, multiplier=3.0, max_delay_s=4.0,
+                         max_attempts=8),
+    ], ids=["default", "capped"])
+    def test_cumulative_schedule_is_the_policys_backoff(self, policy):
+        schedule = cumulative_backoff(policy)
+        assert len(schedule) == policy.max_attempts
+        total = 0.0
+        assert schedule[0] == 0.0
+        for attempt in range(1, policy.max_attempts):
+            total += policy.backoff(attempt, _NoJitter())
+            assert schedule[attempt] == total
 
 
 class TestKsStatistic:
@@ -248,85 +302,46 @@ class TestAttachClusters:
 
 
 class TestNestedAggregate:
-    """The cluster-of-clusters law that lifts the aggregate tier to
-    10^5-10^6 nodes: gateways flood over the boundary overlay, interiors
-    flood beneath each gateway, offset by the gateway's own arrival."""
+    """What stands where the nested cluster-of-clusters law was: a
+    cluster of any size draws the one law, and the options that steered
+    the other one are gone."""
 
-    def link(self):
-        return LinkParams(latency_s=0.05, jitter_s=0.04,
-                          bandwidth_bps=50_000_000.0)
+    def test_large_cluster_models_whole_population(self):
+        """Sizes that used to auto-nest (>= 20 000) on the one law: the
+        whole population is modeled and one draw stays small."""
+        for size in (30_000, 250_000):
+            sim = Simulator(seed=3)
+            net = Network(sim)
+            nodes = complete_topology(net, 3, Recorder, FAST_LINK)
+            cluster = AggregateCluster("agg:n0", size, tick_s=0.25,
+                                       link=FAST_LINK)
+            net.add_node(cluster)
+            net.connect("n0", "agg:n0", FAST_LINK)
+            nodes[1].broadcast(make_message("deep"))
+            tracemalloc.start()
+            try:
+                sim.run()
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert cluster.messages_completed == 1
+            assert cluster.modeled_deliveries == size
+            assert cluster.stats()["propagation_max_s"] > 0
+            assert peak_bytes < 40e6, peak_bytes
 
-    def test_sampler_returns_one_delay_per_member_sorted(self):
-        rng = np.random.default_rng(0)
-        times = sample_nested_flood_times(
-            1_000, fanout=4, degree=4, link=self.link(), wire_size=256,
-            rng=rng, min_leaf=100)
-        assert len(times) == 1_000
-        assert np.all(np.diff(times) >= 0)
-        assert np.all(times > 0)
-
-    def test_flat_fallback_below_fanout(self):
-        """fanout < 2 or tiny populations collapse to the flat law."""
-        rng = np.random.default_rng(1)
-        nested = sample_nested_flood_times(
-            50, fanout=1, degree=4, link=self.link(), wire_size=256,
-            rng=rng)
-        flat = sample_flood_times(
-            50, degree=4, link=self.link(), wire_size=256,
-            rng=np.random.default_rng(1))
-        assert np.allclose(nested, flat)
-
-    def test_validated_against_exact_two_level_flood(self):
-        """The pinned tolerance for the nested law, mirroring the flat
-        tier's KS gate: a real two-level topology (gateway overlay +
-        per-group interiors) vs the nested sampler."""
-        result = validate_nested_aggregate_model()
-        assert result["ks"] <= 0.15, result
-        rel = abs(result["nested_mean"] - result["exact_mean"])
-        assert rel / result["exact_mean"] <= 0.05, result
-
-    def test_nested_consistent_with_flat_law_at_scale(self):
-        """At 10^5 the nested recursion must reproduce the flat
-        mean-field law it decomposes (depth composes as log(fanout) +
-        log(n/fanout) = log(n))."""
-        result = nested_consistency_at_scale(total=100_000)
-        assert result["ks"] <= 0.15, result
-        assert result["mean_err"] <= 0.05, result
-        assert result["fanout"] >= 2
-
-    def test_validation_is_deterministic(self):
-        assert validate_nested_aggregate_model() == \
-            validate_nested_aggregate_model()
-
-    def test_cluster_fanout_auto_rule(self):
-        scale = TopologyScale(total_nodes=10)
-        assert scale.cluster_fanout(NESTED_AUTO_THRESHOLD - 1) == 0
-        assert scale.cluster_fanout(NESTED_AUTO_THRESHOLD) >= 2
-        assert scale.cluster_fanout(1_000_000) == 64  # clamped
-        pinned = TopologyScale(total_nodes=10, nested_fanout=8)
-        assert pinned.cluster_fanout(100) == 8
-        flat = TopologyScale(total_nodes=10, nested_fanout=0)
-        assert flat.cluster_fanout(10**6) == 0
-
-    def test_nested_cluster_models_whole_population(self):
-        sim = Simulator(seed=3)
-        net = Network(sim)
-        nodes = complete_topology(net, 3, Recorder, FAST_LINK)
-        cluster = AggregateCluster("agg:n0", 30_000, tick_s=0.25,
-                                   link=FAST_LINK, fanout=6)
-        net.add_node(cluster)
-        net.connect("n0", "agg:n0", FAST_LINK)
-        nodes[1].broadcast(make_message("deep"))
-        sim.run()
-        assert cluster.messages_completed == 1
-        assert cluster.modeled_deliveries == 30_000
-        assert cluster.stats()["propagation_max_s"] > 0
+    def test_nested_options_are_gone(self):
+        with pytest.raises(TypeError):
+            TopologyScale(total_nodes=10, nested_fanout=8)
+        with pytest.raises(TypeError):
+            TopologyScale(total_nodes=10, boundary_link=FAST_LINK)
+        with pytest.raises(TypeError):
+            AggregateCluster("agg:n0", 30_000, fanout=6)
+        with pytest.raises(TypeError):
+            AggregateCluster("agg:n0", 30_000, boundary_link=FAST_LINK)
 
     def test_scale_validates_plane_fields(self):
         with pytest.raises(ValueError):
             TopologyScale(total_nodes=10, plane="warp")
-        with pytest.raises(ValueError):
-            TopologyScale(total_nodes=10, nested_fanout=-1)
         with pytest.raises(ValueError):
             TopologyScale(total_nodes=10, shards=0)
         with pytest.raises(ValueError):
