@@ -33,6 +33,8 @@ _NonceSlot = Tuple[bytes, int]
 #: Remembered fees of removed transactions (readmit-after-reorg path)
 #: are bounded so a long soak cannot grow the map without limit.
 _FEE_MEMORY_CAP = 100_000
+#: Stale eviction-heap records tolerated beyond one per live transaction.
+_HEAP_SLACK = 64
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class Mempool:
         self._by_nonce_slot: Dict[_NonceSlot, TxId] = {}
         #: fees of removed txs, so a reorg readmit keeps its original bid
         self._fee_memory: Dict[TxId, int] = {}
-        #: lazy min-heap of (fee_rate, seq, txid) for cap eviction
+        #: lazy min-heap of (fee_rate, seq, txid), kept by bounded pools
         self._rate_heap: List[Tuple[float, int, TxId]] = []
         self._heap_seq = 0
         self.total_accepted = 0
@@ -151,8 +153,9 @@ class Mempool:
         self._fees[tx.txid] = fee
         self._bytes += tx.size_bytes
         self._index(tx)
-        self._heap_seq += 1
-        heapq.heappush(self._rate_heap, (rate, self._heap_seq, tx.txid))
+        if limits.bounded:
+            self._heap_seq += 1
+            heapq.heappush(self._rate_heap, (rate, self._heap_seq, tx.txid))
         self.total_accepted += 1
         return True
 
@@ -231,6 +234,16 @@ class Mempool:
             heapq.heappop(heap)
         return None
 
+    def _compact_rate_heap(self) -> None:
+        """Keep each live txid's first valid record: ``_cheapest`` sees
+        the same minimum, and a sorted list is a heap."""
+        live: Dict[TxId, Tuple[float, int, TxId]] = {}
+        for record in sorted(self._rate_heap):
+            rate, _, txid = record
+            if txid not in live and txid in self._txs and self._fee_rate(txid) == rate:
+                live[txid] = record
+        self._rate_heap = list(live.values())
+
     def _index(self, tx: AnyTx) -> None:
         if isinstance(tx, AccountTransaction):
             self._by_nonce_slot[(bytes(tx.sender), tx.nonce)] = tx.txid
@@ -255,6 +268,8 @@ class Mempool:
             return None
         self._bytes -= tx.size_bytes
         self._unindex(tx)
+        if len(self._rate_heap) > 2 * len(self._txs) + _HEAP_SLACK:
+            self._compact_rate_heap()
         if fee is not None:
             if len(self._fee_memory) >= _FEE_MEMORY_CAP:
                 self._fee_memory.clear()

@@ -265,23 +265,25 @@ class BlockchainNode(ProtocolNode):
         if self.utxo is not None:
             for block in reversed(result.rolled_back):
                 revert_block(self._undo.pop(block.block_id, []), self.utxo)
-            for block in applied:
-                self._undo[block.block_id] = apply_block(block, self.utxo, self.params)
-        else:
-            assert self.state is not None
-            if result.rolled_back:
-                fork_parent = self.chain.block_at_height(applied[0].height - 1)
-                self.state.rollback_to(self._state_roots[fork_parent.block_id])
-            for index, block in enumerate(applied):
-                try:
+        elif result.rolled_back:
+            fork_parent = self.chain.block_at_height(applied[0].height - 1)
+            self.state.rollback_to(self._state_roots[fork_parent.block_id])
+        for index, block in enumerate(applied):
+            try:
+                if self.utxo is not None:
+                    # Every pooled tx had its signatures checked here.
+                    self._undo[block.block_id] = apply_block(
+                        block, self.utxo, self.params, self.mempool)
+                else:
                     self._apply_account_block(block)
-                except ReproError as exc:
-                    # Fork choice adopted the block before its body and
-                    # state root could be checked: keep what applied
-                    # cleanly and un-connect the rest below.
+            except ReproError as exc:
+                # Fork choice adopted the block before its body could be
+                # checked against its parent's state: keep what applied
+                # cleanly and un-connect the rest below.
+                if self.state is not None:
                     self.state.rollback_to(self._state_roots[block.parent_id])
-                    error, applied = exc, applied[:index]
-                    break
+                error, applied = exc, applied[:index]
+                break
 
         for block in result.rolled_back:
             for tx in block.transactions:

@@ -52,11 +52,11 @@ class TxInput:
     public_key: bytes = b""
     signature: bytes = b""
 
-    @property
+    @cached
     def outpoint(self) -> Tuple[TxId, int]:
         return (self.prev_txid, self.prev_index)
 
-    @property
+    @cached
     def is_coinbase(self) -> bool:
         return self.prev_txid.is_zero() and self.prev_index == COINBASE_INDEX
 
@@ -122,8 +122,12 @@ class Transaction:
     def is_coinbase(self) -> bool:
         return len(self.inputs) == 1 and self.inputs[0].is_coinbase
 
-    def total_output(self) -> int:
+    @cached
+    def _total_output(self) -> int:
         return sum(o.amount for o in self.outputs)
+
+    def total_output(self) -> int:
+        return self._total_output
 
     @cached
     def _sighash(self) -> Hash:

@@ -73,36 +73,27 @@ class UTXOSet:
     def apply_transaction(self, tx: Transaction) -> UndoRecord:
         """Spend the inputs and create the outputs of ``tx``.
 
-        Raises :class:`DoubleSpendError` if an input is already spent or
-        unknown; the set is left unchanged on failure.
+        One pass: each input is popped in turn.  An input that is
+        unknown, already spent or repeated within ``tx`` puts back what
+        this call popped and raises :class:`DoubleSpendError`, so the set
+        is left unchanged on failure.
         """
-        undo = UndoRecord(txid=tx.txid)
+        txid = tx.txid
+        undo = UndoRecord(txid=txid)
         if not tx.is_coinbase:
-            seen: set = set()
             for tx_input in tx.inputs:
                 outpoint = tx_input.outpoint
-                if outpoint in seen:
-                    raise DoubleSpendError(
-                        f"tx {tx.txid.short()} spends {outpoint[0].short()}:{outpoint[1]} twice"
-                    )
-                seen.add(outpoint)
                 if outpoint not in self._utxos:
+                    self.revert_transaction(undo)
                     raise DoubleSpendError(
-                        f"tx {tx.txid.short()} spends missing/spent output "
+                        f"tx {txid.short()} spends missing/spent output "
                         f"{outpoint[0].short()}:{outpoint[1]}"
                     )
-        try:
-            if not tx.is_coinbase:
-                for tx_input in tx.inputs:
-                    output = self._remove(tx_input.outpoint)
-                    undo.spent.append((tx_input.outpoint, output))
-            for index, output in enumerate(tx.outputs):
-                outpoint = (tx.txid, index)
-                self._add(outpoint, output)
-                undo.created.append(outpoint)
-        except Exception:
-            self.revert_transaction(undo)
-            raise
+                undo.spent.append((outpoint, self._remove(outpoint)))
+        for index, output in enumerate(tx.outputs):
+            outpoint = (txid, index)
+            self._add(outpoint, output)
+            undo.created.append(outpoint)
         return undo
 
     def revert_transaction(self, undo: UndoRecord) -> None:
@@ -133,25 +124,18 @@ class UTXOSet:
 
     # ------------------------------------------------------------ valuation
 
-    def input_value(self, tx: Transaction) -> int:
-        """Total value the inputs of ``tx`` would consume."""
+    def fee(self, tx: Transaction) -> int:
+        """Implicit miner fee: inputs minus outputs."""
         if tx.is_coinbase:
             return 0
-        total = 0
+        fee = -tx.total_output()
         for tx_input in tx.inputs:
             output = self._utxos.get(tx_input.outpoint)
             if output is None:
                 raise ValidationError(
                     f"unknown input {tx_input.prev_txid.short()}:{tx_input.prev_index}"
                 )
-            total += output.amount
-        return total
-
-    def fee(self, tx: Transaction) -> int:
-        """Implicit miner fee: inputs minus outputs."""
-        if tx.is_coinbase:
-            return 0
-        fee = self.input_value(tx) - tx.total_output()
+            fee += output.amount
         if fee < 0:
             raise ValidationError(f"tx {tx.txid.short()} creates value out of thin air")
         return fee

@@ -4,23 +4,31 @@
 III-A) — these are those checks.  Structural checks (PoW, Merkle root,
 size caps) are separated from contextual checks (UTXO availability,
 signatures, value conservation) so callers can validate headers first.
+
+A UTXO block connects in one all-or-nothing pass, like Bitcoin Core's
+``ConnectBlock``: per body transaction, check signatures, apply it (the
+UTXO set spends each input or refuses) and read its fee off the spent
+outputs; then check the coinbase against subsidy + fees and apply it
+last.  A failure reverts what the pass applied; the dry run
+(:func:`validate_block_transactions`) always reverts.  Trust rule:
+signatures of txids in ``verified`` are not re-checked.  A replica
+passes its mempool, which holds only transactions it verified or took
+back from a block it connected; a txid commits to every input's key and
+signature, so a re-signed sibling is a new txid and is checked in full.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Container, List, Tuple
 
-from repro.common.errors import (
-    DoubleSpendError,
-    InvalidProofOfWorkError,
-    ValidationError,
-)
+from repro.common.errors import InvalidProofOfWorkError, ValidationError
+from repro.common.types import TxId
 from repro.crypto.keys import prewarm_signatures
 from repro.blockchain.block import Block
 from repro.blockchain.gas import intrinsic_gas
 from repro.blockchain.params import ChainParams
 from repro.blockchain.transaction import AccountTransaction, Transaction
-from repro.blockchain.utxo import Outpoint, UTXOSet
+from repro.blockchain.utxo import UTXOSet, UndoRecord
 
 
 def validate_block_structure(
@@ -64,6 +72,53 @@ def validate_transaction(tx: Transaction, utxo_set: UTXOSet) -> int:
     return utxo_set.fee(tx)  # raises on unknown inputs / value inflation
 
 
+def _connect(
+    block: Block, utxo_set: UTXOSet, params: ChainParams, verified: Container[TxId]
+) -> Tuple[List[UndoRecord], int]:
+    """Check and apply a UTXO block body in one pass; returns the undo
+    records, coinbase first, and the total fees.  All or nothing."""
+    if not block.transactions:
+        raise ValidationError("block has no transactions (missing coinbase)")
+    coinbase, *body = block.transactions
+    if not isinstance(coinbase, Transaction) or not coinbase.is_coinbase:
+        raise ValidationError("first transaction must be the coinbase")
+
+    unchecked = [tx for tx in body if isinstance(tx, Transaction)
+                 and not tx.is_coinbase and tx.txid not in verified]
+    if len(unchecked) > 1:
+        # Verify the signatures this block must check in one batch pass;
+        # the per-transaction checks below then hit the signature cache.
+        prewarm_signatures([item for tx in unchecked for item in tx.signature_items()])
+
+    undos: List[UndoRecord] = []
+    total_fees = 0
+    try:
+        for tx in body:
+            if not isinstance(tx, Transaction):
+                raise ValidationError("UTXO block contains a non-UTXO transaction")
+            if tx.is_coinbase:
+                raise ValidationError("only the first transaction may be a coinbase")
+            if tx.txid not in verified and not tx.verify_input_signatures():
+                raise ValidationError(f"tx {tx.txid.short()} has an invalid signature")
+            undo = utxo_set.apply_transaction(tx)
+            undos.append(undo)
+            fee = sum(output.amount for _, output in undo.spent) - tx.total_output()
+            if fee < 0:
+                raise ValidationError(f"tx {tx.txid.short()} outputs exceed inputs")
+            total_fees += fee
+        max_coinbase = params.block_reward + total_fees
+        if coinbase.total_output() > max_coinbase:
+            raise ValidationError(
+                f"coinbase pays {coinbase.total_output()}, max is {max_coinbase}"
+            )
+        # Applied last, so no body transaction can spend it.
+        undos.insert(0, utxo_set.apply_transaction(coinbase))
+    except ValidationError:
+        revert_block(undos, utxo_set)
+        raise
+    return undos, total_fees
+
+
 def validate_block_transactions(
     block: Block, utxo_set: UTXOSet, params: ChainParams
 ) -> int:
@@ -71,87 +126,26 @@ def validate_block_transactions(
 
     Enforces: exactly one leading coinbase, no intra-block double spends,
     all inputs unspent, signatures valid, and coinbase value within
-    subsidy + fees.  Does not mutate ``utxo_set``.
+    subsidy + fees.  A dry run of the connect pass: ``utxo_set`` is
+    reverted before this returns.
     """
-    if not block.transactions:
-        raise ValidationError("block has no transactions (missing coinbase)")
-    coinbase = block.transactions[0]
-    if not isinstance(coinbase, Transaction) or not coinbase.is_coinbase:
-        raise ValidationError("first transaction must be the coinbase")
-
-    if len(block.transactions) > 2:
-        # Verify the block's signature burst in one batch pass; the
-        # per-transaction checks below then hit the signature cache.
-        prewarm_signatures(
-            [
-                item
-                for tx in block.transactions[1:]
-                if isinstance(tx, Transaction) and not tx.is_coinbase
-                for item in tx.signature_items()
-            ]
-        )
-
-    spent_in_block: Set[Outpoint] = set()
-    created_in_block: dict = {}
-    total_fees = 0
-    for tx in block.transactions[1:]:
-        if not isinstance(tx, Transaction):
-            raise ValidationError("UTXO block contains a non-UTXO transaction")
-        if tx.is_coinbase:
-            raise ValidationError("only the first transaction may be a coinbase")
-        if not tx.verify_input_signatures():
-            raise ValidationError(f"tx {tx.txid.short()} has an invalid signature")
-        input_value = 0
-        for tx_input in tx.inputs:
-            outpoint = tx_input.outpoint
-            if outpoint in spent_in_block:
-                raise DoubleSpendError(
-                    f"outpoint {outpoint[0].short()}:{outpoint[1]} spent twice in block"
-                )
-            spent_in_block.add(outpoint)
-            output = utxo_set.get(outpoint)
-            if output is None:
-                output = created_in_block.get(outpoint)
-            if output is None:
-                raise DoubleSpendError(
-                    f"tx {tx.txid.short()} spends unavailable output "
-                    f"{outpoint[0].short()}:{outpoint[1]}"
-                )
-            input_value += output.amount
-        fee = input_value - tx.total_output()
-        if fee < 0:
-            raise ValidationError(f"tx {tx.txid.short()} outputs exceed inputs")
-        total_fees += fee
-        for index, output in enumerate(tx.outputs):
-            created_in_block[(tx.txid, index)] = output
-
-    max_coinbase = params.block_reward + total_fees
-    if coinbase.total_output() > max_coinbase:
-        raise ValidationError(
-            f"coinbase pays {coinbase.total_output()}, max is {max_coinbase}"
-        )
+    undos, total_fees = _connect(block, utxo_set, params, ())
+    revert_block(undos, utxo_set)
     return total_fees
 
 
 def apply_block(
-    block: Block, utxo_set: UTXOSet, params: ChainParams
-) -> List["UndoRecord"]:
-    """Validate then apply a UTXO block; returns undo records tip-ward.
+    block: Block, utxo_set: UTXOSet, params: ChainParams, verified: Container[TxId] = ()
+) -> List[UndoRecord]:
+    """Validate and apply a UTXO block; returns undo records, coinbase
+    first.  Signatures of txids in ``verified`` are not re-checked.
 
     The undo list reverses the block during a reorg (Section IV-A).
     """
-    validate_block_transactions(block, utxo_set, params)
-    undos = []
-    for tx in block.transactions:
-        undos.append(utxo_set.apply_transaction(tx))
-    return undos
+    return _connect(block, utxo_set, params, verified)[0]
 
 
-def revert_block(undos: List["UndoRecord"], utxo_set: UTXOSet) -> None:
+def revert_block(undos: List[UndoRecord], utxo_set: UTXOSet) -> None:
     """Reverse a previously applied block (reorg rollback path)."""
     for undo in reversed(undos):
         utxo_set.revert_transaction(undo)
-
-
-# Re-export for type checkers without creating an import cycle at runtime.
-from repro.blockchain.utxo import UndoRecord  # noqa: E402  (intentional tail import)

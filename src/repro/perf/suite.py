@@ -490,6 +490,83 @@ def _bench_intake_park_revive(scale: float) -> Tuple[int, float]:
     return ops, wall
 
 
+#: Digest of the replicas' UTXO state after ``utxo_block_connect``, per
+#: block count, captured on the commit before the one-pass connect: the
+#: bench asserts it, so a faster connect that moves the set fails.
+_UTXO_CONNECT_DIGESTS = {
+    32: "ac06764f99ec3ca5",
+    16: "ef151904d4bf7928",
+    3: "8a9e1b57f5d020fa",
+    2: "8e5ab5641f6094d8",
+}
+
+
+def _bench_utxo_block_connect(scale: float) -> Tuple[int, float]:
+    """UTXO block connect as every replica pays it: eight replicas admit
+    a stream of signed payments off the wire, then ``receive_block`` the
+    blocks that carry them.  Ops = transactions connected."""
+    from repro.blockchain.block import build_genesis_with_allocations
+    from repro.blockchain.node import MSG_TX, BlockchainNode
+    from repro.blockchain.params import BITCOIN
+    from repro.blockchain.transaction import build_transaction
+    from repro.crypto.keys import KeyPair
+    from repro.net.message import Message
+
+    accounts_n, per_block, replicas_n = 64, 48, 8
+    blocks_n = max(2, int(32 * scale))
+    keys = [KeyPair.from_seed(b"\x7a" * 28 + i.to_bytes(4, "big"))
+            for i in range(accounts_n)]
+    miner = KeyPair.from_seed(b"\x7b" * 32).address
+    genesis = build_genesis_with_allocations({k.address: 10**6 for k in keys})
+    # An untimed producer replica mints the payments and the blocks; each
+    # block's senders are distinct, so no two payments conflict.
+    producer = BlockchainNode("producer", BITCOIN, genesis)
+    rounds = []
+    for height in range(1, blocks_n + 1):
+        messages = []
+        for i in range(per_block):
+            sender = (height * per_block + i) % accounts_n
+            tx = build_transaction(
+                keys[sender], producer.utxo.spendable(keys[sender].address),
+                keys[(sender * 31 + height) % accounts_n].address,
+                1 + (i * 7919) % 500, fee=i % 5)
+            messages.append(Message(kind=MSG_TX, payload=tx,
+                                    size_bytes=tx.size_bytes, dedup_key=tx.txid))
+            producer.handle_message("wallet", messages[-1])
+        block = producer.create_block_template(float(height), miner)
+        assert len(block.transactions) == per_block + 1
+        producer.receive_block(block)
+        rounds.append((messages, block))
+    replicas = [BlockchainNode(f"r{i}", BITCOIN, genesis) for i in range(replicas_n)]
+
+    start = perf_counter()
+    for messages, block in rounds:
+        for replica in replicas:
+            for message in messages:
+                replica.handle_message("peer", message)
+            replica.receive_block(block)
+    wall = perf_counter() - start
+
+    addresses = [k.address for k in keys] + [miner]
+    digests = {_utxo_state_digest(node, addresses) for node in [producer] + replicas}
+    assert len(digests) == 1 and all(len(r.mempool) == 0 for r in replicas)
+    expected = _UTXO_CONNECT_DIGESTS.get(blocks_n)
+    assert expected is None or digests == {expected}
+    return replicas_n * blocks_n * per_block, wall
+
+
+def _utxo_state_digest(node, addresses) -> str:
+    """Head id plus every spendable output of ``addresses``."""
+    import hashlib
+
+    digest = hashlib.sha256(bytes(node.head.block_id))
+    for address in addresses:
+        for txid, index, value in node.utxo.spendable(address):
+            digest.update(bytes(txid) + index.to_bytes(4, "big")
+                          + value.to_bytes(16, "big"))
+    return digest.hexdigest()[:16]
+
+
 #: Digest over the ``sharded_flood`` propagations per node count, captured
 #: on the commit before the CSR kernel: the bench asserts it, so a faster
 #: kernel that relaxes a different schedule fails instead of scoring.
@@ -557,6 +634,8 @@ BENCHES: Dict[str, Bench] = {
               _bench_intake_park_revive, repeats=2, paradigms=("dag",)),
         Bench("sharded_flood", "labelled crowd floods over one shard backend",
               _bench_sharded_flood),
+        Bench("utxo_block_connect", "8 replicas admit payments, connect blocks",
+              _bench_utxo_block_connect, paradigms=("blockchain",)),
     ]
 }
 

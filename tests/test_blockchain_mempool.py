@@ -244,3 +244,27 @@ class TestReplaceByFee:
         assert not pool.add(weak)  # 7 <= 4 * 2
         assert pool.add(strong)  # 9 > 4 * 2
         assert strong.txid in pool and len(pool) == 1
+
+
+class TestRateHeap:
+    """The eviction heap stays proportional to what the pool holds:
+    mined, evicted and replaced entries leave stale records behind, which
+    are compacted away, and an unbounded pool keeps no heap at all."""
+
+    @pytest.mark.parametrize("limits", [MempoolLimits(max_count=32), MempoolLimits()],
+                             ids=["bounded", "unbounded"])
+    def test_add_mine_cycles_keep_heap_bounded(self, rng, limits):
+        alice, bob = KeyPair.generate(rng), KeyPair.generate(rng)
+        pool = Mempool(limits=limits)
+        for nonce in range(10_000):
+            pool.add(sign_account_transaction(
+                alice, nonce, bob.address, 1, gas_price=1 + nonce * 7919 % 13))
+            if nonce % 5 == 4:
+                pool.remove_included(pool.pending()[:4])
+            assert len(pool._rate_heap) <= 2 * len(pool) + 64
+        if limits.bounded:
+            assert pool.total_dropped > 0  # eviction ran through compactions
+            rate, txid = pool._cheapest()
+            assert rate == min(pool._fee_rate(t) for t in pool._txs)
+        else:
+            assert pool._rate_heap == []

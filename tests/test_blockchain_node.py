@@ -7,7 +7,9 @@ import pytest
 from repro.common.errors import ValidationError
 from repro.common.types import Address, Hash
 from repro.crypto.keys import KeyPair
+from repro.crypto.pow import MAX_TARGET
 from repro.net.link import FAST_LINK, LinkParams
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.topology import complete_topology
 from repro.sim.simulator import Simulator
@@ -16,11 +18,15 @@ from repro.blockchain.block import (
     assemble_block,
     build_genesis_with_allocations,
 )
-from repro.blockchain.node import BlockchainNode, PosSlotDriver
+from repro.blockchain.node import MSG_TX, BlockchainNode, PosSlotDriver
 from repro.blockchain.params import BITCOIN, ETHEREUM, ETHEREUM_POS
 from repro.blockchain.pos import ValidatorSet
 from repro.blockchain.state import contract_address
-from repro.blockchain.transaction import build_transaction, sign_account_transaction
+from repro.blockchain.transaction import (
+    build_transaction,
+    make_coinbase,
+    sign_account_transaction,
+)
 from repro.blockchain.vm import counter_contract
 
 
@@ -267,6 +273,102 @@ class TestWrongStateRoot:
         assert replica.state.root_hash == honest.header.state_root
         assert replica.balance(bob.address) == 1_000_777
         assert replica.confirmations(honest.transactions[0].txid) == 1
+
+
+class TestInvalidUtxoBlock:
+    """A UTXO block whose body fails to connect must not move the
+    replica either: fork choice adopts it first, so rejection has to
+    un-connect it, exactly as for a wrong account state root."""
+
+    def build(self):
+        keys = [KeyPair.from_seed(bytes([i]) * 32) for i in range(2)]
+        miner = KeyPair.from_seed(bytes([100]) * 32)
+        genesis = build_genesis_with_allocations({kp.address: 1_000_000 for kp in keys})
+        peer, replica = (BlockchainNode(nid, BITCOIN, genesis) for nid in ("peer", "replica"))
+        return keys, miner, peer, replica
+
+    @staticmethod
+    def block_on(parent, miner, pays, timestamp):
+        """A MAX_TARGET block whose lone coinbase pays ``pays``."""
+        return assemble_block(
+            parent=parent.header,
+            transactions=[make_coinbase(miner.address, pays, nonce=parent.height + 1)],
+            timestamp=timestamp, target=MAX_TARGET, proposer=miner.address,
+        )
+
+    def test_rejected_block_leaves_head_and_state(self):
+        _, miner, _, replica = self.build()
+        genesis = replica.head
+        bad = self.block_on(genesis, miner, BITCOIN.block_reward + 1, 1.0)
+        value_before = replica.utxo.total_value()
+
+        with pytest.raises(ValidationError, match="coinbase pays"):
+            replica.receive_block(bad)
+        assert replica.head == genesis
+        assert bad.block_id not in replica.chain
+        assert replica.utxo.total_value() == value_before
+        assert replica.balance(miner.address) == 0
+        assert replica.stats.blocks_rejected == 1
+        assert replica.stats.blocks_accepted == 0
+
+        # Nothing connects on top of the rejected block...
+        orphan = self.block_on(bad, miner, BITCOIN.block_reward, 2.0)
+        assert not replica.receive_block(orphan).block_accepted
+        assert replica.chain.height == 0
+        # ...and an honest block still extends genesis.
+        honest = self.block_on(genesis, miner, BITCOIN.block_reward, 3.0)
+        assert replica.receive_block(honest).extended_main
+        assert replica.balance(miner.address) == BITCOIN.block_reward
+
+    def test_rejected_reorg_falls_back_to_the_old_branch(self):
+        (alice, bob), miner, peer, replica = self.build()
+        tx = build_transaction(alice, peer.utxo.spendable(alice.address), bob.address, 777)
+        assert peer.mempool.add(tx)
+        honest = peer.create_block_template(1.0, miner.address)
+        assert replica.receive_block(honest).extended_main
+        # A heavier branch whose first block overpays its coinbase: only
+        # the reorg onto it connects that block.
+        bad = self.block_on(replica.chain.genesis, miner, BITCOIN.block_reward + 1, 2.0)
+        child = self.block_on(bad, miner, BITCOIN.block_reward, 3.0)
+        assert not replica.receive_block(bad).extended_main
+        with pytest.raises(ValidationError, match="coinbase pays"):
+            replica.receive_block(child)
+        assert replica.head == honest
+        assert bad.block_id not in replica.chain
+        assert child.block_id not in replica.chain
+        assert replica.balance(bob.address) == 1_000_777
+        assert replica.utxo.total_value() == 2_000_000 + BITCOIN.block_reward
+        assert replica.confirmations(tx.txid) == 1
+        assert tx.txid not in replica.mempool
+
+    def test_pooled_txid_does_not_vouch_for_a_resigned_sibling(self):
+        # The mempool vouches by txid, and a txid commits to the input
+        # signatures: a forged sibling spending the same outpoints is a
+        # different txid and gets its signatures checked.
+        (alice, bob), miner, _, replica = self.build()
+        tx = build_transaction(alice, replica.utxo.spendable(alice.address), bob.address, 5)
+        replica.handle_message("peer", Message(kind=MSG_TX, payload=tx,
+                                               size_bytes=tx.size_bytes))
+        assert tx.txid in replica.mempool
+        from repro.blockchain.transaction import Transaction, TxInput
+
+        mallory = KeyPair.from_seed(bytes([200]) * 32)
+        forged = Transaction(
+            inputs=tuple(TxInput(i.prev_txid, i.prev_index, mallory.public_key,
+                                 i.signature) for i in tx.inputs),
+            outputs=tx.outputs,
+        )
+        assert [i.outpoint for i in forged.inputs] == [i.outpoint for i in tx.inputs]
+        block = assemble_block(
+            parent=replica.head.header,
+            transactions=[make_coinbase(miner.address, BITCOIN.block_reward, nonce=1),
+                          forged],
+            timestamp=1.0, target=MAX_TARGET, proposer=miner.address,
+        )
+        with pytest.raises(ValidationError, match="invalid signature"):
+            replica.receive_block(block)
+        assert replica.chain.height == 0
+        assert replica.balance(alice.address) == 1_000_000
 
 
 class TestPosNetwork:
