@@ -10,13 +10,13 @@ fully-simulated deployment can afford.  Two tracks extend the curves:
   :class:`~repro.net.aggregate.AggregateCluster` leaves (validated
   against exact small-N floods in tests/test_net_aggregate.py).
 * **Sharded tier** — :class:`~repro.sim.sharded.ShardedPropagation`
-  partitions one large flood across shard processes with epoch-barrier
-  message exchange, seed-stable regardless of scheduling.
+  partitions one large flood into shards with epoch-barrier message
+  exchange, seed-stable by construction.
 * **Sharded traffic tier** — ``build_deployment(topology_scale=
   TopologyScale(plane="sharded"))`` runs *full protocol traffic* (every
   gossiped tx/block) over a
   :class:`~repro.net.sharded_plane.ShardedMessagePlane` crowd, with
-  byte-identical jobs=1 vs jobs=N plane fingerprints.
+  plane fingerprints pinned to a golden.
 """
 
 import hashlib
@@ -74,13 +74,13 @@ def measure_scale_point(paradigm, total_nodes, seed, duration_s=120.0,
     return point
 
 
-def sharded_point(total_nodes, shards, seed, jobs=1):
+def sharded_point(total_nodes, shards, seed):
     """One sharded-flood point: coverage, latency percentiles and the
     arrival-vector fingerprint (the determinism witness)."""
     config = ShardedConfig(total_nodes=total_nodes, shards=shards,
                            seed=seed)
     started = time.perf_counter()
-    result = ShardedPropagation(config).run(jobs=jobs)
+    result = ShardedPropagation(config).run_with(0)
     wall_s = time.perf_counter() - started
     return {
         "total_nodes": total_nodes,
@@ -95,13 +95,13 @@ def sharded_point(total_nodes, shards, seed, jobs=1):
     }
 
 
-def sharded_traffic_point(paradigm, total_nodes, seed, *, shards=4, jobs=1,
+def sharded_traffic_point(paradigm, total_nodes, seed, *, shards=4,
                           duration_s=30.0, offered_tps=1.0):
     """One full-protocol-traffic point on the sharded plane: every
     gossiped tx/block is timed by an epoch-barrier crowd propagation
     over all ``total_nodes`` (not a mean-field model of them)."""
     scale = TopologyScale(total_nodes=total_nodes, plane="sharded",
-                          shards=shards, jobs=jobs)
+                          shards=shards)
     if paradigm == "blockchain":
         params = replace(BITCOIN, target_block_interval_s=15.0,
                          max_block_size_bytes=8_000, confirmation_depth=2)
@@ -114,25 +114,22 @@ def sharded_traffic_point(paradigm, total_nodes, seed, *, shards=4, jobs=1,
             topology_scale=scale)
     else:
         raise ValueError(f"paradigm {paradigm!r} has no sharded tier")
-    try:
-        deployment.setup(8, 10**9)
-        injector = OpenLoopInjector.from_sim_stream(
-            deployment.ledger, accounts=8, rate_tps=offered_tps,
-            duration_s=duration_s)
-        injector.start()
-        deployment.ledger.advance(duration_s * 1.25)
-        confirmed = deployment.ledger.stats().entries_confirmed
-        point = {
-            "paradigm": paradigm,
-            "total_nodes": total_nodes,
-            "offered": injector.report.offered,
-            "confirmed": confirmed,
-            "tps": confirmed / duration_s,
-            "plane_fingerprint": deployment.network.plane_fingerprint(),
-        }
-        point.update(deployment.scale_stats())
-    finally:
-        deployment.close()
+    deployment.setup(8, 10**9)
+    injector = OpenLoopInjector.from_sim_stream(
+        deployment.ledger, accounts=8, rate_tps=offered_tps,
+        duration_s=duration_s)
+    injector.start()
+    deployment.ledger.advance(duration_s * 1.25)
+    confirmed = deployment.ledger.stats().entries_confirmed
+    point = {
+        "paradigm": paradigm,
+        "total_nodes": total_nodes,
+        "offered": injector.report.offered,
+        "confirmed": confirmed,
+        "tps": confirmed / duration_s,
+        "plane_fingerprint": deployment.network.plane_fingerprint(),
+    }
+    point.update(deployment.scale_stats())
     return point
 
 
@@ -200,11 +197,17 @@ def test_a10_sharded_flood_covers_ten_thousand_nodes(benchmark):
            render_table(["metric", "value"], rows))
 
 
+#: Seed-2 plane fingerprints of A10c's 2*10^3-node traffic points,
+#: captured on the commit before the shard worker processes were deleted.
+A10C_PLANE_FINGERPRINTS = {"blockchain": "3d9e8f28eb9fb6cf",
+                           "dag": "b20de4543fb3d578"}
+
+
 def test_a10_sharded_plane_carries_protocol_traffic(benchmark):
     """Full tx/block gossip over a 2*10^3-node sharded crowd: both
     paradigms confirm entries while every broadcast is propagated across
-    the whole population, and a jobs=2 rerun reproduces the jobs=1 plane
-    fingerprint byte-for-byte."""
+    the whole population, and each plane fingerprint equals its
+    captured golden byte-for-byte."""
     def build_points():
         return {p: sharded_traffic_point(p, 2_000, seed=2, duration_s=30.0)
                 for p in ("blockchain", "dag")}
@@ -216,9 +219,8 @@ def test_a10_sharded_plane_carries_protocol_traffic(benchmark):
         assert point["messages_modeled"] > 0
         assert point["scaled"] == 1.0
         assert point["modeled_nodes"] == 2_000 - point["boundary_nodes"]
-        again = sharded_traffic_point(paradigm, 2_000, seed=2, jobs=2,
-                                      duration_s=30.0)
-        assert again["plane_fingerprint"] == point["plane_fingerprint"]
+        assert point["plane_fingerprint"] == \
+            A10C_PLANE_FINGERPRINTS[paradigm]
         rows.append([
             paradigm, point["total_nodes"], f"{point['tps']:.2f}",
             f"{point['messages_modeled']:.0f}",
@@ -227,7 +229,7 @@ def test_a10_sharded_plane_carries_protocol_traffic(benchmark):
         ])
     report(
         "A10c full protocol traffic on the sharded plane "
-        "(jobs=1 == jobs=2)",
+        "(fingerprints == golden)",
         render_table(
             ["paradigm", "nodes", "TPS", "messages", "flood max",
              "plane fingerprint"], rows),
@@ -272,8 +274,7 @@ def run(params: dict, seed: int) -> dict:
                 f"{paradigm}:{n}:{point['confirmed']}:"
                 f"{point['modeled_deliveries']:.0f}:"
                 f"{point['propagation_max_s']:.9f}".encode())
-    sharded = sharded_point(sharded_nodes, int(p["sharded_shards"]), seed,
-                            jobs=int(p["jobs"]))
+    sharded = sharded_point(sharded_nodes, int(p["sharded_shards"]), seed)
     metrics["sharded_reached"] = sharded["reached"]
     metrics["sharded_epochs"] = sharded["epochs"]
     metrics["sharded_cross_shard_messages"] = \
@@ -289,7 +290,7 @@ def run(params: dict, seed: int) -> dict:
         for paradigm, rate in rates.items():
             point = sharded_traffic_point(
                 paradigm, traffic_nodes, seed,
-                shards=int(p["sharded_shards"]), jobs=int(p["jobs"]),
+                shards=int(p["sharded_shards"]),
                 duration_s=p["traffic_duration_s"], offered_tps=rate)
             metrics[f"{paradigm}_traffic_tps"] = point["tps"]
             metrics[f"{paradigm}_traffic_messages"] = \

@@ -129,7 +129,6 @@ def scale_curve(paradigm, p, seed):
                            injector.report.submitted, p["scale_duration_s"],
                            rejected=injector.report.rejected)
         points.append((total, point, deployment.scale_stats()))
-        deployment.close()
     return points
 
 

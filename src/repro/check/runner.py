@@ -250,8 +250,6 @@ def run_schedule(schedule: Schedule, paradigm: str) -> FuzzRunResult:
     digest.update(tracer.fingerprint().encode() + b"\n")
     digest.update(f"now={ledger.now():.6f}".encode())
 
-    deployment.close()  # shut down sharded-plane workers, if any
-
     return FuzzRunResult(
         paradigm=paradigm,
         seed=schedule.seed,

@@ -140,11 +140,11 @@ class Deployment:
         return stats
 
     def close(self) -> None:
-        """Release plane resources (sharded worker processes); no-op on
-        the exact and aggregate planes."""
-        network = self.network
-        if network is not None and hasattr(network, "close"):
-            network.close()
+        """No-op: no plane holds resources that outlive the deployment.
+
+        Kept only because ``perfbench/workloads.py`` still calls it;
+        delete it once that call is gone.
+        """
 
 
 def _given(**knobs) -> Dict[str, object]:
@@ -221,7 +221,6 @@ def build_deployment(
                 shards=scale.shards,
                 chords=scale.chords,
                 link=scale.cluster_link,
-                jobs=scale.jobs,
             )
 
     knobs = _given(

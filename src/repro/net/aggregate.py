@@ -309,8 +309,12 @@ class TopologyScale:
         :class:`repro.net.sharded_plane.ShardedMessagePlane` — every
         gossiped protocol message is timed by an epoch-barrier crowd
         propagation over all ``total_nodes``.  Serves 10^4-10^6 with
-        *real* protocol traffic (``shards`` / ``chords`` / ``jobs``
-        configure the crowd).
+        *real* protocol traffic (``shards`` / ``chords`` configure the
+        crowd).
+
+    ``jobs`` accepts only ``1`` and is read nowhere: the crowd's shards
+    always step in process.  It stays only while
+    ``perfbench/workloads.py`` still passes it.
     """
 
     total_nodes: int
@@ -335,8 +339,8 @@ class TopologyScale:
             raise ValueError("shards must be >= 1")
         if self.chords < 0:
             raise ValueError("chords must be non-negative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if self.jobs != 1:
+            raise ValueError("jobs must be 1 (the shards step in process)")
 
 
 def attach_clusters(network, scale: TopologyScale) -> List[AggregateCluster]:

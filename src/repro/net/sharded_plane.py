@@ -1,11 +1,10 @@
 """The sharded message plane: full protocol traffic at 10^4-10^6 nodes.
 
-PR 9's sharded tier (:mod:`repro.sim.sharded`) could only time pure
+The sharded propagation kernel (:mod:`repro.sim.sharded`) times pure
 floods — one origin, one message, no protocol on top.  This module
-closes the gap named by the ROADMAP's scale item: it implements the
-:class:`repro.protocol.interfaces.MessagePlane` contract on top of the
-epoch-barrier shard workers, so PoW/PoS and Nano deployments run *real*
-tx/block gossip while the propagation fabric is a 10^4-10^6-node crowd.
+implements the :class:`repro.protocol.interfaces.MessagePlane` contract
+on top of it, so PoW/PoS and Nano deployments run *real* tx/block
+gossip while the propagation fabric is a 10^4-10^6-node crowd.
 
 The model is a hybrid:
 
@@ -24,10 +23,10 @@ The model is a hybrid:
   like the aggregate tier's clusters.
 
 Determinism: the per-message label sequence is a plain counter, the
-shard machinery is pinned byte-identical between ``jobs=1`` and
-``jobs=N``, and no crowd computation touches the simulator's RNG
-streams — so a deployment's state digest and the plane's own
-:meth:`plane_fingerprint` are byte-identical for any ``jobs``.
+crowd's delays are drawn from ``(seed, label, shard)``-derived streams,
+and no crowd computation touches the simulator's RNG streams — so a
+deployment's state digest and the plane's own :meth:`plane_fingerprint`
+are a function of the seed alone.
 """
 
 from __future__ import annotations
@@ -59,9 +58,9 @@ class ShardedMessagePlane(Network):
     Direct sends (:meth:`transmit` / :meth:`transmit_reliable`) and all
     fault machinery stay exact over the replica links.
 
-    Call :meth:`close` when done if ``jobs > 1`` — it tears down the
-    persistent shard worker processes (idempotent; ``jobs = 1`` is a
-    no-op).
+    The crowd's shape is validated here, when the plane is built; the
+    replica embedding and the shard states are built at the first
+    gossip.
     """
 
     def __init__(
@@ -72,7 +71,6 @@ class ShardedMessagePlane(Network):
         shards: int = 4,
         chords: int = 2,
         link: Optional[LinkParams] = None,
-        jobs: int = 1,
         seed: Optional[int] = None,
         epoch_s: float = 0.5,
         tracer: Optional[Tracer] = None,
@@ -81,30 +79,27 @@ class ShardedMessagePlane(Network):
     ) -> None:
         super().__init__(simulator, tracer=tracer, retransmit=retransmit,
                          seen_cache_size=seen_cache_size)
-        if total_nodes < 2:
-            raise ValueError("total_nodes must be >= 2")
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.total_nodes = total_nodes
-        self.shards = shards
-        self.chords = chords
-        self.jobs = jobs
         self.crowd_link = link if link is not None else WAN_LINK
-        self.epoch_s = epoch_s
-        # Derived through the simulator's fork discipline so two planes
-        # in one experiment (control vs treatment) decorrelate, yet the
-        # crowd stays a pure function of (simulator seed, construction
-        # order) — never of wall clock or worker scheduling.
-        self.seed = (seed if seed is not None
-                     else simulator.fork_rng("sharded-plane").getrandbits(48))
+        if seed is None:
+            # Derived through the simulator's fork discipline so two
+            # planes in one experiment (control vs treatment) decorrelate,
+            # yet the crowd stays a pure function of (simulator seed,
+            # construction order) — never of wall clock.
+            seed = simulator.fork_rng("sharded-plane").getrandbits(48)
+        self.crowd_config = ShardedConfig.with_link(
+            self.crowd_link,
+            total_nodes=total_nodes,
+            shards=shards,
+            chords=chords,
+            epoch_s=epoch_s,
+            seed=seed,
+        )
         self._replica_order: List[str] = []
         self._crowd_index: Dict[str, int] = {}
         self._replica_rows: Optional[np.ndarray] = None
         self._prop: Optional[ShardedPropagation] = None
-        self._workers = None
         self._msg_seq = 0
         self._crowd_fp = hashlib.sha256()
-        self._closed = False
         # Crowd-side accounting (the modeled complement of traffic_stats).
         self.messages_modeled = 0
         self.modeled_deliveries = 0
@@ -123,18 +118,19 @@ class ShardedMessagePlane(Network):
         self._replica_order.append(node.node_id)
 
     def _ensure_crowd(self) -> None:
-        """Freeze the replica embedding and open the shard backend."""
+        """Freeze the replica embedding and build the shard states."""
         if self._prop is not None:
             return
         replicas = len(self._replica_order)
         if replicas == 0:
             raise RuntimeError("no replicas attached")
-        if self.total_nodes < replicas:
+        total_nodes = self.crowd_config.total_nodes
+        if total_nodes < replicas:
             raise ValueError(
-                f"total_nodes={self.total_nodes} < {replicas} replicas")
+                f"total_nodes={total_nodes} < {replicas} replicas")
         # Evenly spaced crowd positions; strictly increasing because
         # total_nodes >= replicas, so the embedding is injective.
-        self._replica_rows = np.arange(replicas) * self.total_nodes // replicas
+        self._replica_rows = np.arange(replicas) * total_nodes // replicas
         self._crowd_index = dict(zip(self._replica_order,
                                      self._replica_rows.tolist()))
         # The retransmit fallback recovers a crowd delivery lost to a
@@ -146,31 +142,7 @@ class ShardedMessagePlane(Network):
             for b in ids[i + 1:]:
                 if (a, b) not in self._links:
                     self.connect(a, b, self.crowd_link)
-        config = ShardedConfig.with_link(
-            self.crowd_link,
-            total_nodes=self.total_nodes,
-            shards=self.shards,
-            chords=self.chords,
-            epoch_s=self.epoch_s,
-            seed=self.seed,
-        )
-        self._prop = ShardedPropagation(config)
-        self._workers = self._prop.open(self.jobs).__enter__()
-
-    def close(self) -> None:
-        """Tear down the shard worker processes (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._workers is not None:
-            self._workers.__exit__(None, None, None)
-            self._workers = None
-
-    def __del__(self) -> None:  # pragma: no cover - defensive cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
+        self._prop = ShardedPropagation(self.crowd_config)
 
     # --------------------------------------------------------------- gossip
 
@@ -188,11 +160,9 @@ class ShardedMessagePlane(Network):
         label = f"msg:{self._msg_seq}"
         self._msg_seq += 1
         result = self._prop.run_with(
-            self._workers,
-            origin=self._crowd_index[origin],
+            self._crowd_index[origin],
             label=label,
             payload_bytes=message.size_bytes,
-            jobs=self.jobs,
         )
         self._crowd_fp.update(result.fingerprint().encode())
         arrivals = result.arrivals
@@ -256,8 +226,8 @@ class ShardedMessagePlane(Network):
         """Digest over every crowd propagation so far.
 
         A pure function of (seed, replica attach order, gossip sequence,
-        message sizes) — byte-identical for ``jobs=1`` vs ``jobs=N``,
-        which the test suite and the CI smoke pin.
+        message sizes), pinned by parent-captured goldens in the test
+        suite and in A10.
         """
         return self._crowd_fp.hexdigest()[:16]
 
@@ -266,7 +236,7 @@ class ShardedMessagePlane(Network):
         replicas = len(self._replica_order)
         return {
             "boundary_nodes": float(replicas),
-            "modeled_nodes": float(self.total_nodes - replicas),
+            "modeled_nodes": float(self.crowd_config.total_nodes - replicas),
             "modeled_deliveries": float(self.modeled_deliveries),
             "messages_modeled": float(self.messages_modeled),
             "propagation_max_s": self.propagation_max_s,

@@ -579,7 +579,7 @@ _SHARDED_FLOOD_DIGESTS = {
 
 def _bench_sharded_flood(scale: float) -> Tuple[int, float]:
     """Crowd propagations the way the sharded message plane issues them:
-    labelled ``run_with`` floods over one open inline shard backend."""
+    labelled ``run_with`` floods over one set of held shard states."""
     import hashlib
 
     from repro.net.link import WAN_LINK
@@ -591,14 +591,13 @@ def _bench_sharded_flood(scale: float) -> Tuple[int, float]:
         WAN_LINK, total_nodes=nodes, shards=4, seed=1))
     digest = hashlib.sha256()
     reached = 0
-    with prop.open() as workers:
-        start = perf_counter()
-        for i in range(floods):
-            result = prop.run_with(workers, (i * 2503) % nodes,
-                                   label=f"msg:{i}", payload_bytes=200 + i)
-            reached += result.reached
-            digest.update(result.fingerprint().encode())
-        wall = perf_counter() - start
+    start = perf_counter()
+    for i in range(floods):
+        result = prop.run_with((i * 2503) % nodes, label=f"msg:{i}",
+                               payload_bytes=200 + i)
+        reached += result.reached
+        digest.update(result.fingerprint().encode())
+    wall = perf_counter() - start
     assert reached == floods * nodes
     expected = _SHARDED_FLOOD_DIGESTS.get(nodes)
     assert expected is None or digest.hexdigest()[:16] == expected

@@ -259,116 +259,6 @@ def run_trials(
     return [outcome for outcome in outcomes if outcome is not None]
 
 
-def _shard_worker(conn, factory, config, shard_index: int) -> None:
-    """Child entry point for one persistent shard worker.
-
-    Unlike :func:`_trial_worker` (one shot per process), a shard worker
-    holds mutable state across epoch barriers: it builds its state once
-    via ``factory(config, shard_index)`` and then serves ``step``
-    commands until told to stop.  Any exception is reported and ends the
-    worker — the parent surfaces it instead of deadlocking the barrier.
-    """
-    try:
-        state = factory(config, shard_index)
-        conn.send((OK, None))
-    except BaseException as error:
-        try:
-            conn.send((ERROR, f"{type(error).__name__}: {error}"))
-        finally:
-            conn.close()
-        return
-    try:
-        while True:
-            command, payload = conn.recv()
-            if command == "stop":
-                break
-            try:
-                result = getattr(state, command)(*payload)
-                conn.send((OK, result))
-            except BaseException as error:
-                conn.send((ERROR, f"{type(error).__name__}: {error}"))
-                break
-    except (EOFError, OSError):
-        pass
-    finally:
-        conn.close()
-
-
-class ShardWorkers:
-    """Persistent worker processes for epoch-barrier sharded simulation.
-
-    ``factory(config, index)`` is a picklable callable building shard
-    ``index``'s state in its worker; :meth:`call` then invokes a method
-    on every shard's state and blocks until *all* replies are in — the
-    epoch barrier.  Replies are returned in shard order regardless of
-    which worker answered first, so downstream merges see a
-    deterministic order no matter how the OS schedules the processes.
-
-    Use as a context manager; workers are terminated on exit.
-    """
-
-    def __init__(self, factory, config, count: int) -> None:
-        if count < 1:
-            raise ValueError("need at least one shard worker")
-        ctx = _mp_context()
-        self._workers: List[tuple] = []
-        try:
-            for index in range(count):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                process = ctx.Process(
-                    target=_shard_worker,
-                    args=(child_conn, factory, config, index),
-                )
-                process.start()
-                child_conn.close()
-                self._workers.append((process, parent_conn))
-            for index, (_, conn) in enumerate(self._workers):
-                status, payload = conn.recv()
-                if status != OK:
-                    raise RuntimeError(
-                        f"shard {index} failed to initialize: {payload}")
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self) -> "ShardWorkers":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def call(self, method: str, payloads: Sequence[tuple]) -> List[Any]:
-        """Invoke ``method(*payloads[i])`` on every shard state; barrier."""
-        if len(payloads) != len(self._workers):
-            raise ValueError("one payload per shard required")
-        for (_, conn), payload in zip(self._workers, payloads):
-            conn.send((method, tuple(payload)))
-        results: List[Any] = []
-        for index, (_, conn) in enumerate(self._workers):
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError) as error:
-                raise RuntimeError(f"shard {index} died mid-epoch") from error
-            if status != OK:
-                raise RuntimeError(f"shard {index} failed: {payload}")
-            results.append(payload)
-        return results
-
-    def close(self) -> None:
-        for process, conn in self._workers:
-            try:
-                conn.send(("stop", None))
-            except (BrokenPipeError, OSError):
-                pass
-        for process, conn in self._workers:
-            process.join(2.0)
-            if process.is_alive():  # pragma: no cover - stubborn child
-                process.terminate()
-                process.join()
-            conn.close()
-        self._workers = []
-
-
 def _handle_trace(outcome: TrialOutcome, trace_dir: Optional[str]) -> None:
     """Write the optional per-trial trace JSONL and strip it from the
     envelope (traces are large and never belong in the cache)."""

@@ -4,16 +4,15 @@ The second scale track (ROADMAP open item #1b): instead of one event
 loop owning all 10^4-10^6 nodes, the topology is partitioned into
 contiguous shards, each shard relaxes its own first-arrival times with
 vectorized numpy passes, and shards exchange cross-shard arrivals only
-at epoch barriers.  Workers run on the persistent
-:class:`repro.runner.pool.ShardWorkers` fan-out (``jobs > 1``) or inline
-in-process (``jobs = 1``) — by construction both produce *identical*
-results:
+at epoch barriers.  :class:`ShardedPropagation` holds one
+:class:`ShardState` per shard and steps them in turn, in process; the
+results are a function of the seed alone:
 
-* the graph is built once from the root seed (ring + random chords),
-  identically in every worker;
+* the graph is built from the root seed (ring + random chords),
+  identically by every shard;
 * each shard draws its out-edge delays in one vectorized batch from a
   ``fork_rng``-derived stream (label ``shard:<index>``), so the draws
-  depend only on (seed, shard index) — never on process scheduling;
+  depend only on (seed, shard index) — never on the stepping order;
 * barrier merges gather the shards' replies in shard order and route
   them unsorted: arrivals are applied with a scatter-min, whose result
   does not depend on the order of its operands, so no ordering of a
@@ -35,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -115,8 +114,8 @@ class ShardedConfig:
 def build_edges(config: ShardedConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Directed edge arrays (heads, tails) of the overlay graph.
 
-    Derived from the root seed alone — every shard worker rebuilds the
-    identical graph, so no adjacency ever crosses a pipe.
+    Derived from the root seed alone — every shard rebuilds the
+    identical graph and keeps only its own out-edges.
     """
     n = config.total_nodes
     index = np.arange(n)
@@ -157,9 +156,8 @@ def _edge_delays(config: ShardedConfig, count: int,
 class ShardState:
     """One shard's slice of the propagation: owned nodes + out-edges.
 
-    Lives either inline (``jobs=1``) or inside a persistent worker
-    process; its only cross-shard interface is :meth:`step` (epoch
-    barrier) and :meth:`collect` (final gather), both picklable.
+    Its only cross-shard interface is :meth:`step` (epoch barrier);
+    ``dist`` holds the owned nodes' first-arrival times.
     """
 
     def __init__(self, config: ShardedConfig, index: int) -> None:
@@ -253,19 +251,16 @@ class ShardState:
         return np.zeros(0), np.zeros(0, dtype=np.int64), pending
 
     def reset(self, label: Optional[str],
-              payload_bytes: Optional[int] = None) -> int:
+              payload_bytes: Optional[int] = None) -> None:
         """Rearm the shard for a fresh propagation labelled ``label``.
 
-        The message plane reuses one set of (possibly worker-process)
-        shards for every gossiped message; each message re-draws its
-        per-edge delays from a stream derived only from
-        ``(seed, label, shard index)`` — never from worker scheduling —
-        so jobs=1 and jobs=N stay byte-identical per message.  With no
-        label the stream is the constructor's, so an unlabelled run on a
-        used backend equals the same run on a fresh one.  A
-        ``payload_bytes`` override retimes the serialization term for
-        the actual message size.  Returns the owned-node count so the
-        barrier ``call`` has a payload-shaped reply.
+        The message plane reuses one set of shards for every gossiped
+        message; each message re-draws its per-edge delays from a stream
+        derived only from ``(seed, label, shard index)``.  With no label
+        the stream is the constructor's, so an unlabelled run on used
+        shards equals the same run on fresh ones.  A ``payload_bytes``
+        override retimes the serialization term for the actual message
+        size.
         """
         config = self.config
         if payload_bytes is not None and payload_bytes != config.payload_bytes:
@@ -278,33 +273,6 @@ class ShardState:
         self.dist.fill(np.inf)
         self.dirty.fill(False)
         self.announced.fill(np.inf)
-        return self.hi - self.lo
-
-    def collect(self) -> np.ndarray:
-        """Final first-arrival times for this shard's owned nodes."""
-        return self.dist
-
-
-def _make_shard_state(config: ShardedConfig, index: int) -> ShardState:
-    """Module-level factory — picklable for ShardWorkers."""
-    return ShardState(config, index)
-
-
-class _InlineShards:
-    """jobs=1 stand-in for ShardWorkers: same call interface, no IPC."""
-
-    def __init__(self, config: ShardedConfig) -> None:
-        self._states = [ShardState(config, i) for i in range(config.shards)]
-
-    def __enter__(self) -> "_InlineShards":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-    def call(self, method: str, payloads: Sequence[tuple]) -> List:
-        return [getattr(state, method)(*payload)
-                for state, payload in zip(self._states, payloads)]
 
 
 @dataclass
@@ -315,7 +283,6 @@ class ShardedResult:
     epochs: int
     cross_shard_messages: int
     config: ShardedConfig
-    jobs: int = 1
     _fingerprint: Optional[str] = field(default=None, repr=False)
 
     @property
@@ -339,39 +306,22 @@ class ShardedResult:
 
 
 class ShardedPropagation:
-    """Drive one partitioned first-arrival propagation to completion."""
+    """Partitioned first-arrival propagations over held shard states."""
 
     def __init__(self, config: ShardedConfig) -> None:
         self.config = config
         self._uppers = config.shard_bounds()[1:]
+        self._states = [ShardState(config, i) for i in range(config.shards)]
 
     def _owner(self, nodes: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._uppers, nodes, side="right")
 
-    def open(self, jobs: int = 1):
-        """Shard backend for :meth:`run_with` — a context manager.
-
-        ``jobs > 1`` spawns every shard into its own persistent worker
-        process (:class:`repro.runner.pool.ShardWorkers`); ``jobs = 1``
-        holds the shard states inline.  Both expose the same barrier
-        ``call`` interface, so callers (and the sharded message plane,
-        which keeps one backend open across many messages) never branch
-        on the parallelism mode.
-        """
-        if jobs > 1:
-            from repro.runner.pool import ShardWorkers
-            return ShardWorkers(_make_shard_state, self.config,
-                                self.config.shards)
-        return _InlineShards(self.config)
-
-    def run_with(self, workers, origin: int = 0, *,
-                 label: Optional[str] = None,
-                 payload_bytes: Optional[int] = None,
-                 jobs: int = 1) -> ShardedResult:
-        """One propagation from ``origin`` over an open shard backend.
+    def run_with(self, origin: int, *, label: Optional[str] = None,
+                 payload_bytes: Optional[int] = None) -> ShardedResult:
+        """One propagation from ``origin`` to completion.
 
         Every shard is rearmed first (see :meth:`ShardState.reset`), so
-        one backend can serve a whole sequence of propagations: with
+        one instance serves a whole sequence of propagations: with
         ``label`` set the edge delays are re-drawn from the
         ``(seed, label)``-derived stream, without it they are the
         constructor's draw.
@@ -379,8 +329,10 @@ class ShardedPropagation:
         config = self.config
         if not 0 <= origin < config.total_nodes:
             raise ValueError("origin out of range")
+        states = self._states
+        for state in states:
+            state.reset(label, payload_bytes)
         shards = config.shards
-        workers.call("reset", [(label, payload_bytes)] * shards)
         inbox_times: List[np.ndarray] = [np.zeros(0)] * shards
         inbox_nodes: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * shards
         origin_shard = int(self._owner(origin))
@@ -393,17 +345,16 @@ class ShardedPropagation:
             if epochs >= config.max_epochs:
                 raise RuntimeError(
                     f"no convergence after {epochs} epochs")
-            payloads = [(inbox_times[i], inbox_nodes[i], horizon)
-                        for i in range(shards)]
-            replies = workers.call("step", payloads)
+            replies = [state.step(times, nodes, horizon)
+                       for state, times, nodes
+                       in zip(states, inbox_times, inbox_nodes)]
             epochs += 1
             horizon += config.epoch_s
             # Barrier merge: shard-ordered gather, routed unsorted — the
             # receiving scatter-min makes the batch order immaterial.
             all_times = np.concatenate([r[0] for r in replies])
-            all_nodes = np.concatenate(
-                [np.asarray(r[1], dtype=np.int64) for r in replies])
-            pending = sum(int(r[2]) for r in replies)
+            all_nodes = np.concatenate([r[1] for r in replies])
+            pending = sum(r[2] for r in replies)
             cross += len(all_times)
             if not len(all_times) and pending == 0:
                 break
@@ -412,19 +363,6 @@ class ShardedPropagation:
                 mine = owners == i
                 inbox_times[i] = all_times[mine]
                 inbox_nodes[i] = all_nodes[mine]
-        collected = workers.call("collect", [() for _ in range(shards)])
-        arrivals = np.concatenate(collected)
+        arrivals = np.concatenate([state.dist for state in states])
         return ShardedResult(arrivals=arrivals, epochs=epochs,
-                             cross_shard_messages=cross, config=config,
-                             jobs=jobs)
-
-    def run(self, origin: int = 0, jobs: int = 1) -> ShardedResult:
-        """Propagate from ``origin``; identical results for any ``jobs``.
-
-        ``jobs > 1`` runs every shard in its own persistent worker
-        process (:class:`repro.runner.pool.ShardWorkers`); ``jobs = 1``
-        steps the shards inline.  Seed-stability across the two paths is
-        pinned by the test suite.
-        """
-        with self.open(jobs) as workers:
-            return self.run_with(workers, origin, jobs=jobs)
+                             cross_shard_messages=cross, config=config)

@@ -230,6 +230,40 @@ def test_crowd_aggregate_shaped_deployment_matches_parent_golden():
     }
 
 
+def test_crowd_sharded_shaped_deployment_matches_parent_golden():
+    """The shape of perfbench's ``crowd_sharded`` (a 4-node chain under a
+    10^4-node sharded crowd) after 20 s of open-loop payments.  Digest,
+    plane fingerprint and scale stats were captured on the parent of the
+    change that deleted the shard worker processes, so "equal", not
+    "close"."""
+    from repro.net.aggregate import TopologyScale
+    from repro.net.link import FAST_LINK
+    from repro.workloads.open_loop import OpenLoopInjector
+
+    params = replace(BITCOIN, target_block_interval_s=15.0,
+                     max_block_size_bytes=40_000, confirmation_depth=2)
+    deployment = build_deployment(
+        "blockchain", chain_params=params, node_count=4,
+        link_params=FAST_LINK, seed=1,
+        topology_scale=TopologyScale(total_nodes=10_000, plane="sharded"))
+    deployment.setup(20, 10**9)
+    OpenLoopInjector.from_sim_stream(
+        deployment.ledger, accounts=20, rate_tps=2.0,
+        duration_s=20.0).start()
+    deployment.ledger.advance(35.0)
+    assert deployment.ledger.state_digest() == (
+        "f103d59f2e13904a60784e248e6e834b2dba274d535d0ff08ee8988f248c4966")
+    assert deployment.network.plane_fingerprint() == "b63b3c8c818a6a4d"
+    assert deployment.scale_stats() == {
+        "scaled": 1.0,
+        "boundary_nodes": 4.0,
+        "modeled_nodes": 9_996.0,
+        "modeled_deliveries": 439_824.0,
+        "messages_modeled": 44.0,
+        "propagation_max_s": 0.9275178385314847,
+    }
+
+
 def test_topology_scale_below_boundary_is_rejected():
     with pytest.raises(ValueError, match="below the fully-simulated"):
         build_deployment("blockchain", node_count=5, topology_scale=3)

@@ -344,5 +344,8 @@ class TestNestedAggregate:
             TopologyScale(total_nodes=10, plane="warp")
         with pytest.raises(ValueError):
             TopologyScale(total_nodes=10, shards=0)
-        with pytest.raises(ValueError):
-            TopologyScale(total_nodes=10, jobs=0)
+        # jobs is one-valued: the crowd's shards always step in process.
+        assert TopologyScale(total_nodes=10, jobs=1).jobs == 1
+        for jobs in (0, 2):
+            with pytest.raises(ValueError, match="jobs must be 1"):
+                TopologyScale(total_nodes=10, jobs=jobs)

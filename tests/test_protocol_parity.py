@@ -263,17 +263,14 @@ def test_sharded_plane_column(paradigm):
     for i, t in enumerate(EMIT_TIMES):
         sim2.schedule_at(t, lambda i=i: emit2(i), label=f"emit:{i}")
     sim2.run(until=SETTLE_UNTIL)
-    try:
-        assert state2(nodes2[0]) == exact_reference, \
-            f"{paradigm} replica state drifted between planes"
-        for node in nodes2[1:]:
-            assert state2(node) == exact_reference, \
-                f"{node.node_id} diverged on the sharded plane"
-        assert intake_backlog(nodes2) == {}, \
-            "stuck intake entries on the sharded plane"
-        assert net2.plane_stats()["messages_modeled"] > 0
-    finally:
-        net2.close()
+    assert state2(nodes2[0]) == exact_reference, \
+        f"{paradigm} replica state drifted between planes"
+    for node in nodes2[1:]:
+        assert state2(node) == exact_reference, \
+            f"{node.node_id} diverged on the sharded plane"
+    assert intake_backlog(nodes2) == {}, \
+        "stuck intake entries on the sharded plane"
+    assert net2.plane_stats()["messages_modeled"] > 0
 
 
 @pytest.mark.parametrize("paradigm", sorted(PARADIGMS))

@@ -1,9 +1,9 @@
-"""Tests for the sharded epoch-barrier propagation (repro.sim.sharded)
-and the persistent shard-worker fan-out (repro.runner.pool.ShardWorkers).
+"""Tests for the sharded epoch-barrier propagation (repro.sim.sharded).
 
-The load-bearing property is seed-stability regardless of process
-scheduling: jobs=1 (inline) and jobs=N (one worker process per shard)
-must produce byte-identical arrival-time vectors.
+The load-bearing properties are exactness (arrivals equal an
+independent Dijkstra oracle bit for bit), order independence of the
+barrier merge, and a parent-captured golden table that pins the
+relaxation schedule itself, on fresh and on reused shard states.
 """
 
 import copy
@@ -72,7 +72,7 @@ class TestConfigAndGraph:
 
 class TestPropagation:
     def test_reaches_every_node(self):
-        result = ShardedPropagation(small_config()).run()
+        result = ShardedPropagation(small_config()).run_with(0)
         assert result.reached == 300
         finite = result.arrivals[np.isfinite(result.arrivals)]
         assert (finite >= 0).all()
@@ -80,16 +80,16 @@ class TestPropagation:
         assert result.cross_shard_messages > 0
 
     def test_origin_arrival_is_zero(self):
-        result = ShardedPropagation(small_config()).run(origin=42)
+        result = ShardedPropagation(small_config()).run_with(42)
         assert result.arrivals[42] == 0.0
         assert (np.delete(result.arrivals, 42) > 0).all()
 
     def test_seed_determinism_same_fingerprint(self):
-        a = ShardedPropagation(small_config()).run()
-        b = ShardedPropagation(small_config()).run()
+        a = ShardedPropagation(small_config()).run_with(0)
+        b = ShardedPropagation(small_config()).run_with(0)
         assert a.fingerprint() == b.fingerprint()
         assert np.array_equal(a.arrivals, b.arrivals)
-        c = ShardedPropagation(small_config(seed=99)).run()
+        c = ShardedPropagation(small_config(seed=99)).run_with(0)
         assert c.fingerprint() != a.fingerprint()
 
     def test_single_shard_matches_multi_shard(self):
@@ -97,31 +97,31 @@ class TestPropagation:
         same (graph, per-shard delay streams) law means a different
         shard count changes the delay draws, but every partitioning
         must still deliver a full, valid propagation."""
-        one = ShardedPropagation(small_config(shards=1)).run()
-        many = ShardedPropagation(small_config(shards=6)).run()
+        one = ShardedPropagation(small_config(shards=1)).run_with(0)
+        many = ShardedPropagation(small_config(shards=6)).run_with(0)
         assert one.reached == many.reached == 300
         # Same topology, same delay law: medians agree loosely.
         assert abs(one.percentile(50) - many.percentile(50)) \
             < one.percentile(50)
 
     def test_lossy_links_slow_propagation(self):
-        clean = ShardedPropagation(small_config()).run()
+        clean = ShardedPropagation(small_config()).run_with(0)
         lossy = ShardedPropagation(
-            small_config(loss_probability=0.3)).run()
+            small_config(loss_probability=0.3)).run_with(0)
         assert lossy.reached == 300
         assert lossy.percentile(95) > clean.percentile(95)
 
     def test_epoch_granularity_does_not_change_arrivals(self):
         """Epoch barriers are a scheduling artifact: a finer epoch must
         produce the identical arrival vector, just across more epochs."""
-        coarse = ShardedPropagation(small_config(epoch_s=2.0)).run()
-        fine = ShardedPropagation(small_config(epoch_s=0.1)).run()
+        coarse = ShardedPropagation(small_config(epoch_s=2.0)).run_with(0)
+        fine = ShardedPropagation(small_config(epoch_s=0.1)).run_with(0)
         assert np.array_equal(coarse.arrivals, fine.arrivals)
         assert fine.epochs > coarse.epochs
 
     def test_origin_validation(self):
         with pytest.raises(ValueError):
-            ShardedPropagation(small_config()).run(origin=300)
+            ShardedPropagation(small_config()).run_with(300)
 
 
 def armed_states(config, label=None, payload_bytes=None):
@@ -173,10 +173,8 @@ class TestAgainstDijkstra:
            st.sampled_from([None, 64, 4096]))
     def test_arrivals_equal_dijkstra_bit_for_bit(self, drawn, label, payload):
         config, origin = drawn
-        prop = ShardedPropagation(config)
-        with prop.open() as workers:
-            result = prop.run_with(workers, origin, label=label,
-                                   payload_bytes=payload)
+        result = ShardedPropagation(config).run_with(
+            origin, label=label, payload_bytes=payload)
         expected = dijkstra_arrivals(armed_states(config, label, payload),
                                      origin, config.total_nodes)
         assert result.reached == config.total_nodes
@@ -223,8 +221,8 @@ class TestBarrierOrderIndependence:
                       nodes[order][owners[order] == i])
                      for i in range(config.shards)]
             horizon += config.epoch_s
-        arrivals = np.concatenate([state.collect() for state in states])
-        assert np.array_equal(arrivals, prop.run(origin).arrivals)
+        arrivals = np.concatenate([state.dist for state in states])
+        assert np.array_equal(arrivals, prop.run_with(origin).arrivals)
 
 
 #: (config, origin, label, payload_bytes) -> (fingerprint, epochs,
@@ -252,34 +250,37 @@ GOLDEN_RUNS = [
 ]
 
 
-@pytest.mark.runner
 class TestGoldenSchedule:
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("nth_run", [1, 2])
     @pytest.mark.parametrize(
         "fields,origin,label,payload,expected", GOLDEN_RUNS,
         ids=[f"row{i}" for i in range(len(GOLDEN_RUNS))])
     def test_run_matches_parent_capture(self, fields, origin, label, payload,
-                                        expected, jobs):
-        prop = ShardedPropagation(ShardedConfig(**fields))
-        with prop.open(jobs) as workers:
-            result = prop.run_with(workers, origin, label=label,
-                                   payload_bytes=payload, jobs=jobs)
+                                        expected, nth_run):
+        """Run 1 is on fresh shard states; run 2 follows a different
+        flood on the same states, the way the message plane issues every
+        message — the golden must hold on both."""
+        config = ShardedConfig(**fields)
+        prop = ShardedPropagation(config)
+        if nth_run == 2:
+            prop.run_with(config.total_nodes - 1 - origin, label="warm-up",
+                          payload_bytes=77)
+        result = prop.run_with(origin, label=label, payload_bytes=payload)
         assert (result.fingerprint(), result.epochs,
                 result.cross_shard_messages) == expected
 
 
 class TestBackendReuse:
     def test_unlabelled_rerun_equals_a_fresh_run(self):
-        """A used backend must not leak the previous flood's arrival
+        """Used shard states must not leak the previous flood's arrival
         times, frontier or announcements into the next one."""
         config = ShardedConfig(total_nodes=400, shards=4, seed=3)
+        fresh = ShardedPropagation(config).run_with(200)
         prop = ShardedPropagation(config)
-        fresh = prop.run(origin=200)
-        with prop.open() as workers:
-            prop.run_with(workers, 0)
-            reused = prop.run_with(workers, 200)
-            prop.run_with(workers, 7, label="msg:0", payload_bytes=900)
-            after_labelled = prop.run_with(workers, 200)
+        prop.run_with(0)
+        reused = prop.run_with(200)
+        prop.run_with(7, label="msg:0", payload_bytes=900)
+        after_labelled = prop.run_with(200)
         for again in (reused, after_labelled):
             assert again.epochs == fresh.epochs
             assert again.cross_shard_messages == fresh.cross_shard_messages
@@ -325,7 +326,7 @@ class TestCsrEdgeCases:
             np.asarray([0.0]), np.asarray([0]), 10.0)
         assert (nodes == 1).all() and len(times) == len(state.heads)
         assert pending == 0
-        assert ShardedPropagation(config).run(origin=0).reached == 2
+        assert ShardedPropagation(config).run_with(0).reached == 2
 
     def test_empty_frontier_sweep_is_a_no_op(self):
         state = ShardState(small_config(), 0)
@@ -349,35 +350,3 @@ class TestCsrEdgeCases:
         assert len(times) == 0 and pending == 0
         assert state.dist[0] == 0.0
         assert np.count_nonzero(np.isfinite(state.dist)) == 1
-
-
-@pytest.mark.runner
-class TestMultiprocessParity:
-    """jobs=1 vs jobs=N: the pinned scheduling-independence property."""
-
-    def test_worker_pool_matches_inline_exactly(self):
-        config = small_config(total_nodes=600, shards=4)
-        inline = ShardedPropagation(config).run(jobs=1)
-        pooled = ShardedPropagation(config).run(jobs=4)
-        assert inline.fingerprint() == pooled.fingerprint()
-        assert np.array_equal(inline.arrivals, pooled.arrivals)
-        assert inline.epochs == pooled.epochs
-        assert inline.cross_shard_messages == pooled.cross_shard_messages
-
-    def test_shard_workers_surface_state_errors(self):
-        from repro.runner.pool import ShardWorkers
-        from repro.sim.sharded import _make_shard_state
-
-        config = small_config()
-        with ShardWorkers(_make_shard_state, config, 2) as workers:
-            with pytest.raises(RuntimeError):
-                workers.call("no_such_method", [(), ()])
-
-    def test_shard_workers_validate_payload_count(self):
-        from repro.runner.pool import ShardWorkers
-        from repro.sim.sharded import _make_shard_state
-
-        config = small_config()
-        with ShardWorkers(_make_shard_state, config, 2) as workers:
-            with pytest.raises(ValueError):
-                workers.call("collect", [()])

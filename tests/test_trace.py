@@ -537,7 +537,4 @@ class TestGoldens:
         workload = workloads.WORKLOADS[name]()
         workload.setup(1, 0.2)
         workload.timed()
-        try:
-            assert _observed(workload.deployment.network.tracer) == GOLDENS[name]
-        finally:
-            workload.deployment.close()
+        assert _observed(workload.deployment.network.tracer) == GOLDENS[name]
