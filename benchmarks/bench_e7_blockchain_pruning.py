@@ -1,9 +1,10 @@
 """E7 (§V-A): Bitcoin pruning and Ethereum fast sync.
 
 Reproduces both remedies on real serialized ledgers: pruning discards
-old block bodies (disk saved, history-serving lost); fast sync downloads
-headers + receipts + one state snapshot instead of replaying history,
-leaving "a database pruned of the state deltas".
+old block bodies (disk saved, history-serving lost); fast sync joins an
+account chain from headers + one verified state snapshot at the pivot +
+the recent bodies instead of replaying history, leaving "a database
+pruned of the state deltas".  E7b reads the join's own counters.
 """
 
 import time
@@ -17,9 +18,9 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.pow import MAX_TARGET
 from repro.blockchain.block import assemble_block, build_genesis_block
 from repro.blockchain.chain import ChainStore
-from repro.blockchain.state import AccountState
+from repro.blockchain.node import BlockchainNode
+from repro.blockchain.params import ETHEREUM
 from repro.blockchain.transaction import make_coinbase, sign_account_transaction
-from repro.storage.fast_sync import fast_sync, prune_state_deltas
 from repro.storage.pruning import prune_chain
 from repro.metrics.tables import render_table
 
@@ -37,24 +38,26 @@ def build_utxo_chain(blocks=300, txs_per_block=8):
     return store
 
 
-def build_account_chain(blocks=150):
+def build_account_join(blocks=150, pivot_window=64):
+    """An account chain of one payment per block on a peer, pruned like
+    Bitcoin, and a fresh replica that fast-syncs from it."""
     alice = KeyPair.from_seed(b"\x06" * 32)
     bob = KeyPair.from_seed(b"\x07" * 32)
     miner = KeyPair.from_seed(b"\x08" * 32)
-    store = ChainStore(build_genesis_block(miner.address, 1))
-    state = AccountState()
-    state.credit(alice.address, 10**15)
-    receipts_by_block = [[]]
-    parent = store.genesis
+    genesis = build_genesis_block(miner.address, 1)
+    allocations = {alice.address: 10**15}
+    peer = BlockchainNode("peer", ETHEREUM, genesis, genesis_allocations=allocations)
     for height in range(1, blocks + 1):
-        tx = sign_account_transaction(alice, height - 1, bob.address, 100, gas_price=1)
-        receipts, _ = state.apply_block_transactions([tx], miner.address, 0)
-        block = assemble_block(parent.header, [tx], float(height), MAX_TARGET,
-                               state_root=state.root_hash)
-        store.add_block(block)
-        receipts_by_block.append(receipts)
-        parent = block
-    return store, state, receipts_by_block
+        peer.mempool.add(sign_account_transaction(alice, height - 1, bob.address, 100,
+                                                  gas_price=1))
+        peer.receive_block(peer.create_block_template(float(height), miner.address))
+    history_bytes = sum(b.size_bytes for b in peer.chain.main_chain()[1:])
+    history_txs = sum(len(b.transactions) for b in peer.chain.main_chain()[1:])
+    prune_chain(peer.chain, keep_depth=pivot_window)
+    joiner = BlockchainNode("joiner", ETHEREUM, genesis, genesis_allocations=allocations)
+    joiner.state_sync_from(peer, keep_depth=pivot_window)
+    replayed = sum(len(b.transactions) for b in joiner.chain.main_chain()[1:])
+    return peer, joiner, history_bytes, history_txs, replayed
 
 
 def test_e7_bitcoin_pruning(benchmark):
@@ -74,24 +77,27 @@ def test_e7_bitcoin_pruning(benchmark):
     report("E7a Bitcoin block-file pruning", render_table(["metric", "value"], rows))
 
 
-def test_e7_ethereum_fast_sync(benchmark):
-    store, state, receipts = build_account_chain()
-
-    result = benchmark(fast_sync, store, state, receipts, 64)
-    freed = prune_state_deltas(state)
+def test_e7_ethereum_state_sync(benchmark):
+    peer, joiner, history_bytes, history_txs, replayed = benchmark.pedantic(
+        build_account_join, rounds=1, iterations=1)
+    assert joiner.chain.head.block_id == peer.chain.head.block_id
+    assert joiner.state.root_hash == peer.state.root_hash
+    synced = joiner.transport.counters.state_sync_bytes
+    joiner_trie, peer_trie = joiner.state.store_size_bytes(), peer.state.store_size_bytes()
     rows = [
-        ["full sync download", format_bytes(result.full_sync_bytes)],
-        ["full sync txs replayed", result.full_sync_txs_replayed],
-        ["fast sync download", format_bytes(result.fast_sync_bytes)],
-        ["fast sync txs replayed", result.fast_sync_txs_replayed],
-        ["state snapshot at pivot", format_bytes(result.state_snapshot_bytes)],
-        ["state deltas pruned", format_bytes(freed)],
+        ["full history (replay) download", format_bytes(history_bytes)],
+        ["full history txs", history_txs],
+        ["fast sync download", format_bytes(synced)],
+        ["fast sync txs replayed", replayed],
+        ["joiner trie store", format_bytes(joiner_trie)],
+        ["peer trie store (every per-block delta)", format_bytes(peer_trie)],
     ]
-    # Fast sync replays only the post-pivot window and ships a snapshot
-    # far smaller than the accumulated deltas.
-    assert result.fast_sync_txs_replayed == 64
-    assert result.replay_saved > 80
-    assert freed > result.state_snapshot_bytes  # deltas dominated the store
+    # The joiner replays only the post-pivot window and never stores the
+    # peer's per-block state deltas below the pivot.
+    assert replayed == 64
+    assert history_txs - replayed > 80
+    assert synced < history_bytes
+    assert joiner_trie < peer_trie
     report("E7b Ethereum fast sync at pivot head-64", render_table(["metric", "value"], rows))
 
 
@@ -101,15 +107,16 @@ def run(params: dict, seed: int) -> dict:
     p = {**dict(EXPERIMENTS["E7"].default_params), **(params or {})}
     store = build_utxo_chain(blocks=p["blocks"], txs_per_block=p["txs_per_block"])
     pruned = prune_chain(store, keep_depth=p["keep_depth"])
-    acct_store, state, receipts = build_account_chain()
-    sync = fast_sync(acct_store, state, receipts, p["pivot_window"])
-    freed = prune_state_deltas(state)
+    peer, joiner, history_bytes, history_txs, replayed = build_account_join(
+        pivot_window=p["pivot_window"])
     metrics = {
         "prune_fraction_freed": pruned.fraction_freed,
         "blocks_pruned": pruned.blocks_pruned,
-        "fastsync_replay_saved": sync.replay_saved,
-        "fastsync_download_ratio": sync.fast_sync_bytes / sync.full_sync_bytes,
-        "state_deltas_freed_bytes": freed,
+        "fastsync_replay_saved": history_txs - replayed,
+        "fastsync_download_ratio":
+            joiner.transport.counters.state_sync_bytes / history_bytes,
+        "fastsync_trie_share":
+            joiner.state.store_size_bytes() / peer.state.store_size_bytes(),
     }
     return make_result("E7", p, seed, metrics, started=started)
 

@@ -4,7 +4,8 @@
 Grows a UTXO chain, an account chain, and a block-lattice under similar
 payment traffic, then applies each system's remedy: Bitcoin block-file
 pruning, Ethereum fast sync with state-delta pruning, and Nano's prune-
-to-heads — printing the before/after disk story.
+to-heads — printing the before/after disk story.  The Ethereum row is a
+real join: a fresh replica state-syncs from the pruned peer.
 
 Run:  python examples/ledger_pruning.py
 """
@@ -14,14 +15,14 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.pow import MAX_TARGET
 from repro.blockchain.block import assemble_block, build_genesis_block
 from repro.blockchain.chain import ChainStore
-from repro.blockchain.state import AccountState
+from repro.blockchain.node import BlockchainNode
+from repro.blockchain.params import ETHEREUM
 from repro.blockchain.transaction import make_coinbase, sign_account_transaction
 from repro.dag.blocks import make_open, make_receive, make_send
 from repro.dag.lattice import Lattice
 from repro.dag.params import NanoParams
 from repro.metrics.tables import render_table
 from repro.storage.dag_pruning import footprint_by_type, prune_lattice
-from repro.storage.fast_sync import fast_sync, prune_state_deltas
 from repro.storage.pruning import prune_chain
 
 
@@ -44,26 +45,21 @@ def ethereum_story() -> list:
     alice = KeyPair.from_seed(b"\x12" * 32)
     bob = KeyPair.from_seed(b"\x13" * 32)
     miner = KeyPair.from_seed(b"\x14" * 32)
-    store = ChainStore(build_genesis_block(miner.address, 1))
-    state = AccountState()
-    state.credit(alice.address, 10**15)
-    receipts_by_block = [[]]
-    parent = store.genesis
+    genesis = build_genesis_block(miner.address, 1)
+    allocations = {alice.address: 10**15}
+    peer = BlockchainNode("peer", ETHEREUM, genesis, genesis_allocations=allocations)
     for height in range(1, 201):
-        tx = sign_account_transaction(alice, height - 1, bob.address, 100, gas_price=1)
-        receipts, _ = state.apply_block_transactions([tx], miner.address, 0)
-        block = assemble_block(parent.header, [tx], float(height), MAX_TARGET,
-                               state_root=state.root_hash)
-        store.add_block(block)
-        receipts_by_block.append(receipts)
-        parent = block
-    before = store.total_size_bytes() + state.store_size_bytes()
-    sync = fast_sync(store, state, receipts_by_block, pivot_offset=64)
-    prune_state_deltas(state)
-    after = store.total_size_bytes() + state.store_size_bytes()
-    print(f"  ethereum fast sync: replay {sync.fast_sync_txs_replayed} txs "
-          f"instead of {sync.full_sync_txs_replayed}; snapshot "
-          f"{format_bytes(sync.state_snapshot_bytes)}")
+        peer.mempool.add(sign_account_transaction(alice, height - 1, bob.address, 100,
+                                                  gas_price=1))
+        peer.receive_block(peer.create_block_template(float(height), miner.address))
+    before = peer.chain.total_size_bytes() + peer.state.store_size_bytes()
+    prune_chain(peer.chain, keep_depth=64)
+    joiner = BlockchainNode("joiner", ETHEREUM, genesis, genesis_allocations=allocations)
+    joiner.state_sync_from(peer, keep_depth=64)
+    after = joiner.chain.total_size_bytes() + joiner.state.store_size_bytes()
+    replayed = sum(len(b.transactions) for b in joiner.chain.main_chain()[1:])
+    print(f"  ethereum fast sync: replay {replayed} txs instead of 200; "
+          f"download {format_bytes(joiner.transport.counters.state_sync_bytes)}")
     return ["ethereum (fast sync)", format_bytes(before),
             format_bytes(after), f"{1 - after / before:.0%}"]
 

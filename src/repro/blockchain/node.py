@@ -353,8 +353,13 @@ class BlockchainNode(ProtocolNode):
         the number of blocks adopted.
         """
         self._require_shared_genesis(peer)
+        return self._replay(peer.chain.main_chain()[1:])
+
+    def _replay(self, blocks: List[Block]) -> int:
+        """Run blocks this replica lacks through full validation; returns
+        how many it accepted."""
         adopted = 0
-        for block in peer.chain.main_chain()[1:]:
+        for block in blocks:
             if block.block_id in self.chain:
                 continue
             try:
@@ -370,39 +375,59 @@ class BlockchainNode(ProtocolNode):
     ) -> int:
         """Catch up from a checkpoint instead of replaying history.
 
-        The Section V-A fast-sync idea applied to a live node: download
-        all headers, the peer's materialized state snapshot at a pivot
-        (head − ``keep_depth``), and only the recent block bodies.  The
-        pivot is cemented, so the replica never needs the undo data it
-        skipped.  This is also the only way to join from a *pruned* peer,
-        whose old bodies are gone (``sync_from`` would park forever).
-        Account-model chains fall back to full replay — their state root
-        is re-derived per block.  Returns the number of blocks adopted.
+        Section V-A's fast sync on a live node: download every header,
+        the state at a pivot (head − ``keep_depth``) and only the bodies
+        above it.  On a UTXO chain the state is the peer's UTXO set.  On
+        an account chain it is the trie under the pivot header's
+        ``state_root``; every node is checked against its content address
+        before any header is taken, and the bodies above the pivot are
+        replayed through :meth:`receive_block`, so each later root is
+        checked too.  The pivot is cemented.  This is the only way to
+        join a *pruned* peer, whose old bodies are gone.
+
+        Raises :class:`PrunedHistoryError` when the peer no longer stores
+        the pivot state and :class:`ValidationError` for a snapshot node
+        that is missing or altered; either way this replica is untouched.
+        Returns the number of blocks adopted.
         """
-        if self.utxo is None or peer.utxo is None:
-            return self.sync_from(peer)
         self._require_shared_genesis(peer)
         from repro.storage.pruning import DEFAULT_KEEP_DEPTH
 
         depth = DEFAULT_KEEP_DEPTH if keep_depth is None else keep_depth
         pivot = max(peer.chain.height - depth, 0)
+        blocks = peer.chain.main_chain()
+        pivot_block = blocks[pivot]
+        if self.utxo is not None:
+            wire_bytes = peer.utxo.serialized_size_bytes()
+        elif pivot_block.block_id in self.chain:
+            wire_bytes = 0  # the pivot state is already ours
+        else:
+            root = pivot_block.header.state_root
+            snapshot = peer.state.export_snapshot(root)
+            self.state.adopt_snapshot(root, snapshot)
+            self._state_roots[pivot_block.block_id] = root
+            wire_bytes = sum(len(raw) for raw in snapshot.values())
         adopted = 0
-        wire_bytes = peer.utxo.serialized_size_bytes()
-        for block in peer.chain.main_chain()[1:]:
+        for block in blocks[1 : pivot + 1]:
             if block.block_id in self.chain:
                 continue
-            if block.height <= pivot:
-                # Headers-only below the pivot; bodies are never fetched
-                # (and a pruned peer no longer has them anyway).
-                block = Block(header=block.header, transactions=())
-                wire_bytes += block.header.size_bytes
-            else:
-                wire_bytes += block.size_bytes
-                self._undo[block.block_id] = list(peer._undo.get(block.block_id, []))
+            # Headers-only up to the pivot; bodies are never fetched (and
+            # a pruned peer no longer has them anyway).
+            block = Block(header=block.header, transactions=())
+            wire_bytes += block.header.size_bytes
             if self.chain.add_block(block).block_accepted:
                 adopted += 1
-        self.utxo = peer.utxo.snapshot()
-        self._tx_blocks = dict(peer._tx_blocks)
+        recent = [b for b in blocks[pivot + 1 :] if b.block_id not in self.chain]
+        wire_bytes += sum(block.size_bytes for block in recent)
+        if self.utxo is None:
+            adopted += self._replay(recent)
+        else:
+            for block in recent:
+                self._undo[block.block_id] = list(peer._undo.get(block.block_id, []))
+                if self.chain.add_block(block).block_accepted:
+                    adopted += 1
+            self.utxo = peer.utxo.snapshot()
+            self._tx_blocks = dict(peer._tx_blocks)
         self.chain.cement(pivot)
         for counters in (self.transport.counters, peer.transport.counters):
             counters.state_syncs += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.encoding import Decoder, encode_bytes, encode_uint
 from repro.common.errors import InsufficientFundsError, ValidationError
@@ -289,6 +289,15 @@ class AccountState:
     def checkpoint(self) -> Hash:
         """Alias of ``root_hash`` that reads as intent at call sites."""
         return self.root_hash
+
+    def export_snapshot(self, root: Hash) -> Dict[Hash, bytes]:
+        """The state a fast-syncing peer downloads at a pivot ``root``."""
+        return self._trie.export_snapshot(root)
+
+    def adopt_snapshot(self, root: Hash, nodes: Mapping[Hash, bytes]) -> None:
+        """Verify a downloaded snapshot against ``root`` and make it the
+        current state (see :meth:`MerklePatriciaTrie.adopt_snapshot`)."""
+        self._trie.adopt_snapshot(root, nodes)
 
     # ------------------------------------------------------------ accounting
 

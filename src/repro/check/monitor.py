@@ -75,14 +75,13 @@ class InvariantMonitor:
     :class:`AuditReport` (or ``None`` for "cannot audit right now" —
     treated as a pass).  Typically it is ``ledger.audit`` bound to an
     adapter.  On the first failing audit the monitor records a
-    :class:`ViolationRecord`, snapshots the tracer ring buffer, and — by
-    default — detaches itself so the run continues to completion with
-    the first-occurrence timestamp preserved.
+    :class:`ViolationRecord`, snapshots the tracer ring buffer, and
+    detaches itself so the run continues to completion with the
+    first-occurrence timestamp preserved.
 
     Periodic ticks enforce *safety* invariants only (supply,
     double-spend, linkage): those must hold at every instant.
-    Invariants named in ``eventual`` (default
-    :data:`EVENTUAL_INVARIANTS`) are transiently violable while gossip
+    The :data:`EVENTUAL_INVARIANTS` are transiently violable while gossip
     propagates, so they only count when a *strict* check — the final,
     quiescent one — still sees them.
     """
@@ -93,9 +92,7 @@ class InvariantMonitor:
         *,
         tracer: Optional[Tracer] = None,
         interval_s: float = 5.0,
-        halt_on_violation: bool = True,
         evidence_events: int = 256,
-        eventual: FrozenSet[str] = EVENTUAL_INVARIANTS,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
@@ -104,9 +101,7 @@ class InvariantMonitor:
         self.audit_fn = audit_fn
         self.tracer = tracer
         self.interval_s = interval_s
-        self.halt_on_violation = halt_on_violation
         self.evidence_events = evidence_events
-        self.eventual = eventual
         self.audits_run = 0
         #: count of ticks where only eventual invariants were violated
         self.transient_disagreements = 0
@@ -160,7 +155,7 @@ class InvariantMonitor:
             return None
         if not strict:
             hard = [v for v in report.violations
-                    if v.invariant not in self.eventual]
+                    if v.invariant not in EVENTUAL_INVARIANTS]
             if not hard:
                 self.transient_disagreements += 1
                 return None
@@ -178,8 +173,7 @@ class InvariantMonitor:
                 violations=list(report.violations),
                 evidence=evidence,
             )
-            if self.halt_on_violation:
-                self.detach()
+            self.detach()
         return self.violation
 
     # ------------------------------------------------------------- evidence

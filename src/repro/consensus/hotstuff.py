@@ -31,13 +31,13 @@ handled directly.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.common.types import Hash
 from repro.net.message import Message
-from repro.protocol import DEFAULT_INTAKE_CAPACITY, ConsensusEngine, ProtocolNode
+from repro.protocol import ConsensusEngine, ProtocolNode
 
 MSG_BFT_PROPOSAL = "bft_proposal"
 MSG_BFT_VOTE = "bft_vote"
@@ -245,22 +245,22 @@ class BftNode(ProtocolNode):
     committed sequence.
     """
 
+    #: A leader waits this long before proposing, so a burst batches.
+    propose_delay_s = 0.25
+
     def __init__(
         self,
         node_id: str,
         *,
         view_timeout_s: float = 4.0,
-        propose_delay_s: float = 0.25,
         max_batch: int = 16,
         quorum_f_override: Optional[int] = None,
         is_byzantine: bool = False,
         byzantine_behavior: Optional[str] = None,
         byz_rng: Optional[Random] = None,
-        intake_capacity: Optional[int] = DEFAULT_INTAKE_CAPACITY,
     ) -> None:
-        super().__init__(node_id, intake_capacity=intake_capacity)
+        super().__init__(node_id)
         self.view_timeout_s = view_timeout_s
-        self.propose_delay_s = propose_delay_s
         self.max_batch = max_batch
         self.quorum_f_override = quorum_f_override
         self.is_byzantine = is_byzantine

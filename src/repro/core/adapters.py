@@ -68,6 +68,8 @@ class BlockchainLedger(Ledger):
     """A mining blockchain network behind the uniform interface."""
 
     paradigm = "blockchain"
+    #: Fee (UTXO) or gas price (account model) of every wallet payment.
+    fee = 1
 
     def __init__(
         self,
@@ -75,7 +77,6 @@ class BlockchainLedger(Ledger):
         node_count: int = 5,
         link_params: Optional[LinkParams] = None,
         seed: int = 0,
-        fee: int = 1,
         mempool_limits: Optional[MempoolLimits] = None,
         prune_interval_s: Optional[float] = None,
         prune_keep_depth: int = DEFAULT_KEEP_DEPTH,
@@ -87,7 +88,6 @@ class BlockchainLedger(Ledger):
                          byzantine_behavior, plane_factory)
         self.name = params.name
         self.params = params
-        self.fee = fee
         self.mempool_limits = mempool_limits
         self.prune_interval_s = prune_interval_s
         self.prune_keep_depth = prune_keep_depth
@@ -170,7 +170,7 @@ class BlockchainLedger(Ledger):
             nonce = wallet.next_nonce
             try:
                 tx = wallet.pay(self.keys[event.recipient_index].address,
-                                event.amount, gas_price=max(self.fee, 1))
+                                event.amount, gas_price=self.fee)
             except ValidationError:
                 return None
             if not node.submit_transaction(tx):
@@ -491,7 +491,6 @@ class BftLedger(Ledger):
         link_params: Optional[LinkParams] = None,
         seed: int = 0,
         view_timeout_s: float = 4.0,
-        propose_delay_s: float = 0.25,
         max_batch: int = 16,
         byzantine_nodes: int = 0,
         byzantine_behavior: str = "equivocate",
@@ -501,7 +500,6 @@ class BftLedger(Ledger):
                          byzantine_behavior)
         self.name = "hotstuff"
         self.view_timeout_s = view_timeout_s
-        self.propose_delay_s = propose_delay_s
         self.max_batch = max_batch
         self.quorum_f_override = quorum_f_override
         self._accounts = 0
@@ -521,7 +519,6 @@ class BftLedger(Ledger):
             return BftNode(
                 nid,
                 view_timeout_s=self.view_timeout_s,
-                propose_delay_s=self.propose_delay_s,
                 max_batch=self.max_batch,
                 quorum_f_override=self.quorum_f_override,
                 is_byzantine=byzantine,

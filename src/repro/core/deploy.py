@@ -1,7 +1,7 @@
 """Uniform deployment construction: one factory for every paradigm.
 
 Each paradigm's adapter has its own constructor signature
-(``BlockchainLedger(params=..., fee=...)``,
+(``BlockchainLedger(params=..., mempool_limits=...)``,
 ``DagLedger(representative_count=...)``), which leaves no clean slot for
 an adversary mix or a scaled topology.
 :func:`build_deployment` is the single entry point: pick a paradigm,

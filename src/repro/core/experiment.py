@@ -149,7 +149,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         Experiment(
             "E7", "§V-A",
             "Bitcoin pruning and Ethereum fast sync shrink replicas",
-            ("repro.storage.pruning", "repro.storage.fast_sync"),
+            ("repro.storage.pruning", "repro.blockchain.node"),
             "bench_e7_blockchain_pruning.py",
             default_params={"blocks": 300, "txs_per_block": 8,
                             "keep_depth": 50, "pivot_window": 64},

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from binascii import hexlify
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.common.encoding import Decoder
+from repro.common.errors import PrunedHistoryError, ValidationError
 from repro.common.types import Hash
 from repro.crypto.hashing import sha256
 
@@ -159,9 +160,11 @@ class MerklePatriciaTrie:
     so committed roots stay valid after updates — the behaviour Ethereum
     relies on to roll back to a pre-fork state (Section V-A).  Use
     :meth:`set_root` to return to one (dropping uncommitted writes),
-    :meth:`checkout` for a read-only view of one, and :meth:`prune` to
+    :meth:`checkout` for a read-only view of one, :meth:`prune` to
     discard nodes unreachable from a set of retained roots (the
-    fast-sync "database pruned of the state deltas").
+    fast-sync "database pruned of the state deltas"), and
+    :meth:`export_snapshot` / :meth:`adopt_snapshot` to move one version
+    to another store (the fast-sync state download).
     """
 
     def __init__(self) -> None:
@@ -255,6 +258,45 @@ class MerklePatriciaTrie:
                 stack.append(node.child)
             stack.extend(c for c in node.children if c is not None)
         return seen
+
+    def export_snapshot(self, root: Hash) -> Dict[Hash, bytes]:
+        """Fast sync's state download (Section V-A): every node reachable
+        from a committed ``root``, encoded and keyed by its content
+        address.  Raises :class:`PrunedHistoryError` when this store no
+        longer holds ``root``."""
+        if root != _EMPTY_ROOT and root not in self._nodes:
+            raise PrunedHistoryError(f"trie root {root.short()} is not stored (pruned?)")
+        return {h: self._nodes[h].encode() for h in self.reachable_nodes(root)}
+
+    def adopt_snapshot(self, root: Hash, nodes: Mapping[Hash, bytes]) -> None:
+        """Install a snapshot another store exported and make ``root``
+        the current version.
+
+        Every node reached from ``root`` must be present and hash to its
+        key, so a dropped, altered or forged node raises
+        :class:`ValidationError` before this store changes.
+        """
+        adopted: Dict[Hash, _Node] = {}
+        stack = [] if root == _EMPTY_ROOT else [root]
+        while stack:
+            h = stack.pop()
+            if h in adopted:
+                continue
+            raw = nodes.get(h)
+            if raw is None or sha256(raw) != h:
+                raise ValidationError(
+                    f"state snapshot of {root.short()}: trie node {h.short()} "
+                    + ("missing" if raw is None else "does not match its hash"))
+            node = adopted[h] = _decode_node(raw)
+            node.size = len(raw)
+            if node.child is not None:
+                stack.append(node.child)
+            stack.extend(c for c in node.children if c is not None)
+        for h, node in adopted.items():
+            if h not in self._nodes:
+                self._nodes[h] = node
+                self._store_bytes += node.size
+        self._root = None if root == _EMPTY_ROOT else root
 
     def prune(self, keep_roots: List[Hash]) -> int:
         """Discard nodes unreachable from ``keep_roots``; returns bytes freed."""

@@ -18,7 +18,7 @@ from repro.common.errors import ReproError
 from repro.common.types import Address, Hash
 from repro.crypto.keys import KeyPair
 from repro.net.message import Message
-from repro.protocol import DEFAULT_INTAKE_CAPACITY, ConsensusEngine, ProtocolNode
+from repro.protocol import ConsensusEngine, ProtocolNode
 from repro.dag.byteball import ByteballDag, Unit, make_unit
 
 MSG_BB_UNIT = "bb_unit"
@@ -77,9 +77,8 @@ class ByteballNode(ProtocolNode):
         witnesses: Sequence[Address],
         stability_depth: int = 3,
         max_parents: int = 2,
-        intake_capacity: Optional[int] = DEFAULT_INTAKE_CAPACITY,
     ) -> None:
-        super().__init__(node_id, intake_capacity=intake_capacity)
+        super().__init__(node_id)
         self.dag = ByteballDag(witnesses, stability_depth=stability_depth)
         self.max_parents = max_parents
         self.stats = ByteballNodeStats()

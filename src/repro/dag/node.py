@@ -332,13 +332,21 @@ class NanoNode(ProtocolNode):
         replaying every block (``bootstrap_from``, impossible against a
         pruned peer whose predecessors are gone), install one head per
         account and the unsettled sends.  Returns chains installed.
+        A replica with no genesis adopts the peer's; one whose genesis
+        differs raises :class:`GenesisMismatchError` before anything is
+        installed.
         """
+        genesis = self.lattice.genesis_account
+        if genesis is not None and genesis != peer.lattice.genesis_account:
+            raise GenesisMismatchError(
+                f"{self.node_id} cannot state-sync from {peer.node_id}: "
+                "the two lattices have different genesis accounts")
         heads = [chain.head for chain in peer.lattice.chains() if chain.blocks]
         pending = [
             info for info in peer.lattice._pending.values()  # noqa: SLF001
         ]
         installed = self.lattice.install_frontier(heads, pending)
-        if self.lattice.genesis_account is None:
+        if genesis is None:
             self.lattice.genesis_account = peer.lattice.genesis_account
         wire_bytes = sum(h.size_bytes for h in heads)
         for counters in (self.transport.counters, peer.transport.counters):

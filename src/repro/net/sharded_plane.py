@@ -39,11 +39,11 @@ import numpy as np
 
 from repro.net.link import LinkParams, WAN_LINK
 from repro.net.message import Message
-from repro.net.network import FloodRecord, Network, RetransmitPolicy
+from repro.net.network import FloodRecord, Network
 from repro.net.node import NetworkNode
 from repro.sim.sharded import ShardedConfig, ShardedPropagation
 from repro.sim.simulator import Simulator
-from repro.trace import REASON_PARTITION, Tracer
+from repro.trace import REASON_PARTITION
 
 __all__ = ["ShardedMessagePlane"]
 
@@ -72,13 +72,8 @@ class ShardedMessagePlane(Network):
         chords: int = 2,
         link: Optional[LinkParams] = None,
         seed: Optional[int] = None,
-        epoch_s: float = 0.5,
-        tracer: Optional[Tracer] = None,
-        retransmit: Optional[RetransmitPolicy] = None,
-        seen_cache_size: Optional[int] = 65536,
     ) -> None:
-        super().__init__(simulator, tracer=tracer, retransmit=retransmit,
-                         seen_cache_size=seen_cache_size)
+        super().__init__(simulator)
         self.crowd_link = link if link is not None else WAN_LINK
         if seed is None:
             # Derived through the simulator's fork discipline so two
@@ -91,7 +86,6 @@ class ShardedMessagePlane(Network):
             total_nodes=total_nodes,
             shards=shards,
             chords=chords,
-            epoch_s=epoch_s,
             seed=seed,
         )
         self._replica_order: List[str] = []

@@ -2,14 +2,14 @@
 
 "As every ledger contains all information since its genesis, its size is
 constantly increasing."  This package measures real serialized sizes of
-our ledgers and implements each reference implementation's remedy:
-Bitcoin's block-file pruning, Ethereum's fast sync over state deltas, and
-Nano's balance-based pruning with historical/current/light node types.
+our ledgers and implements the pruning remedies: Bitcoin's block-file
+pruning and Nano's balance-based pruning with historical/current/light
+node types.  Ethereum's fast sync is the account-chain branch of
+``BlockchainNode.state_sync_from``.
 """
 
 from repro.storage.sizing import LedgerSizeReport, blockchain_size_report, dag_size_report
 from repro.storage.pruning import PruneResult, prune_chain
-from repro.storage.fast_sync import FastSyncResult, fast_sync
 from repro.storage.dag_pruning import DagNodeType, dag_footprint, prune_lattice
 from repro.storage.growth import GrowthModel, LEDGER_SNAPSHOT_2018
 from repro.storage.live import (
@@ -20,7 +20,6 @@ from repro.storage.live import (
 
 __all__ = [
     "DagNodeType",
-    "FastSyncResult",
     "GrowthModel",
     "LEDGER_SNAPSHOT_2018",
     "LedgerSizeReport",
@@ -31,7 +30,6 @@ __all__ = [
     "blockchain_size_report",
     "dag_footprint",
     "dag_size_report",
-    "fast_sync",
     "prune_chain",
     "prune_lattice",
 ]

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.common.errors import GenesisMismatchError
+from repro.common.errors import GenesisMismatchError, PrunedHistoryError, ValidationError
+from repro.core.adapters import BlockchainLedger
 from repro.crypto.keys import KeyPair
 from repro.net.link import FAST_LINK
 from repro.net.network import Network
@@ -13,6 +14,8 @@ from repro.sim.simulator import Simulator
 from repro.blockchain.block import build_genesis_with_allocations
 from repro.blockchain.node import BlockchainNode
 from repro.blockchain.params import BITCOIN, ETHEREUM
+from repro.storage.pruning import prune_chain
+from repro.workloads.generators import PaymentWorkload
 
 PARAMS = replace(BITCOIN, target_block_interval_s=10.0, confirmation_depth=3)
 ACCOUNT_PARAMS = replace(ETHEREUM, target_block_interval_s=10.0,
@@ -124,6 +127,78 @@ class TestStateSyncFrom:
         )
         assert (joiner.transport.counters.state_sync_bytes
                 < full_bytes + peer.utxo.serialized_size_bytes())
+
+
+class TestAccountStateSync:
+    """Section V-A fast sync on an account chain: headers up to the
+    pivot, the trie under the pivot header's state root, and a replay of
+    the bodies above it."""
+
+    KEEP_DEPTH = 8
+
+    def build_pruned_peer(self):
+        ledger = BlockchainLedger(params=ETHEREUM, node_count=3,
+                                  link_params=FAST_LINK, seed=1)
+        ledger.setup(accounts=4, initial_balance=10**9)
+        events = PaymentWorkload(accounts=4, rate_tps=0.2, seed=1).generate(240.0)
+        ledger.run_workload(events, settle_s=60.0)
+        peer = ledger.nodes[0]
+        prune_chain(peer.chain, keep_depth=self.KEEP_DEPTH)
+        allocations = {kp.address: 10**9 for kp in ledger.keys}
+        joiner = BlockchainNode("joiner", ETHEREUM, peer.chain.genesis,
+                                genesis_allocations=allocations)
+        return peer, joiner
+
+    def test_join_from_pruned_peer(self):
+        """A replay-only join used to adopt 0 blocks from this peer: its
+        old bodies are gone."""
+        peer, joiner = self.build_pruned_peer()
+        pivot = peer.chain.height - self.KEEP_DEPTH
+        assert pivot > 0
+        adopted = joiner.state_sync_from(peer, keep_depth=self.KEEP_DEPTH)
+        assert adopted == peer.chain.height
+        assert joiner.chain.head.block_id == peer.chain.head.block_id
+        assert joiner.state.root_hash == peer.state.root_hash
+        assert dict(joiner.state.accounts()) == dict(peer.state.accounts())
+        for node in (joiner, peer):
+            assert node.transport.counters.state_syncs == 1
+            assert node.transport.counters.state_sync_bytes > 0
+        # Headers only up to the pivot; only the bodies above it replayed.
+        for block in joiner.chain.main_chain()[1 : pivot + 1]:
+            assert block.transactions == ()
+        assert joiner.stats.blocks_accepted == self.KEEP_DEPTH
+        assert joiner.chain.cemented_height == pivot
+        assert len(joiner.intake) == 0
+
+    @pytest.mark.parametrize("tamper", ["drop", "flip"])
+    def test_tampered_snapshot_is_refused(self, monkeypatch, tamper):
+        peer, joiner = self.build_pruned_peer()
+        export = peer.state.export_snapshot
+
+        def forged(root):
+            nodes = export(root)
+            victim = min(nodes, key=bytes)
+            if tamper == "drop":
+                del nodes[victim]
+            else:
+                raw = nodes[victim]
+                nodes[victim] = raw[:-1] + bytes([raw[-1] ^ 1])
+            return nodes
+
+        monkeypatch.setattr(peer.state, "export_snapshot", forged)
+        genesis_root = joiner.state.root_hash
+        with pytest.raises(ValidationError, match="state snapshot"):
+            joiner.state_sync_from(peer, keep_depth=self.KEEP_DEPTH)
+        assert joiner.chain.height == 0 and len(joiner.intake) == 0
+        assert joiner.state.root_hash == genesis_root
+        assert joiner.transport.counters.state_syncs == 0
+
+    def test_pruned_pivot_state_is_refused(self):
+        peer, joiner = self.build_pruned_peer()
+        peer.state.prune_history()  # keeps the head's state only
+        with pytest.raises(PrunedHistoryError):
+            joiner.state_sync_from(peer, keep_depth=self.KEEP_DEPTH)
+        assert joiner.chain.height == 0 and len(joiner.intake) == 0
 
 
 class TestJoinerGenesisState:

@@ -86,7 +86,7 @@ class TestMonitor:
         sim.run(until=20.0)
         assert not monitor.ok
         assert monitor.violation.time_s == 8.0  # first tick past 7.0
-        # halt_on_violation detached the task; later ticks never audited.
+        # The violation detached the task; later ticks never audited.
         assert monitor.audits_run == 4
 
     def test_eventual_violations_tolerated_until_strict(self):

@@ -11,6 +11,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.common.errors import PrunedHistoryError, ValidationError
 from repro.crypto.trie import EMPTY_TRIE_ROOT, MerklePatriciaTrie
 
 
@@ -139,6 +140,15 @@ class TestHistory:
 
         with pytest.raises(KeyError):
             MerklePatriciaTrie().set_root(Hash(b"\x01" * 32))
+
+    def test_export_of_pruned_root_raises(self):
+        t = MerklePatriciaTrie()
+        t.put(b"a", b"1")
+        old = t.root_hash
+        t.put(b"a", b"2")
+        t.prune([t.root_hash])
+        with pytest.raises(PrunedHistoryError):
+            t.export_snapshot(old)
 
     def test_set_root_to_empty(self):
         t = MerklePatriciaTrie()
@@ -336,8 +346,8 @@ _machine_keys = st.lists(
 
 
 class TrieMachine(RuleBasedStateMachine):
-    """put / delete / read-root / set_root / checkout / prove / prune
-    against a ``dict``, with the oracle that a root equals the root of a
+    """put / delete / read-root / set_root / checkout / prove / prune /
+    snapshot export + adopt against a ``dict``, with the oracle that a root equals the root of a
     fresh trie rebuilt from the model's items."""
 
     def __init__(self):
@@ -392,6 +402,33 @@ class TrieMachine(RuleBasedStateMachine):
         proof = self.trie.prove(key)
         assert proof.value == self.model.get(key)
         assert MerklePatriciaTrie.verify_proof(self.trie.root_hash, proof)
+
+    @precondition(lambda self: self.remembered)
+    @rule(index=st.integers(min_value=0))
+    def adopt_snapshot(self, index):
+        root = self._pick_root(index)
+        fresh = MerklePatriciaTrie()
+        fresh.adopt_snapshot(root, self.trie.export_snapshot(root))
+        assert fresh.root_hash == root
+        assert dict(fresh.items()) == self.remembered[root]
+        assert fresh.store_size_bytes() == self.trie.version_size_bytes(root)
+
+    @precondition(lambda self: set(self.remembered) - {EMPTY_TRIE_ROOT})
+    @rule(index=st.integers(min_value=0), victim=st.integers(min_value=0),
+          drop=st.booleans())
+    def adopt_tampered_snapshot(self, index, victim, drop):
+        roots = sorted(set(self.remembered) - {EMPTY_TRIE_ROOT}, key=bytes)
+        root = roots[index % len(roots)]
+        nodes = self.trie.export_snapshot(root)
+        key = sorted(nodes, key=bytes)[victim % len(nodes)]
+        if drop:
+            del nodes[key]
+        else:
+            nodes[key] = nodes[key][:-1] + bytes([nodes[key][-1] ^ 1])
+        fresh = MerklePatriciaTrie()
+        with pytest.raises(ValidationError):
+            fresh.adopt_snapshot(root, nodes)
+        assert fresh.node_count() == 0 and fresh.root_hash == EMPTY_TRIE_ROOT
 
     @rule(keep=st.sets(st.integers(min_value=0), max_size=2))
     def prune(self, keep):

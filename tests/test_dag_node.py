@@ -140,6 +140,23 @@ class TestStateSync:
         joiner.state_sync_from(peer)
         assert joiner.lattice.pending_count() == 1
 
+    def test_foreign_genesis_is_refused(self):
+        """A joiner holding another ledger's genesis used to install the
+        peer's chains next to its own and double the supply."""
+        ours, theirs = (
+            build_nano_testbed(node_count=2, representative_count=1, seed=seed,
+                               link_params=LINK).nodes[0]
+            for seed in (1, 2))
+        assert ours.lattice.genesis_account != theirs.lattice.genesis_account
+        joiner = NanoNode("joiner", ours.params)
+        joiner.lattice.install_genesis(
+            ours.lattice.chain(ours.lattice.genesis_account).blocks[0])
+        with pytest.raises(GenesisMismatchError, match="genesis"):
+            joiner.state_sync_from(theirs)
+        assert joiner.lattice.total_supply() == ours.lattice.total_supply()
+        assert joiner.lattice.block_count() == 1
+        assert joiner.transport.counters.state_syncs == 0
+
 
 class TestConfirmation:
     def test_votes_confirm_and_cement(self, funded):

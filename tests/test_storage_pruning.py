@@ -7,9 +7,9 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.pow import MAX_TARGET
 from repro.blockchain.block import assemble_block, build_genesis_block
 from repro.blockchain.chain import ChainStore
-from repro.blockchain.state import AccountState
+from repro.blockchain.node import BlockchainNode
+from repro.blockchain.params import ETHEREUM
 from repro.blockchain.transaction import make_coinbase, sign_account_transaction
-from repro.storage.fast_sync import fast_sync, prune_state_deltas
 from repro.storage.pruning import PruneResult, prune_chain, pruned_view
 from repro.storage.sizing import (
     blockchain_size_report,
@@ -107,53 +107,54 @@ class TestBitcoinPruning:
 
 
 class TestFastSync:
-    def build_account_chain(self, rng, blocks=20):
+    """Section V-A fast sync, executed: a replica joins an account chain
+    from a pivot state snapshot (``BlockchainNode.state_sync_from``)."""
+
+    def build_account_peer(self, rng, blocks=20):
         alice, bob, miner = (KeyPair.generate(rng) for _ in range(3))
         genesis = build_genesis_block(miner.address, 1)
-        store = ChainStore(genesis)
-        state = AccountState()
-        state.credit(alice.address, 10**12)
-        receipts_by_block = [[]]
-        parent = genesis
+        allocations = {alice.address: 10**12}
+        peer = BlockchainNode("peer", ETHEREUM, genesis,
+                              genesis_allocations=allocations)
         for height in range(1, blocks + 1):
-            tx = sign_account_transaction(
-                alice, height - 1, bob.address, 100, gas_price=1
-            )
-            receipts, _gas = state.apply_block_transactions(
-                [tx], miner.address, block_reward=0
-            )
-            block = assemble_block(
-                parent.header, [tx], float(height), MAX_TARGET,
-                state_root=state.root_hash,
-            )
-            store.add_block(block)
-            receipts_by_block.append(receipts)
-            parent = block
-        return store, state, receipts_by_block
+            peer.mempool.add(sign_account_transaction(
+                alice, height - 1, bob.address, 100, gas_price=1))
+            peer.receive_block(peer.create_block_template(float(height), miner.address))
+        joiner = BlockchainNode("joiner", ETHEREUM, genesis,
+                                genesis_allocations=allocations)
+        return peer, joiner
 
-    def test_fast_sync_skips_replay(self, rng):
-        store, state, receipts = self.build_account_chain(rng, blocks=20)
-        result = fast_sync(store, state, receipts, pivot_offset=5)
-        assert result.pivot_height == 15
-        assert result.fast_sync_txs_replayed == 5
-        assert result.full_sync_txs_replayed == 21  # 20 txs + genesis coinbase
-        assert result.replay_saved == 16
+    def test_join_skips_replay(self, rng):
+        peer, joiner = self.build_account_peer(rng, blocks=20)
+        assert joiner.state_sync_from(peer, keep_depth=5) == 20
+        assert joiner.chain.cemented_height == 15
+        assert joiner.stats.blocks_accepted == 5
+        replayed = sum(len(b.transactions) for b in joiner.chain.main_chain()[1:])
+        assert replayed == 5
+        assert joiner.state.root_hash == peer.state.root_hash
 
     def test_state_snapshot_is_live_size(self, rng):
-        store, state, receipts = self.build_account_chain(rng, blocks=10)
-        result = fast_sync(store, state, receipts, pivot_offset=2)
-        assert result.state_snapshot_bytes == state.live_size_bytes()
-        assert result.state_snapshot_bytes < state.store_size_bytes()
+        peer, joiner = self.build_account_peer(rng, blocks=10)
+        joiner.state_sync_from(peer, keep_depth=0)  # pivot at the head
+        headers = sum(b.header.size_bytes for b in peer.chain.main_chain()[1:])
+        snapshot = joiner.transport.counters.state_sync_bytes - headers
+        assert snapshot == peer.state.live_size_bytes()
+        assert snapshot < peer.state.store_size_bytes()
+        assert joiner.stats.blocks_accepted == 0
 
     def test_delta_pruning_after_sync(self, rng):
         """"The result of the mechanism is a database pruned of the state
-        deltas" — pruning history shrinks the store to the live root."""
-        store, state, receipts = self.build_account_chain(rng, blocks=10)
-        freed = prune_state_deltas(state)
-        assert freed > 0
-        assert state.store_size_bytes() == state.live_size_bytes()
+        deltas" — the joiner never downloads the deltas the peer prunes."""
+        peer, joiner = self.build_account_peer(rng, blocks=10)
+        joiner.state_sync_from(peer, keep_depth=0)
+        assert joiner.state.store_size_bytes() < peer.state.store_size_bytes()
+        assert peer.state.prune_history() > 0
+        assert peer.state.store_size_bytes() == peer.state.live_size_bytes()
+        joiner.state.prune_history()  # its genesis version
+        assert joiner.state.store_size_bytes() == peer.state.store_size_bytes()
 
     def test_pivot_clamped_to_genesis(self, rng):
-        store, state, receipts = self.build_account_chain(rng, blocks=3)
-        result = fast_sync(store, state, receipts, pivot_offset=1024)
-        assert result.pivot_height == 0
+        peer, joiner = self.build_account_peer(rng, blocks=3)
+        assert joiner.state_sync_from(peer, keep_depth=1024) == 3
+        assert joiner.chain.cemented_height == 0
+        assert joiner.stats.blocks_accepted == 3  # every body replayed
