@@ -10,6 +10,7 @@ order their own transactions".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 from typing import Dict, List, Optional
 
 from repro.common.errors import (
@@ -310,19 +311,26 @@ class NanoNode(ProtocolNode):
                 f"{self.node_id} cannot bootstrap from {peer.node_id}: "
                 + ("no genesis installed" if genesis is None
                    else "the two lattices have different genesis accounts"))
-        missing = [
-            block
+        missing = {
+            block.block_hash: block
             for chain in peer.lattice.chains()
             for block in chain.blocks
             if block.block_hash not in self.lattice
-        ]
-        # One batch: signatures verified in a single pass, dependents
-        # retried once at the end (see ProtocolNode.ingest_batch).  The
-        # skip guard re-checks membership at each block's turn, exactly
-        # like the scalar loop did — an auto-receive minted mid-batch can
-        # collide with the peer's identical copy.
+        }
+        # Served in dependency order — each chain oldest-first, a send
+        # before the open or receive that names it — so nothing parks
+        # and the intake buffer's capacity never bounds what a replica
+        # can join.  One batch: signatures verified in a single pass.
+        # The skip guard re-checks membership at each block's turn — an
+        # auto-receive minted mid-batch can collide with the peer's copy.
+        settles = (BlockType.OPEN, BlockType.RECEIVE)
+        order = TopologicalSorter({
+            key: [block.previous, *([block.source]
+                                    if block.block_type in settles else [])]
+            for key, block in missing.items()}).static_order()
         before = self.stats.blocks_processed
-        self.ingest_batch(missing, skip=lambda b: b.block_hash in self.lattice)
+        self.ingest_batch([missing[key] for key in order if key in missing],
+                          skip=lambda b: b.block_hash in self.lattice)
         return self.stats.blocks_processed - before
 
     def state_sync_from(self, peer: "NanoNode") -> int:

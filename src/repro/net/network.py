@@ -24,9 +24,9 @@ There is one delivery path.  ``gossip``, ``transmit`` and
 :meth:`Network._attempt` and resolve its arrival through
 :meth:`Network._arrive`; they differ only in what a failure triggers
 (gossip: retry then park; reliable: retry then give up; plain transmit:
-nothing).  Arrivals are scheduled with
-:meth:`~repro.sim.simulator.Simulator.schedule_batchable`, so the
-same-instant arrivals at one node are drained as a single dispatch, in
+nothing).  Each arrival is one simulator event: a dispatch method bound
+once in the constructor, called with that hop's tuple, so an arrival
+costs no closure.  Arrivals at the same instant fire one by one, in
 scheduling order.
 """
 
@@ -156,11 +156,10 @@ class Network:
         self.simulator = simulator
         self.tracer = tracer if tracer is not None else Tracer()
         self.retransmit = retransmit if retransmit is not None else RetransmitPolicy()
-        # Bound once: batch dispatch relies on callable identity to keep
-        # heap runs with the same key mergeable (bound-method attribute
-        # access would mint a fresh object per schedule).
-        self._gossip_dispatch = self._deliver_gossip_batch
-        self._transmit_dispatch = self._deliver_transmit_batch
+        # Bound once, so scheduling an arrival mints no bound-method
+        # object (and a wrapper memoised per callable sees one callable).
+        self._gossip_dispatch = self._deliver_gossip
+        self._transmit_dispatch = self._deliver_transmit
         self._seen_cache_size = seen_cache_size
         self._nodes: Dict[str, NetworkNode] = {}
         self._links: Dict[Tuple[str, str], LinkParams] = {}
@@ -399,26 +398,20 @@ class Network:
             self.simulator.schedule_batchable(
                 delay, self._transmit_dispatch,
                 (src, dst, message, attempt, reliable),
-                ("t", dst), label=f"msg:{message.kind}")
+                None, label=f"msg:{message.kind}")
         elif reliable:
             self._retry_reliable(src, dst, message, attempt)
 
-    def _deliver_transmit_batch(self, items: List[tuple]) -> None:
-        """Dispatch the direct sends arriving at one node at one instant.
-
-        Items come in scheduling order; a reliable send that finds the
-        node offline is retried, a plain one is just dropped.  The
-        survivors are handed over in one ``deliver_batch`` call.
-        """
-        node = self._nodes[items[0][1]]
-        deliverable = []
-        for src, dst, message, attempt, reliable in items:
-            if self._arrive(node, src, message):
-                deliverable.append((src, message))
-            elif reliable:
-                self._retry_reliable(src, dst, message, attempt)
-        if deliverable:
-            node.deliver_batch(deliverable)
+    def _deliver_transmit(self, item: tuple) -> None:
+        """Resolve one direct send's arrival: hand it to the node, or,
+        when the node is offline, retry a reliable send (a plain one is
+        just dropped)."""
+        src, dst, message, attempt, reliable = item
+        node = self._nodes[dst]
+        if self._arrive(node, src, message):
+            node.deliver(src, message)
+        elif reliable:
+            self._retry_reliable(src, dst, message, attempt)
 
     def gossip(self, origin: str, message: Message) -> None:
         """Flood ``message`` from ``origin`` through the whole topology."""
@@ -488,27 +481,20 @@ class Network:
             return
         self.simulator.schedule_batchable(
             delay, self._gossip_dispatch, (src, dst, message, record, attempt),
-            ("g", dst), label=f"gossip:{message.kind}")
+            None, label=f"gossip:{message.kind}")
 
-    def _deliver_gossip_batch(self, items: List[tuple]) -> None:
-        """Dispatch the gossip arriving at one node at one instant.
-
-        Items are processed strictly in scheduling order, deliver then
-        forward per message, which keeps RNG draw order (and therefore
-        golden fingerprints) independent of how many arrivals share the
-        instant.
-        """
-        dst = items[0][1]
+    def _deliver_gossip(self, item: tuple) -> None:
+        """Resolve one gossip hop's arrival: deliver then forward, or
+        enter the retry chain when the node is offline."""
+        src, dst, message, record, attempt = item
         node = self._nodes[dst]
-        unclaim = ~self._bit[dst]
-        for src, _dst, message, record, attempt in items:
-            if not self._arrive(node, src, message):
-                self._schedule_retry(src, dst, message, record, attempt)
-                continue
-            self._remember(dst, record)
-            record.claimed &= unclaim  # seen now, so the record lives on
-            node.deliver(src, message)
-            self._forward(dst, src, message, record)
+        if not self._arrive(node, src, message):
+            self._schedule_retry(src, dst, message, record, attempt)
+            return
+        self._remember(dst, record)
+        record.claimed &= ~self._bit[dst]  # seen now, so the record lives on
+        node.deliver(src, message)
+        self._forward(dst, src, message, record)
 
     # --------------------------------------------------------------- metrics
 

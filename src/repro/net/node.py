@@ -95,10 +95,11 @@ class NetworkNode:
         self.handle_message(sender_id, message)
 
     def deliver_batch(self, items) -> None:
-        """Deliver the ``(sender, message)`` direct sends that reach this
-        node at one instant — how every :meth:`send` / :meth:`send_reliable`
-        arrives, a lone message being a one-item burst: :meth:`deliver`
-        per item, in order.
+        """:meth:`deliver` each ``(sender, message)`` item, in order.
+
+        No message plane calls this: every arrival is one :meth:`deliver`.
+        It remains only because ``perfbench/spans.py`` names it among the
+        entry points it wraps.
         """
         for sender_id, message in items:
             self.deliver(sender_id, message)

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.net.link import LinkParams, WAN_LINK
 from repro.net.message import Message
-from repro.net.network import FloodRecord, Network
+from repro.net.network import Network
 from repro.net.node import NetworkNode
 from repro.sim.sharded import ShardedConfig, ShardedPropagation
 from repro.sim.simulator import Simulator
@@ -100,6 +100,9 @@ class ShardedMessagePlane(Network):
         self.cross_shard_messages = 0
         self.crowd_epochs = 0
         self.propagation_max_s = 0.0
+        # Bound once, like Network._gossip_dispatch: an arrival is one
+        # event carrying its hop tuple, not a closure.
+        self._crowd_dispatch = self._deliver_crowd
 
     # ---------------------------------------------------------------- wiring
 
@@ -178,41 +181,37 @@ class ShardedMessagePlane(Network):
             if (record.seen | record.claimed) & bit:
                 continue
             record.claimed |= bit
-            self._schedule_crowd_delivery(origin, dst, message, record, dt)
+            if self.tracer.enabled:
+                self.tracer.record_schedule(self.simulator.now, origin, dst,
+                                            message.kind, 1)
+            self.simulator.schedule_batchable(
+                dt, self._crowd_dispatch, (origin, dst, message, record),
+                None, label=f"gossip:{message.kind}")
 
-    def _schedule_crowd_delivery(self, src: str, dst: str, message: Message,
-                                 record: FloodRecord, delay: float) -> None:
+    def _deliver_crowd(self, item: tuple) -> None:
         """One replica delivery timed by the crowd, resolved exactly.
 
-        Same accounting as :meth:`Network._attempt_gossip` (one
+        Same accounting as :meth:`Network._deliver_gossip` (one
         ``schedule`` resolving as ``deliver`` or ``drop``; a drop enters
         the retransmit chain over the direct replica link), except that
         the partition is checked at arrival — the crowd, not a replica
         link, carried the message — and there is no re-forward: the
         crowd already did the fan-out.
         """
+        src, dst, message, record = item
         bit = self._bit[dst]
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record_schedule(self.simulator.now, src, dst,
-                                   message.kind, 1)
-
-        def deliver() -> None:
-            if record.seen & bit:
-                self._release(record, bit)
-                return
-            node = self._nodes[dst]
-            if self._crosses_partition(src, dst):
-                self._drop(src, dst, message, REASON_PARTITION)
-            elif self._arrive(node, src, message):
-                self._remember(dst, record)
-                self._release(record, bit)
-                node.deliver(src, message)
-                return
-            self._schedule_retry(src, dst, message, record, 1)
-
-        self.simulator.schedule(delay, deliver,
-                                label=f"gossip:{message.kind}")
+        if record.seen & bit:
+            self._release(record, bit)
+            return
+        node = self._nodes[dst]
+        if self._crosses_partition(src, dst):
+            self._drop(src, dst, message, REASON_PARTITION)
+        elif self._arrive(node, src, message):
+            self._remember(dst, record)
+            self._release(record, bit)
+            node.deliver(src, message)
+            return
+        self._schedule_retry(src, dst, message, record, 1)
 
     # --------------------------------------------------------------- metrics
 

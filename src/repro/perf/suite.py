@@ -137,10 +137,9 @@ def _bench_event_cancel(scale: float) -> Tuple[int, float]:
 # --------------------------------------------------------------------------
 
 
-def _gossip_workload(scale: float, tracer=None, link=None, seed: int = 3,
-                     burst: int = 1) -> Tuple[int, float]:
-    """Flood ``1500 * scale`` messages over a 24-node small world,
-    ``burst`` origins gossiping at each 0.05 s send instant."""
+def _gossip_workload(scale: float, tracer=None) -> Tuple[int, float]:
+    """Flood ``1500 * scale`` messages over a 24-node small world, one
+    origin gossiping at each 0.05 s send instant."""
     from repro.net.link import FAST_LINK
     from repro.net.message import Message
     from repro.net.network import Network
@@ -148,17 +147,17 @@ def _gossip_workload(scale: float, tracer=None, link=None, seed: int = 3,
     from repro.net.topology import small_world_topology
     from repro.sim.simulator import Simulator
 
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=3)
     net = Network(sim, tracer=tracer)
     nodes = small_world_topology(net, 24, NetworkNode,
-                                 link_params=link or FAST_LINK, seed=seed)
+                                 link_params=FAST_LINK, seed=3)
     m = max(10, int(1500 * scale))
     start = perf_counter()
     for i in range(m):
         origin = nodes[i % len(nodes)]
         message = Message(kind="blk", payload=i, size_bytes=240)
         sim.schedule_at(
-            (i // burst) * 0.05,
+            i * 0.05,
             (lambda o=origin, msg=message: net.gossip(o.node_id, msg)),
         )
     sim.run()
@@ -414,15 +413,6 @@ def _bench_ingest_batch(scale: float) -> Tuple[int, float]:
     return len(blocks), wall
 
 
-def _bench_delivery_coalesce(scale: float) -> Tuple[int, float]:
-    """Same-timestamp gossip bursts over zero-jitter links: the run loop
-    drains each receiver's burst as one coalesced delivery batch."""
-    from repro.net.link import LinkParams
-
-    link = LinkParams(latency_s=0.005, jitter_s=0.0, bandwidth_bps=1e9)
-    return _gossip_workload(scale, link=link, seed=7, burst=24)
-
-
 def _bench_mempool_admit(scale: float) -> Tuple[int, float]:
     """Fee-market admission under a bounded pool: every add competes on
     fee rate, with periodic block-template selections mixed in."""
@@ -625,8 +615,6 @@ BENCHES: Dict[str, Bench] = {
               _bench_sig_batch_verify),
         Bench("ingest_batch", "stack burst ingestion (prewarm + one retry pass)",
               _bench_ingest_batch, repeats=2, paradigms=("dag",)),
-        Bench("delivery_coalesce", "same-timestamp gossip burst coalescing",
-              _bench_delivery_coalesce),
         Bench("mempool_admit", "fee-market mempool admission under caps",
               _bench_mempool_admit, paradigms=("blockchain",)),
         Bench("intake_park_revive", "out-of-order park + dependency revive",

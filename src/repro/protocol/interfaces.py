@@ -26,9 +26,8 @@ class MessagePlane(Protocol):
       :meth:`transmit` / :meth:`transmit_reliable` are the point-to-point
       primitives (unreliable datagram vs retransmit-with-backoff).
     * **deliver** — every accepted transmission resolves as exactly one
-      ``node.deliver`` (gossip) or one item of a ``node.deliver_batch``
-      (direct sends arriving together) at the destination; offline
-      receivers drop (and gossip re-parks).
+      ``node.deliver`` at the destination, one simulator event per
+      arrival; offline receivers drop (and gossip re-parks).
     * **seen/retransmit** — duplicate suppression is by *ownership*: the
       first in-flight delivery chain claims a ``(destination, key)``
       pair; lost attempts back off and retry, exhausted attempts park

@@ -5,14 +5,15 @@ event)`` tuples so ordering is resolved by C-level tuple comparison
 (never by the payload object), :class:`Event` is a ``__slots__`` class
 (no per-instance dict, no dataclass comparison machinery), and the queue
 keeps an O(1) live-event counter so sizing the queue never rescans the
-heap.  Cancellation stays lazy — cancelled entries are skipped at pop
-time — which keeps :meth:`Event.cancel` O(1) too.
+heap.  Cancellation stays lazy — cancelled entries are skipped when
+:meth:`repro.sim.simulator.Simulator.run` pops them — which keeps
+:meth:`Event.cancel` O(1) too.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from heapq import heappush
+from typing import Callable, List, Tuple
 
 Action = Callable[[], None]
 
@@ -22,26 +23,14 @@ class Event:
 
     Ordering lives in the heap entry (``(time, sequence)`` prefix), not
     on the object: two events at the same instant fire in scheduling
-    order, which keeps runs deterministic.
+    order, which keeps runs deterministic.  Events are built by
+    :meth:`EventQueue.push` and the simulator's ``schedule*`` methods,
+    never by calling the class.  ``payload`` is ``None`` for an ordinary
+    event; otherwise the run loop calls ``action(payload)``.
     """
 
     __slots__ = ("time", "sequence", "action", "cancelled", "label", "_queue",
-                 "coalesce_key", "payload")
-
-    def __init__(self, time: float, sequence: int, action: Action,
-                 label: str = "",
-                 queue: Optional["EventQueue"] = None) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.action = action
-        self.cancelled = False
-        self.label = label
-        self._queue = queue
-        # Batchable events (Simulator.schedule_batchable): consecutive
-        # same-(time, coalesce_key) events are drained as one dispatch at
-        # pop time.  None for ordinary events.
-        self.coalesce_key = None
-        self.payload = None
+                 "payload")
 
     def cancel(self) -> None:
         """Mark the event so the loop skips it (O(1) lazy deletion)."""
@@ -62,7 +51,11 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of events with lazy cancellation and O(1) live sizing."""
+    """Min-heap of events with lazy cancellation and O(1) live sizing.
+
+    :meth:`repro.sim.simulator.Simulator.run` is the one consumer: it
+    pops the heap inline and adds what it popped to :attr:`popped`.
+    """
 
     __slots__ = ("_heap", "_sequence", "_cancelled", "popped")
 
@@ -84,11 +77,11 @@ class EventQueue:
         return self._sequence
 
     def push(self, time: float, action: Action, label: str = "",
-             _heappush: Callable = heappush, _new: Callable = Event.__new__,
-             _Event: type = Event) -> Event:
+             payload=None, _heappush: Callable = heappush,
+             _new: Callable = Event.__new__, _Event: type = Event) -> Event:
         # Default-arg bindings keep the hottest lookups local, and the
         # Event is built with __new__ + attribute stores so a push costs
-        # no extra Python call frame for __init__.
+        # no extra Python call frame.
         sequence = self._sequence
         self._sequence = sequence + 1
         event = _new(_Event)
@@ -98,21 +91,9 @@ class EventQueue:
         event.cancelled = False
         event.label = label
         event._queue = self
-        event.coalesce_key = None
-        event.payload = None
+        event.payload = payload
         _heappush(self._heap, (time, sequence, event))
         return event
-
-    def pop(self) -> Optional[Event]:
-        """Next live event, or ``None`` when the queue is drained."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[2]
-            if not event.cancelled:
-                event._queue = None
-                self.popped += 1
-                return event
-        return None
 
     def stats(self) -> dict:
         """Lifetime counters — how much scheduling a run generated."""

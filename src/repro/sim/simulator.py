@@ -54,7 +54,6 @@ class Simulator:
         self._push = self._queue.push
         self._now = 0.0
         self._events_processed = 0
-        self._halted = False
         self.rng = make_rng(seed)
 
     # ------------------------------------------------------------------ time
@@ -71,11 +70,6 @@ class Simulator:
     def fork_rng(self, label: str) -> random.Random:
         """Independent random stream for one component (see common.rng)."""
         return fork_rng(self.rng, label)
-
-    def halt(self) -> None:
-        """Stop the current :meth:`run` after the executing event returns
-        (used by fault scenarios that detect a terminal condition)."""
-        self._halted = True
 
     def queue_stats(self) -> dict:
         """Scheduling counters from the underlying event queue."""
@@ -102,43 +96,23 @@ class Simulator:
         event.cancelled = False
         event.label = label
         event._queue = queue
-        event.coalesce_key = None
         event.payload = None
         _heappush(queue._heap, (time, sequence, event))
         return event
 
     def schedule_batchable(self, delay: float, dispatch: Callable, payload,
-                           key, label: str = "",
-                           _heappush=heappush, _new=Event.__new__,
-                           _Event=Event) -> Event:
-        """Schedule a coalescible delivery: ``dispatch(payloads)``.
+                           key, label: str = "") -> Event:
+        """Run ``dispatch(payload)`` after ``delay`` simulated seconds.
 
-        Consecutive same-timestamp events sharing ``key`` (and the same
-        ``dispatch`` callable) are drained from the heap as *one* batch
-        at pop time, and ``dispatch`` receives the list of their payloads
-        in scheduling order.  Pop-time coalescing is exactly
-        order-preserving: the heap already yields true execution order,
-        and anything scheduled *during* the batch carries a later
-        sequence number, so it would have run after every batch member
-        anyway.  Each member still counts as one processed event.
+        The message planes schedule every arrival this way: ``dispatch``
+        is a method bound once and ``payload`` (never ``None``) the hop
+        tuple, so an arrival costs no closure.  ``key`` is unused; the
+        name and the positional ``key`` remain only because
+        ``perfbench/spans.py`` wraps this method and passes ``key``.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        queue = self._queue
-        time = self._now + delay
-        sequence = queue._sequence
-        queue._sequence = sequence + 1
-        event = _new(_Event)
-        event.time = time
-        event.sequence = sequence
-        event.action = dispatch
-        event.cancelled = False
-        event.label = label
-        event._queue = queue
-        event.coalesce_key = key
-        event.payload = payload
-        _heappush(queue._heap, (time, sequence, event))
-        return event
+        return self._push(self._now + delay, dispatch, label, payload)
 
     def schedule_at(self, time: float, action: Action, label: str = "") -> Event:
         """Run ``action`` at absolute simulated ``time``."""
@@ -151,16 +125,15 @@ class Simulator:
         interval: float,
         action: Callable[[], None],
         *,
-        start_delay: Optional[float] = None,
         until: Optional[float] = None,
     ) -> PeriodicTask:
-        """Fire ``action`` every ``interval`` seconds until ``until``.
+        """Fire ``action`` every ``interval`` seconds until ``until``,
+        the first time ``interval`` seconds from now.
 
         Returns a :class:`PeriodicTask`; cancelling it stops the loop
         (the action may cancel its own handle mid-tick to detach)."""
         if interval <= 0:
             raise ValueError("interval must be positive")
-        first = interval if start_delay is None else start_delay
         task = PeriodicTask()
 
         def tick() -> None:
@@ -174,8 +147,8 @@ class Simulator:
             ):
                 task._event = self.schedule(interval, tick, label="periodic")
 
-        if until is None or self._now + first <= until:
-            task._event = self.schedule(first, tick, label="periodic")
+        if until is None or self._now + interval <= until:
+            task._event = self.schedule(interval, tick, label="periodic")
         return task
 
     # ------------------------------------------------------------------- run
@@ -186,7 +159,6 @@ class Simulator:
         even if the queue drained earlier."""
         processed = 0
         popped = 0
-        self._halted = False
         # Hot loop: the queue's peek + pop is inlined (same package, see
         # events.py) so each event costs one heap access and zero extra
         # Python calls; heap and queue are bound to locals once and the
@@ -197,7 +169,7 @@ class Simulator:
         limit = max_events if max_events is not None else float("inf")
         horizon = until if until is not None else float("inf")
         try:
-            while not self._halted and processed < limit:
+            while processed < limit:
                 event = None
                 while heap:
                     entry = heap[0]
@@ -219,34 +191,12 @@ class Simulator:
                         self._now = until
                     break
                 self._now = entry[0]
-                key = event.coalesce_key
-                if key is None:
+                payload = event.payload
+                if payload is None:
                     event.action()
-                    processed += 1
-                    continue
-                # Coalesce: drain the run of same-(time, key) events at
-                # the heap top into one dispatch (order-preserving — see
-                # schedule_batchable).  Members share the popped event's
-                # timestamp, which already passed the horizon check.
-                time = entry[0]
-                dispatch = event.action
-                batch = [event.payload]
-                while heap and processed + len(batch) < limit:
-                    top = heap[0]
-                    if top[0] != time:
-                        break
-                    nxt = top[2]
-                    if nxt.cancelled:
-                        pop(heap)
-                        continue
-                    if nxt.coalesce_key != key or nxt.action is not dispatch:
-                        break
-                    pop(heap)
-                    nxt._queue = None
-                    popped += 1
-                    batch.append(nxt.payload)
-                dispatch(batch)
-                processed += len(batch)
+                else:
+                    event.action(payload)
+                processed += 1
         finally:
             queue.popped += popped
             self._events_processed += processed

@@ -327,3 +327,35 @@ class TestElectionAdoptionRetriesUnchecked:
         assert winner.block_hash in replica.lattice
         assert receive.block_hash in replica.lattice
         assert replica.balance(u1.address) == 100_500
+
+
+class TestBootstrapPastIntakeCapacity:
+    def test_one_pass_joins_a_peer_larger_than_the_intake_buffer(self):
+        """Blocks served in the peer's chain order parked behind sends
+        that came later in that order, overflowed the intake buffer and
+        were evicted, so no number of passes converged.  Served in
+        dependency order, one pass adopts everything and parks nothing."""
+        from repro.core.deploy import build_deployment
+        from repro.protocol import DEFAULT_INTAKE_CAPACITY
+        from repro.workloads.open_loop import OpenLoopInjector
+
+        deployment = build_deployment("dag", node_count=2,
+                                      representative_count=1, seed=1)
+        deployment.setup(200, 10**9)
+        OpenLoopInjector.from_sim_stream(
+            deployment.ledger, accounts=200, rate_tps=40.0,
+            duration_s=60.0).start()
+        deployment.ledger.advance(70.0)
+        peer = deployment.nodes[0]
+        assert peer.lattice.block_count() > DEFAULT_INTAKE_CAPACITY
+
+        joiner = NanoNode("joiner", peer.params)
+        joiner.lattice.install_genesis(
+            peer.lattice.chain(peer.lattice.genesis_account).blocks[0])
+        assert joiner.bootstrap_from(peer) == peer.lattice.block_count() - 1
+        counters = joiner.layer_counters()
+        assert counters["intake.parked"] == 0
+        assert counters["intake.evicted"] == 0
+        assert len(joiner.intake) == 0
+        assert ({c.account: c.head.block_hash for c in joiner.lattice.chains()}
+                == {c.account: c.head.block_hash for c in peer.lattice.chains()})

@@ -68,7 +68,7 @@ class PerNodeFlood(Network):
             return
         self.simulator.schedule_batchable(
             delay, self._gossip_dispatch, (src, dst, message, key, attempt),
-            ("g", dst), label=f"gossip:{message.kind}")
+            None, label=f"gossip:{message.kind}")
 
     def _schedule_retry(self, src, dst, message, _record, attempt):
         key = message.gossip_key()
@@ -101,17 +101,16 @@ class PerNodeFlood(Network):
             self._inflight[target].add(key)
             self._attempt_gossip(src, target, message, None, 1)
 
-    def _deliver_gossip_batch(self, items):
-        dst = items[0][1]
+    def _deliver_gossip(self, item):
+        src, dst, message, key, attempt = item
         node = self._nodes[dst]
-        for src, _dst, message, key, attempt in items:
-            if not self._arrive(node, src, message):
-                self._schedule_retry(src, dst, message, None, attempt)
-                continue
-            self._see(dst, key)
-            self._inflight[dst].discard(key)
-            node.deliver(src, message)
-            self._forward(dst, src, message)
+        if not self._arrive(node, src, message):
+            self._schedule_retry(src, dst, message, None, attempt)
+            return
+        self._see(dst, key)
+        self._inflight[dst].discard(key)
+        node.deliver(src, message)
+        self._forward(dst, src, message)
 
     def has_seen(self, node_id, key):
         return key in self._seen[node_id]
@@ -128,11 +127,11 @@ class CheckedNetwork(Network):
     record relies on: the hop still holds its claim, and the record it
     carries is the one the table has for the key."""
 
-    def _deliver_gossip_batch(self, items):
-        for _src, dst, _message, record, _attempt in items:
-            assert record.claimed & self._bit[dst]
-            assert self._floods[record.key] is record
-        super()._deliver_gossip_batch(items)
+    def _deliver_gossip(self, item):
+        _src, dst, _message, record, _attempt = item
+        assert record.claimed & self._bit[dst]
+        assert self._floods[record.key] is record
+        super()._deliver_gossip(item)
 
 
 def assert_flood_invariants(net):

@@ -38,7 +38,7 @@ class TestRunBench:
     def test_registry_names_are_runnable(self):
         # Every registered bench accepts a scale knob; exercise the two
         # cheapest end-to-end.
-        assert "event_loop" in BENCHES and "delivery_coalesce" in BENCHES
+        assert "event_loop" in BENCHES and "gossip_broadcast" in BENCHES
         result = run_bench("event_loop", scale=0.01)
         assert result.ops > 0
         assert result.wall_s > 0

@@ -2,48 +2,60 @@
 
 import pytest
 
-from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 
 
 class TestEventQueue:
+    """The queue's ordering, cancellation and sizing, observed through
+    the one consumer that pops it: ``Simulator.run``."""
+
     def test_orders_by_time(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.push(2.0, lambda: fired.append("late"))
-        q.push(1.0, lambda: fired.append("early"))
-        q.pop().action()
+        sim.schedule(2.0, lambda: fired.append("late"))
+        sim.schedule(1.0, lambda: fired.append("early"))
+        sim.run(max_events=1)
         assert fired == ["early"]
 
     def test_ties_fire_in_scheduling_order(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        second = q.push(1.0, lambda: None)
-        assert q.pop() is first
-        assert q.pop() is second
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("first"))
+        sim.schedule(1.0, lambda: fired.append("second"))
+        sim.run(max_events=1)
+        assert fired == ["first"]
+        sim.run(max_events=1)
+        assert fired == ["first", "second"]
 
     def test_cancellation(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        event.cancel()
-        assert q.pop() is None
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1)).cancel()
+        sim.run(max_events=1)
+        assert fired == []
+        assert sim.queue_stats()["popped"] == 0
 
     def test_len_excludes_cancelled(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
         event.cancel()
-        assert len(q) == 1
+        assert sim.queue_stats()["pending"] == 1
 
     def test_pop_skips_cancelled(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.push(5.0, lambda: None)
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.schedule(5.0, lambda: fired.append(sim.now))
         event.cancel()
-        assert q.pop().time == 5.0
+        sim.run(max_events=1)
+        assert fired == [5.0]
 
     def test_empty_pop(self):
-        assert EventQueue().pop() is None
+        sim = Simulator()
+        sim.run(max_events=1)
+        assert sim.events_processed == 0
+        assert sim.queue_stats() == {"pushed": 0, "popped": 0, "pending": 0}
 
 
 class TestSimulator:
@@ -153,32 +165,34 @@ class TestCancellationUnderLoad:
         assert stats["popped"] == 251
 
     def test_len_stays_consistent_with_interleaved_ops(self):
-        q = EventQueue()
+        sim = Simulator()
         live = []
         for i in range(200):
-            live.append(q.push(float(i), lambda: None))
+            live.append(sim.schedule_at(float(i), lambda: None))
             if i % 3 == 0:
                 live.pop(0).cancel()
-            if i % 5 == 0 and len(q):
-                popped = q.pop()
-                if popped is not None and popped in live:
-                    live.remove(popped)
-        assert len(q) == len(live)
+            if i % 5 == 0 and sim.queue_stats()["pending"]:
+                sim.run(max_events=1)
+                # The earliest live handle is the one that fired.
+                live.remove(min(live, key=lambda e: (e.time, e.sequence)))
+        assert sim.queue_stats()["pending"] == len(live)
 
     def test_double_cancel_counted_once(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
         event.cancel()
         event.cancel()
-        assert len(q) == 1
+        assert sim.queue_stats()["pending"] == 1
 
     def test_cancel_after_pop_is_harmless(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        assert q.pop() is event
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(1))
+        sim.run(max_events=1)
+        assert fired == [1]
         event.cancel()  # already detached from the queue
-        assert len(q) == 0
+        assert sim.queue_stats()["pending"] == 0
 
     def test_cancelled_run_is_deterministic(self):
         def run():
@@ -223,15 +237,6 @@ class TestPeriodicClamp:
         assert ticks == []
         assert sim.queue_stats()["pushed"] == 0
 
-    def test_start_delay_respected_with_until(self):
-        sim = Simulator()
-        ticks = []
-        sim.schedule_periodic(
-            2.0, lambda: ticks.append(sim.now), start_delay=1.0, until=5.0
-        )
-        sim.run()
-        assert ticks == [1.0, 3.0, 5.0]
-
 
 class TestPeriodicTask:
     def test_cancel_stops_future_ticks(self):
@@ -266,18 +271,7 @@ class TestPeriodicTask:
         assert sim.queue_stats()["pushed"] == 0
 
 
-class TestHaltAndStats:
-    def test_halt_stops_run_mid_queue(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: (fired.append(1), sim.halt()))
-        sim.schedule(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-        # A fresh run resumes from where the halt left off.
-        sim.run()
-        assert fired == [1, 2]
-
+class TestQueueStats:
     def test_queue_stats_counts_scheduling(self):
         sim = Simulator()
         for i in range(5):
