@@ -26,7 +26,7 @@ from repro.metrics.tables import render_table
 from repro.net.link import FAST_LINK
 from repro.net.network import Network
 from repro.net.node import NetworkNode
-from repro.net.topology import small_world_topology
+from repro.net.topology import complete_topology, small_world_topology
 from repro.sim.simulator import Simulator
 from repro.trace import DELIVER
 from repro.workloads.generators import gossip_workload
@@ -42,10 +42,16 @@ HEAL_AFTER = 30.0
 def run_fault_scenario(seed=7, nodes_n=NODES, duration=DURATION,
                        partition_at=PARTITION_AT, heal_after=HEAL_AFTER,
                        rate_tps=0.5, churn_nodes=2):
+    if nodes_n < 2:
+        raise ValueError("nodes must be at least 2")
     sim = Simulator(seed=seed)
     net = Network(sim)
-    nodes = small_world_topology(net, nodes_n, NetworkNode,
-                                 link_params=FAST_LINK, seed=seed)
+    # Watts-Strogatz needs count > k; tiny networks get a clique.
+    if nodes_n > 4:
+        nodes = small_world_topology(net, nodes_n, NetworkNode,
+                                     link_params=FAST_LINK, seed=seed)
+    else:
+        nodes = complete_topology(net, nodes_n, NetworkNode, FAST_LINK)
     injector = FaultInjector(net)
     half = [n.node_id for n in nodes[: nodes_n // 2]]
     rest = [n.node_id for n in nodes[nodes_n // 2:]]

@@ -125,9 +125,6 @@ class Block:
             return Hash.zero()
         return merkle_root([tx.txid for tx in self.transactions])
 
-    def compute_merkle_root(self) -> Hash:
-        return self._computed_merkle_root
-
     def merkle_root_matches(self) -> bool:
         return self._computed_merkle_root == self.header.merkle_root
 

@@ -279,9 +279,6 @@ class ChainStore:
         """Serialized size of all stored blocks (main chain + side branches)."""
         return sum(e.block.size_bytes for e in self._entries.values())
 
-    def main_chain_size_bytes(self) -> int:
-        return sum(self._entries[h].block.size_bytes for h in self._main_chain)
-
 
 def _merge_results(first: ReorgResult, second: ReorgResult) -> ReorgResult:
     """Combine results from connecting a block and its parked descendants."""

@@ -5,17 +5,18 @@ writing any code:
 
 * ``list``          — the experiment registry (paper ref → bench file);
 * ``compare``       — run the blockchain-vs-DAG comparison on a workload;
-* ``tps``           — Section VI-A protocol throughput ceilings;
-* ``confirmation``  — Section IV-A depth-for-risk table;
-* ``growth``        — Section V ledger growth snapshot and ratios;
-* ``faults``        — degraded-network gossip run with a JSONL trace;
 * ``fuzz``          — differential fuzzing with in-loop invariant
   enforcement across both paradigms (see ``repro.check``);
 * ``soak``          — sustained open-loop load with live pruning vs an
   unpruned control (bounded-memory check);
-* ``bench``         — one experiment, one trial, in process;
+* ``report``        — the analytic paper tables (§§ IV-A, V, VI-A) as
+  markdown;
+* ``bench``         — one experiment, one trial, in process; e.g.
+  ``bench A7`` is the degraded-network gossip run (partition + churn);
 * ``sweep``         — parameter-grid fan-out across worker processes,
   aggregated into ``BENCH_<id>.json`` (see ``repro.runner``);
+  ``sweep -e A7 --param capture_trace=1 --trace-dir DIR`` writes each
+  trial's JSONL trace;
 * ``perf``          — hot-path microbenchmark suite, written to
   ``BENCH_PERF.json`` (see ``docs/performance.md``);
 * ``profile``       — one microbenchmark under cProfile, top-N hotspots.
@@ -124,124 +125,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     print(report.render())
     return 0
-
-
-def _cmd_tps(args: argparse.Namespace) -> int:
-    from repro.scaling.throughput import protocol_tps_table
-
-    table = protocol_tps_table(avg_tx_size_bytes=args.tx_bytes)
-    rows = [[name, f"{tps:,.1f}"] for name, tps in table.items()]
-    print(render_table(["system", "max TPS"], rows,
-                       title=f"Protocol ceilings (avg tx {args.tx_bytes} B)"))
-    return 0
-
-
-def _cmd_confirmation(args: argparse.Namespace) -> int:
-    from repro.confirmation.nakamoto import (
-        attacker_success_probability,
-        confirmations_for_confidence,
-    )
-
-    rows = []
-    for q in (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40):
-        depth = confirmations_for_confidence(q, args.risk)
-        rows.append([
-            f"{q:.0%}", depth,
-            f"{attacker_success_probability(q, depth):.2e}",
-        ])
-    print(render_table(
-        ["attacker share", "confirmations", "residual risk"], rows,
-        title=f"Depth for <{args.risk:.2%} reversal risk (Section IV-A)",
-    ))
-    return 0
-
-
-def _cmd_growth(args: argparse.Namespace) -> int:
-    from repro.storage.growth import LEDGER_SNAPSHOT_2018, snapshot_ratios
-
-    ratios = snapshot_ratios()
-    rows = [
-        [name, format_bytes(snap.size_bytes), snap.date, f"{ratios[name]:.1f}x"]
-        for name, snap in LEDGER_SNAPSHOT_2018.items()
-    ]
-    print(render_table(
-        ["ledger", "size", "snapshot date", "vs nano"], rows,
-        title="Section V ledger sizes (paper's reference points)",
-    ))
-    return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    """Gossip under injected faults: timed partition with auto-heal plus
-    node churn, reported from the structured trace."""
-    from repro.faults import ChurnParams, FaultInjector
-    from repro.net.link import FAST_LINK
-    from repro.net.network import Network
-    from repro.net.node import NetworkNode
-    from repro.net.topology import complete_topology, small_world_topology
-    from repro.sim.simulator import Simulator
-    from repro.workloads.generators import gossip_workload
-
-    if args.nodes < 2:
-        print("error: --nodes must be at least 2", file=sys.stderr)
-        return 2
-    sim = Simulator(seed=args.seed)
-    net = Network(sim)
-    # Watts-Strogatz needs count > k; tiny networks get a clique.
-    if args.nodes > 4:
-        nodes = small_world_topology(net, args.nodes, NetworkNode,
-                                     link_params=FAST_LINK, seed=args.seed)
-    else:
-        nodes = complete_topology(net, args.nodes, NetworkNode, FAST_LINK)
-    injector = FaultInjector(net)
-    half = [n.node_id for n in nodes[: len(nodes) // 2]]
-    rest = [n.node_id for n in nodes[len(nodes) // 2:]]
-    try:
-        injector.partition_at(args.partition_at, [half, rest],
-                              heal_after_s=args.heal_after)
-        if args.churn_nodes > 0:
-            injector.churn(
-                [n.node_id for n in nodes[: args.churn_nodes]],
-                ChurnParams(mtbf_s=args.duration / 4, downtime_s=10.0,
-                            until_s=args.duration * 0.6),
-            )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        sent = gossip_workload(sim, nodes, rate_tps=args.rate,
-                               duration_s=args.duration)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    sim.run(until=args.duration)
-    sim.run()  # drain retransmissions past the horizon
-
-    tracer = net.tracer
-    expected = len(sent) * (len(nodes) - 1)
-    received = sum(n.messages_received for n in nodes)
-    rows = [
-        ["broadcasts", len(sent)],
-        ["delivery", f"{received}/{expected} "
-                     f"({received / max(expected, 1):.1%})"],
-        ["scheduled", tracer.scheduled],
-        ["delivered", tracer.delivered],
-        ["dropped", tracer.dropped],
-        ["retransmits", tracer.retransmits],
-        ["in flight", tracer.in_flight],
-        ["crashes/restarts",
-         f"{injector.crashes_injected}/{injector.restarts_injected}"],
-    ]
-    for reason, count in sorted(tracer.drop_reasons.items()):
-        rows.append([f"dropped: {reason}", count])
-    print(render_table(["metric", "value"], rows,
-                       title="Degraded-network gossip (faults + trace)"))
-    if args.trace_out:
-        written = tracer.dump_jsonl(args.trace_out)
-        print(f"{written} trace records written to {args.trace_out} "
-              f"({tracer.emitted - written} older records fell off the ring)",
-              file=sys.stderr)
-    return 0 if received == expected else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -405,7 +288,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.scaling.blocksize import blocksize_sweep
     from repro.scaling.sharding import ShardedLedger
     from repro.scaling.throughput import protocol_tps_table
-    from repro.storage.growth import LEDGER_SNAPSHOT_2018
+    from repro.storage.growth import LEDGER_SNAPSHOT_2018, snapshot_ratios
 
     sections: List[str] = [
         "# Results report",
@@ -431,11 +314,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     add_table(
         "Confirmation depth for <0.1% reversal risk (§IV-A)",
-        ["attacker share", "depth", "residual risk"],
+        ["attacker share", "confirmations", "residual risk"],
         [
             [f"{q:.0%}", confirmations_for_confidence(q, 0.001),
              f"{attacker_success_probability(q, confirmations_for_confidence(q, 0.001)):.1e}"]
-            for q in (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
+            for q in (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40)
         ],
     )
 
@@ -470,11 +353,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         ],
     )
 
+    ratios = snapshot_ratios()
     add_table(
         "Ledger sizes at the paper's snapshot (§V)",
-        ["ledger", "size", "date"],
+        ["ledger", "size", "date", "vs nano"],
         [
-            [name, format_bytes(snap.size_bytes), snap.date]
+            [name, format_bytes(snap.size_bytes), snap.date,
+             f"{ratios[name]:.1f}x"]
             for name, snap in LEDGER_SNAPSHOT_2018.items()
         ],
     )
@@ -513,6 +398,20 @@ def _parse_grid(pairs: List[str]):
     return grid
 
 
+def _undeclared_params(keys, experiment_ids: List[str]) -> Optional[str]:
+    """The error for ``--param`` keys (and ``--topology-scale``'s
+    ``total_nodes``) that no selected experiment declares in its
+    ``default_params``, or None when every key is declared by one."""
+    declared = set().union(
+        *(EXPERIMENTS[e].default_params for e in experiment_ids))
+    unknown = sorted(set(keys) - declared)
+    if not unknown:
+        return None
+    return (f"unknown parameter(s) {', '.join(unknown)} for "
+            f"{', '.join(experiment_ids)} "
+            f"(valid: {', '.join(sorted(declared)) or 'none'})")
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run one experiment once, in process, and print its metrics."""
     experiment = EXPERIMENTS.get(args.experiment_id)
@@ -520,11 +419,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: unknown experiment {args.experiment_id!r} "
               f"(see `python -m repro list`)", file=sys.stderr)
         return 2
-    overrides = {
-        key: values[0] for key, values in _parse_grid(args.param).items()
-    }
+    try:
+        grid = _parse_grid(args.param)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    overrides = {key: values[0] for key, values in grid.items()}
     if args.topology_scale is not None:
         overrides["total_nodes"] = args.topology_scale
+    error = _undeclared_params(overrides, [experiment.experiment_id])
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     runner = experiment.load_runner()
     try:
         result = runner(overrides, args.seed)
@@ -592,6 +498,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid["total_nodes"] = [
             int(v) for v in args.topology_scale.split(",") if v.strip()
         ]
+    error = _undeclared_params(grid, experiment_ids)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.seeds:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     else:
@@ -604,7 +514,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     failures = 0
     for experiment_id in experiment_ids:
-        spec = build_spec(experiment_id, grid or None, seeds=seeds)
+        declared = EXPERIMENTS[experiment_id].default_params
+        axes = {key: values for key, values in grid.items() if key in declared}
+        spec = build_spec(experiment_id, axes, seeds=seeds)
         trials = spec.expand()
         print(f"[{experiment_id}] {len(trials)} trials "
               f"({len(spec.points())} grid points x {len(seeds)} seeds), "
@@ -749,37 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="blockchain confirmation depth")
     compare.add_argument("--seed", type=int, default=1)
     compare.set_defaults(func=_cmd_compare)
-
-    tps = sub.add_parser("tps", help="protocol throughput ceilings (§VI-A)")
-    tps.add_argument("--tx-bytes", type=int, default=250)
-    tps.set_defaults(func=_cmd_tps)
-
-    confirmation = sub.add_parser(
-        "confirmation", help="depth-for-risk table (§IV-A)"
-    )
-    confirmation.add_argument("--risk", type=float, default=0.001)
-    confirmation.set_defaults(func=_cmd_confirmation)
-
-    sub.add_parser("growth", help="ledger size snapshot (§V)").set_defaults(
-        func=_cmd_growth
-    )
-
-    faults = sub.add_parser(
-        "faults", help="degraded-network gossip run (partition + churn)"
-    )
-    faults.add_argument("--nodes", type=int, default=12)
-    faults.add_argument("--rate", type=float, default=0.5,
-                        help="broadcast rate (messages/s)")
-    faults.add_argument("--duration", type=float, default=120.0,
-                        help="workload horizon (simulated s)")
-    faults.add_argument("--partition-at", type=float, default=30.0)
-    faults.add_argument("--heal-after", type=float, default=30.0)
-    faults.add_argument("--churn-nodes", type=int, default=2,
-                        help="nodes subjected to crash/restart churn")
-    faults.add_argument("--seed", type=int, default=1)
-    faults.add_argument("--trace-out", default=None,
-                        help="dump the structured trace as JSONL")
-    faults.set_defaults(func=_cmd_faults)
 
     fuzz = sub.add_parser(
         "fuzz", help="differential fuzzing with in-loop invariant audits",

@@ -12,7 +12,7 @@ Section V's ledger-size accounting requires.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List
 
 
 def encode_uint(value: int, width: int = 8) -> bytes:
@@ -203,15 +203,3 @@ class Decoder:
 
     def finished(self) -> bool:
         return self.remaining == 0
-
-
-def encoded_size(*parts: bytes) -> int:
-    """Total byte length of already-encoded parts (size-accounting helper)."""
-    return sum(len(part) for part in parts)
-
-
-def split_pairs(items: Sequence[bytes]) -> List[Tuple[bytes, bytes]]:
-    """Group a flat even-length sequence into (left, right) pairs."""
-    if len(items) % 2 != 0:
-        raise ValueError("expected an even number of items")
-    return [(items[i], items[i + 1]) for i in range(0, len(items), 2)]

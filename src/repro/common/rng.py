@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -92,13 +92,3 @@ def zipf_weights(n: int, alpha: float) -> list:
     if n <= 0:
         raise ValueError("n must be positive")
     return [1.0 / (rank**alpha) for rank in range(1, n + 1)]
-
-
-def poisson_process(rng: random.Random, rate: float, until: float) -> Iterator[float]:
-    """Yield event times of a Poisson process on [0, until)."""
-    t = 0.0
-    while True:
-        t += exponential(rng, rate)
-        if t >= until:
-            return
-        yield t

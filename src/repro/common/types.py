@@ -9,8 +9,6 @@ logs and tables.
 
 from __future__ import annotations
 
-from typing import Union
-
 HASH_SIZE = 32
 ADDRESS_SIZE = 20
 
@@ -42,10 +40,6 @@ class _FixedBytes(bytes):
     def zero(cls):
         """The all-zero id (for a hash: the genesis predecessor)."""
         return cls._ZERO
-
-    @classmethod
-    def from_hex(cls, text: str):
-        return cls(bytes.fromhex(text))
 
     @property
     def value(self) -> bytes:
@@ -93,12 +87,3 @@ class Address(_FixedBytes):
 
 
 Address._ZERO = Address(bytes(ADDRESS_SIZE))
-
-HashLike = Union[Hash, bytes]
-
-
-def as_hash(value: HashLike) -> Hash:
-    """Coerce raw bytes to :class:`Hash`, passing existing hashes through."""
-    if isinstance(value, Hash):
-        return value
-    return Hash(value)

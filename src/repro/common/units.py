@@ -45,9 +45,3 @@ def format_duration(seconds: float) -> str:
     if seconds >= 1:
         return f"{seconds:.1f} s"
     return f"{seconds * 1000:.1f} ms"
-
-
-def format_tps(tps: float) -> str:
-    if tps >= 1000:
-        return f"{tps / 1000:.1f}k TPS"
-    return f"{tps:.2f} TPS"

@@ -12,7 +12,6 @@ which grows D) raises the stale rate.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
 
 
 def expected_orphan_rate(propagation_delay_s: float, block_interval_s: float) -> float:
@@ -22,16 +21,6 @@ def expected_orphan_rate(propagation_delay_s: float, block_interval_s: float) ->
     if block_interval_s <= 0:
         raise ValueError("interval must be positive")
     return 1.0 - math.exp(-propagation_delay_s / block_interval_s)
-
-
-def orphan_rate_curve(
-    propagation_delay_s: float, intervals: List[float]
-) -> List[Tuple[float, float]]:
-    """(interval, orphan rate) series for the F4/E10 benches."""
-    return [
-        (interval, expected_orphan_rate(propagation_delay_s, interval))
-        for interval in intervals
-    ]
 
 
 def propagation_delay_for_block(

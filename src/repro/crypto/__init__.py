@@ -22,7 +22,7 @@ from repro.crypto.keys import (
     verify_signatures_batch,
 )
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.pow import check_pow, difficulty_to_target, solve_pow, target_to_difficulty
+from repro.crypto.pow import check_pow, difficulty_to_target, solve_pow
 from repro.crypto.trie import MerklePatriciaTrie
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "sha256d",
     "sigcache_counters",
     "solve_pow",
-    "target_to_difficulty",
     "verify_signature",
     "verify_signatures_batch",
 ]

@@ -38,7 +38,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.memo import cached
-from repro.common.types import ADDRESS_SIZE, Address, Hash
+from repro.common.types import ADDRESS_SIZE, Address
 
 SIGNATURE_SIZE = 64
 PUBLIC_KEY_SIZE = 32
@@ -164,9 +164,6 @@ class KeyPair:
             _SIG_CACHE[(self.public_key, message, signature)] = True
             _SIG_STATS["seeds"] += 1
         return signature
-
-    def sign_hash(self, digest: Hash) -> bytes:
-        return self.sign(bytes(digest))
 
 
 def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> bool:

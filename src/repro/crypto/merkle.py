@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.common.types import Hash
-from repro.crypto.hashing import hash_concat, sha256d
+from repro.crypto.hashing import hash_concat
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,6 @@ class MerkleTree:
         self._levels: List[List[Hash]] = [list(leaves)]
         while len(self._levels[-1]) > 1:
             self._levels.append(_next_level(self._levels[-1]))
-
-    @classmethod
-    def from_items(cls, items: Sequence[bytes]) -> "MerkleTree":
-        """Build a tree over raw serialized items (leaves are sha256d)."""
-        return cls([sha256d(item) for item in items])
 
     @property
     def root(self) -> Hash:

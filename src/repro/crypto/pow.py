@@ -35,12 +35,6 @@ def difficulty_to_target(difficulty: float) -> int:
     return min(MAX_TARGET, int(MAX_TARGET / difficulty))
 
 
-def target_to_difficulty(target: int) -> float:
-    if not 0 < target <= MAX_TARGET:
-        raise ValueError(f"target out of range: {target}")
-    return MAX_TARGET / target
-
-
 def leading_zero_bits(target: int) -> int:
     """The paper's framing: number of leading zero bits the target implies."""
     return 256 - target.bit_length()

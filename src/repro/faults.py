@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.common.rng import exponential
 from repro.net.link import LinkParams
 from repro.net.network import Network
-from repro.protocol import aggregate_layer_counters, protocol_nodes
+from repro.protocol import protocol_nodes
 from repro.trace import CRASH, DEGRADE, RESTART, RESTORE
 
 #: Byzantine behaviour families the adapters know how to wire.  Each
@@ -236,14 +236,6 @@ class FaultInjector:
                 label=f"fault:restore:{a}-{b}",
             )
 
-    def blackhole_at(self, time_s: float, a: str, b: str,
-                     duration_s: Optional[float] = None) -> None:
-        """100%-loss window on ``a <-> b`` — the closed-interval loss
-        config that used to be rejected by ``LinkParams``."""
-        self.degrade_link_at(time_s, a, b,
-                             LinkParams(loss_probability=1.0),
-                             duration_s=duration_s)
-
     # ---------------------------------------------------------- partitions
 
     def partition(self, groups: Iterable[Iterable[str]]) -> None:
@@ -285,11 +277,3 @@ class FaultInjector:
             "partitions": self.partitions_injected,
             "heals": self.heals_injected,
         }
-
-    def protocol_counters(self) -> Dict[str, float]:
-        """Network-wide per-layer counters (``transport.*`` / ``intake.*``)
-        summed over every stack node — how much parking, retrying and
-        republishing the injected faults actually caused.  Keys on the
-        shared :mod:`repro.protocol` interfaces, so any paradigm's nodes
-        are covered without this module naming them."""
-        return aggregate_layer_counters(self.network.nodes())

@@ -1,10 +1,8 @@
-"""Metric collection, summary statistics and report tables."""
+"""Summary statistics, service-level curves and report tables."""
 
-from repro.metrics.collector import MetricCollector
 from repro.metrics.slo import (
     LoadPoint,
     detect_saturation_knee,
-    latency_histogram,
     load_point,
 )
 from repro.metrics.stats import SummaryStats, confidence_interval, percentile, summarize
@@ -12,11 +10,9 @@ from repro.metrics.tables import render_table
 
 __all__ = [
     "LoadPoint",
-    "MetricCollector",
     "SummaryStats",
     "confidence_interval",
     "detect_saturation_knee",
-    "latency_histogram",
     "load_point",
     "percentile",
     "render_table",

@@ -12,7 +12,7 @@ submit→confirm latencies into that curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.metrics.stats import percentile
 
@@ -80,27 +80,6 @@ def load_point(
         backpressure_fraction=rejected / offered if offered else 0.0,
         rejected=rejected,
     )
-
-
-def latency_histogram(
-    latencies_s: Sequence[float], bucket_edges_s: Sequence[float]
-) -> List[Tuple[float, int]]:
-    """Counts per latency bucket: ``[(upper_edge_s, count), ...]`` with a
-    final ``(inf, overflow)`` bucket.  Edges must be increasing."""
-    edges = list(bucket_edges_s)
-    if edges != sorted(edges) or len(set(edges)) != len(edges):
-        raise ValueError("bucket edges must be strictly increasing")
-    counts = [0] * (len(edges) + 1)
-    for value in latencies_s:
-        for i, edge in enumerate(edges):
-            if value <= edge:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
-    out = [(edge, counts[i]) for i, edge in enumerate(edges)]
-    out.append((float("inf"), counts[-1]))
-    return out
 
 
 def detect_saturation_knee(

@@ -49,7 +49,9 @@ def summarize(values: Sequence[float]) -> SummaryStats:
         raise ValueError("cannot summarize no data")
     n = len(values)
     mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / n if n > 1 else 0.0
+    # Sample variance (n - 1): the stdev and the CI estimate the spread
+    # of the population the trials were drawn from.
+    variance = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
     return SummaryStats(
         count=n,
         mean=mean,

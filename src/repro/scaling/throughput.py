@@ -8,7 +8,7 @@ uncapped protocol bounded by hardware, and Visa's 56,000 TPS yardstick.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: "Visa which is able to process 56,000 transactions per second".
 VISA_TPS = 56_000.0
@@ -51,20 +51,6 @@ class ThroughputMeter:
                 left += 1
             best = max(best, right - left + 1)
         return best / window_s
-
-    def tps_series(self, bucket_s: float) -> List[Tuple[float, float]]:
-        """(bucket start, TPS) series for plotting."""
-        if bucket_s <= 0:
-            raise ValueError("bucket must be positive")
-        if not self.timestamps:
-            return []
-        buckets: Dict[int, int] = {}
-        for t in self.timestamps:
-            buckets[int(t // bucket_s)] = buckets.get(int(t // bucket_s), 0) + 1
-        return [
-            (index * bucket_s, count / bucket_s)
-            for index, count in sorted(buckets.items())
-        ]
 
 
 def protocol_tps_table(avg_tx_size_bytes: int = 250, avg_tx_gas: int = 21_000) -> Dict[str, float]:

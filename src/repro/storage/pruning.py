@@ -10,10 +10,7 @@ longer able to download the entire history of a pruned node."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-from repro.common.errors import PrunedHistoryError
-from repro.common.types import Hash
 from repro.blockchain.chain import ChainStore
 
 #: Bitcoin Core keeps at least 288 blocks (~2 days) when pruning.
@@ -35,28 +32,6 @@ class PruneResult:
         return self.bytes_freed / self.size_before if self.size_before else 0.0
 
 
-class PrunedChainView:
-    """A chain replica that pruned its history.
-
-    Serves headers for everything but raises :class:`PrunedHistoryError`
-    for pruned bodies — modelling the "cannot serve full history" cost.
-    """
-
-    def __init__(self, chain: ChainStore, pruned_ids: List[Hash]) -> None:
-        self._chain = chain
-        self._pruned = set(pruned_ids)
-
-    def get_block_body(self, block_id: Hash):
-        if block_id in self._pruned:
-            raise PrunedHistoryError(
-                f"block {block_id.short()} body was pruned; only the header remains"
-            )
-        return self._chain.block(block_id).transactions
-
-    def can_serve_full_history(self) -> bool:
-        return not self._pruned
-
-
 def prune_chain(chain: ChainStore, keep_depth: int = DEFAULT_KEEP_DEPTH) -> PruneResult:
     """Discard transaction bodies of main-chain blocks deeper than
     ``keep_depth`` below the head; headers always remain (they carry the
@@ -67,14 +42,12 @@ def prune_chain(chain: ChainStore, keep_depth: int = DEFAULT_KEEP_DEPTH) -> Prun
     cutoff_height = chain.height - keep_depth
     freed = 0
     pruned = 0
-    pruned_ids: List[Hash] = []
     for height in range(0, max(cutoff_height + 1, 0)):
         block = chain.block_at_height(height)
         if not block.transactions:
             continue  # already pruned
         freed += chain.drop_body(block.block_id)
         pruned += 1
-        pruned_ids.append(block.block_id)
     return PruneResult(
         blocks_pruned=pruned,
         bytes_freed=freed,
@@ -82,13 +55,3 @@ def prune_chain(chain: ChainStore, keep_depth: int = DEFAULT_KEEP_DEPTH) -> Prun
         size_before=size_before,
         size_after=chain.total_size_bytes(),
     )
-
-
-def pruned_view(chain: ChainStore, result: PruneResult) -> PrunedChainView:
-    """Convenience wrapper exposing the serving limitation after a prune."""
-    pruned_ids = [
-        chain.block_at_height(h).block_id
-        for h in range(0, max(chain.height - result.keep_depth + 1, 0))
-        if not chain.block_at_height(h).transactions
-    ]
-    return PrunedChainView(chain, pruned_ids)

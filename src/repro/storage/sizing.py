@@ -74,10 +74,3 @@ def dag_size_report(lattice: Lattice, name: str = "nano") -> LedgerSizeReport:
 
 def _accounts(lattice: Lattice):
     return list(lattice._chains.keys())  # noqa: SLF001 - read-only introspection
-
-
-def per_transaction_bytes(report: LedgerSizeReport, tx_count: int) -> float:
-    """Average ledger bytes per transaction — the growth-rate driver."""
-    if tx_count <= 0:
-        raise ValueError("tx count must be positive")
-    return report.total_bytes / tx_count

@@ -16,7 +16,8 @@ The tracer is on by default and cheap enough to stay on: recording
 appends one plain tuple to a bounded ring and bumps one per-link list
 slot.  :class:`TraceEvent` objects, per-node counters, dicts and JSON
 are built from those only when read (:meth:`Tracer.events`,
-:meth:`Tracer.dump_jsonl`, ``python -m repro faults --trace-out``).
+:meth:`Tracer.dump_jsonl`, ``python -m repro sweep -e A7 --param
+capture_trace=1 --trace-dir DIR``).
 Old records fall off the ring; counters are cumulative and never lose
 information.
 """
@@ -273,7 +274,7 @@ class Tracer:
                         self._per_link.get((src, dst), (0, 0, 0))))
 
     def counters(self) -> Dict[str, float]:
-        """Flat counter dict, suitable for ``MetricCollector.ingest_tracer``."""
+        """Flat ``trace.*`` counter dict."""
         flat: Dict[str, float] = {
             "trace.scheduled": float(self.scheduled),
             "trace.delivered": float(self.delivered),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.common.rng import exponential
 from repro.crypto.pow import expected_attempts
 
 
@@ -137,13 +136,3 @@ class SpamAttacker:
             total_hashes=hashes,
             wall_clock_s=hashes / self.hashrate_hps,
         )
-
-    def spam_times(self, rng: random.Random, duration_s: float) -> list:
-        """Poisson spam emission times at the sustainable rate."""
-        times = []
-        t = 0.0
-        while True:
-            t += exponential(rng, self.max_spam_tps)
-            if t >= duration_s:
-                return times
-            times.append(t)

@@ -174,21 +174,3 @@ def gossip_workload(
             origin.broadcast(message)
 
         simulator.schedule_at(t, fire, label="workload:gossip")
-
-
-def constant_rate_events(
-    count: int, rate_tps: float, amount: int = 100, accounts: int = 2
-) -> List[PaymentEvent]:
-    """Deterministic evenly-spaced events (control experiments)."""
-    if rate_tps <= 0 or count < 0:
-        raise ValueError("invalid workload parameters")
-    interval = 1.0 / rate_tps
-    return [
-        PaymentEvent(
-            time_s=i * interval,
-            sender_index=i % accounts,
-            recipient_index=(i + 1) % accounts,
-            amount=amount,
-        )
-        for i in range(count)
-    ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.common.types import Hash
 from repro.workloads.generators import PaymentEvent, PaymentWorkload
@@ -124,11 +124,3 @@ class OpenLoopInjector:
             else:
                 self.report.submitted += 1
                 self.report.submit_times[entry] = now
-
-    # ------------------------------------------------------------- analysis
-
-    def confirmed_latencies(self) -> List[float]:
-        """Submit→confirm latency of every injected entry confirmed by
-        now, measured against the adapter's own confirmation clock."""
-        stats = self.ledger.stats()
-        return stats.confirmation_latencies_s

@@ -14,6 +14,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("command",
+                             ["faults", "tps", "confirmation", "growth"])
+    def test_deleted_table_and_faults_commands_rejected(self, command):
+        # `report` prints the tables and `bench A7` / `sweep -e A7` run
+        # the degraded-network scenario.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
 
 class TestCommands:
     def test_list_prints_registry(self, capsys):
@@ -23,26 +31,21 @@ class TestCommands:
         assert "bench_e9_blockchain_tps.py" in out
 
     def test_tps_table(self, capsys):
-        assert main(["tps"]) == 0
+        assert main(["report"]) == 0
         out = capsys.readouterr().out
         assert "bitcoin" in out and "visa" in out
 
-    def test_tps_respects_tx_bytes(self, capsys):
-        main(["tps", "--tx-bytes", "500"])
-        heavy = capsys.readouterr().out
-        main(["tps", "--tx-bytes", "250"])
-        light = capsys.readouterr().out
-        assert heavy != light
-
     def test_confirmation_table(self, capsys):
-        assert main(["confirmation"]) == 0
+        assert main(["report"]) == 0
         out = capsys.readouterr().out
         assert "10%" in out and "confirmations" in out
+        assert "| 40% | 89 |" in out
 
     def test_growth_table(self, capsys):
-        assert main(["growth"]) == 0
+        assert main(["report"]) == 0
         out = capsys.readouterr().out
         assert "145.95 GB" in out and "3.42 GB" in out
+        assert "vs nano" in out and "42.7x" in out
 
     def test_compare_end_to_end(self, capsys):
         code = main([
@@ -105,6 +108,42 @@ class TestCommands:
         assert main(["bench", "A10", "--topology-scale", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bench_a7_runs_the_small_networks_faults_ran(self, capsys):
+        # Below five nodes the scenario uses a clique, as the deleted
+        # `faults` command did; under two it is a usage error.
+        assert main(["bench", "A7", "--param", "nodes=3", "--seed", "2"]) == 0
+        assert "metric: delivery_fraction | 1" in capsys.readouterr().out
+        assert main(["bench", "A7", "--param", "nodes=1"]) == 2
+        assert "nodes must be at least 2" in capsys.readouterr().err
+
+    def test_bench_rejects_an_undeclared_param(self, capsys):
+        # A misspelled key used to run with the default and exit 0.
+        assert main(["bench", "E4", "--param", "dpeth=3", "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "dpeth" in err and "valid: attacker_share, depth, risk" in err
+
+    def test_bench_topology_scale_needs_a_declaring_experiment(self, capsys):
+        assert main(["bench", "E4", "--topology-scale", "100"]) == 2
+        assert "total_nodes" in capsys.readouterr().err
+
+    def test_sweep_rejects_an_undeclared_param(self, tmp_path, capsys):
+        assert main(["sweep", "-e", "E4", "--param", "dpeth=1,3",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "dpeth" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_applies_a_param_only_where_declared(self, tmp_path, capsys):
+        import json
+
+        assert main(["sweep", "-e", "A3", "-e", "E4", "--param", "depth=1,6",
+                     "--trials", "1", "--jobs", "1", "--no-cache",
+                     "--out-dir", str(tmp_path)]) == 0
+        a3 = json.loads((tmp_path / "BENCH_A3.json").read_text())
+        e4 = json.loads((tmp_path / "BENCH_E4.json").read_text())
+        assert a3["counts"]["trials"] == 1
+        assert "depth" not in a3["trials"][0]["params"]
+        assert e4["counts"]["trials"] == 2
+
     def test_sweep_requires_experiment_selection(self, capsys):
         assert main(["sweep"]) == 2
         assert "--experiment" in capsys.readouterr().err
@@ -132,23 +171,25 @@ class TestCommands:
     def test_faults_run_recovers_and_dumps_trace(self, tmp_path, capsys):
         import json
 
-        target = tmp_path / "trace.jsonl"
+        out_dir, trace_dir = tmp_path / "results", tmp_path / "traces"
         code = main([
-            "faults", "--nodes", "8", "--rate", "0.5", "--duration", "60",
-            "--partition-at", "15", "--heal-after", "15",
-            "--churn-nodes", "1", "--seed", "2", "--trace-out", str(target),
+            "sweep", "-e", "A7", "--param", "nodes=8", "--param", "rate_tps=0.5",
+            "--param", "duration_s=60", "--param", "partition_at_s=15",
+            "--param", "heal_after_s=15", "--param", "churn_nodes=1",
+            "--param", "capture_trace=1", "--seeds", "2", "--jobs", "1",
+            "--no-cache", "--out-dir", str(out_dir),
+            "--trace-dir", str(trace_dir),
         ])
-        assert code == 0  # full delivery after heal
-        captured = capsys.readouterr()
-        out = captured.out
-        assert "100.0%" in out
-        assert "dropped: partition" in out
+        assert code == 0
+        [trial] = json.loads((out_dir / "BENCH_A7.json").read_text())["trials"]
+        assert trial["metrics"]["delivery_fraction"] == 1.0  # full delivery
+        assert trial["metrics"]["partition_drops"] > 0
+        assert trial["metrics"]["accounting_ok"]
+        [target] = (trace_dir / "A7").glob("*.jsonl")
+        assert trial["trace_path"] == str(target)
         records = [json.loads(line)
                    for line in target.read_text().splitlines()]
         assert records
-        # The whole run fits the ring, and the report says so.
-        assert (f"{len(records)} trace records written to {target} "
-                "(0 older records fell off the ring)") in captured.err
         kinds = {r["kind"] for r in records}
         assert {"schedule", "deliver", "partition", "heal"} <= kinds
 

@@ -12,8 +12,6 @@ from repro.common.encoding import (
     encode_list,
     encode_str,
     encode_uint,
-    encoded_size,
-    split_pairs,
 )
 
 
@@ -86,16 +84,6 @@ class TestDecoder:
 
 
 class TestHelpers:
-    def test_encoded_size(self):
-        assert encoded_size(b"ab", b"c") == 3
-
-    def test_split_pairs(self):
-        assert split_pairs([b"a", b"b", b"c", b"d"]) == [(b"a", b"b"), (b"c", b"d")]
-
-    def test_split_pairs_odd_raises(self):
-        with pytest.raises(ValueError):
-            split_pairs([b"a"])
-
     def test_injectivity_of_framed_fields(self):
         # Length prefixes prevent boundary ambiguity: ("ab","c") != ("a","bc").
         assert encode_bytes(b"ab") + encode_bytes(b"c") != encode_bytes(

@@ -8,7 +8,6 @@ from repro.common.rng import (
     exponential,
     fork_rng,
     make_rng,
-    poisson_process,
     weighted_choice,
     zipf_weights,
 )
@@ -119,18 +118,3 @@ class TestZipfWeights:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             zipf_weights(0, 1.0)
-
-
-class TestPoissonProcess:
-    def test_rate_matches_count(self):
-        rng = make_rng(9)
-        events = list(poisson_process(rng, rate=5.0, until=1000.0))
-        assert 4500 < len(events) < 5500
-
-    def test_all_events_within_horizon(self):
-        events = list(poisson_process(make_rng(2), 1.0, 50.0))
-        assert all(0 < t < 50.0 for t in events)
-
-    def test_times_strictly_increasing(self):
-        events = list(poisson_process(make_rng(4), 3.0, 100.0))
-        assert all(a < b for a, b in zip(events, events[1:]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.types import ADDRESS_SIZE, Address, Hash, as_hash
+from repro.common.types import ADDRESS_SIZE, Address, Hash
 
 
 class TestHash:
@@ -25,7 +25,7 @@ class TestHash:
 
     def test_hex_round_trip(self):
         h = Hash(bytes(range(32)))
-        assert Hash.from_hex(h.hex) == h
+        assert Hash(bytes.fromhex(h.hex)) == h
 
     def test_short_prefix(self):
         h = Hash(bytes(range(32)))
@@ -56,22 +56,13 @@ class TestAddress:
 
     def test_hex_round_trip(self):
         a = Address(bytes(range(ADDRESS_SIZE)))
-        assert Address.from_hex(a.hex) == a
+        assert Address(bytes.fromhex(a.hex)) == a
 
     def test_zero(self):
         assert Address.zero().value == b"\x00" * 20
 
     def test_distinct_addresses_unequal(self):
         assert Address(b"\x01" * 20) != Address(b"\x02" * 20)
-
-
-class TestAsHash:
-    def test_passes_hash_through(self):
-        h = Hash(b"\x03" * 32)
-        assert as_hash(h) is h
-
-    def test_wraps_raw_bytes(self):
-        assert as_hash(b"\x04" * 32) == Hash(b"\x04" * 32)
 
 
 RAW_HASH = bytes(range(32))

@@ -6,7 +6,6 @@ from repro.common.units import (
     MB,
     format_bytes,
     format_duration,
-    format_tps,
 )
 
 
@@ -42,11 +41,3 @@ class TestFormatDuration:
 
     def test_days(self):
         assert format_duration(172800) == "2.0 d"
-
-
-class TestFormatTps:
-    def test_small(self):
-        assert format_tps(7.0) == "7.00 TPS"
-
-    def test_visa_scale(self):
-        assert format_tps(56_000) == "56.0k TPS"

@@ -10,7 +10,6 @@ from repro.confirmation.dag_confirmation import (
 )
 from repro.confirmation.orphan import (
     expected_orphan_rate,
-    orphan_rate_curve,
     propagation_delay_for_block,
 )
 
@@ -33,8 +32,8 @@ class TestOrphanRate:
         assert expected_orphan_rate(600, 600) == pytest.approx(1 - math.exp(-1))
 
     def test_curve_shape(self):
-        curve = orphan_rate_curve(10.0, [15.0, 60.0, 600.0])
-        rates = [rate for _, rate in curve]
+        rates = [expected_orphan_rate(10.0, interval)
+                 for interval in (15.0, 60.0, 600.0)]
         assert rates[0] > rates[1] > rates[2]
 
     def test_validation(self):

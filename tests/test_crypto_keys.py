@@ -75,7 +75,7 @@ class TestSignatures:
     def test_sign_hash(self):
         kp = KeyPair.generate(random.Random(10))
         digest = sha256(b"payload")
-        sig = kp.sign_hash(digest)
+        sig = kp.sign(bytes(digest))
         assert verify_signature(kp.public_key, bytes(digest), sig)
 
     def test_signatures_deterministic(self):

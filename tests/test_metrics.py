@@ -1,9 +1,12 @@
-"""Tests for repro.metrics (stats, collector, tables)."""
+"""Tests for repro.metrics (stats, tables)."""
+
+import math
+import statistics
 
 import pytest
 
-from repro.metrics.collector import MetricCollector
 from repro.metrics.stats import (
+    aggregate_samples,
     binomial_ci,
     confidence_interval,
     percentile,
@@ -64,6 +67,21 @@ class TestConfidenceIntervals:
     def test_single_sample_degenerate(self):
         assert confidence_interval([5.0]) == (5.0, 5.0)
 
+    def test_sample_stdev_and_interval_match_statistics(self):
+        # The spread of a handful of seeds estimates the population's:
+        # n - 1 in the variance, not n (which is sqrt(4/5) too narrow
+        # at five samples).
+        values = [1, 2, 3, 4, 5]
+        stdev = statistics.stdev(values)
+        half = 1.96 * stdev / math.sqrt(len(values))
+        assert summarize(values).stdev == pytest.approx(stdev)
+        assert confidence_interval(values) == pytest.approx(
+            (3.0 - half, 3.0 + half))
+        aggregate = aggregate_samples(values)
+        assert aggregate["stdev"] == pytest.approx(stdev)
+        assert (aggregate["ci95_lo"], aggregate["ci95_hi"]) == pytest.approx(
+            (3.0 - half, 3.0 + half))
+
     def test_binomial_wilson(self):
         lo, hi = binomial_ci(50, 100)
         assert lo < 0.5 < hi
@@ -100,88 +118,6 @@ class TestWindowedRate:
         assert windowed_rate([], 1.0) == []
         with pytest.raises(ValueError):
             windowed_rate([1.0], 0.0)
-
-
-class TestCollector:
-    def test_counters(self):
-        collector = MetricCollector()
-        collector.incr("blocks")
-        collector.incr("blocks", 2)
-        assert collector.counter("blocks") == 3
-        assert collector.counter("missing") == 0
-
-    def test_series_and_summary(self):
-        collector = MetricCollector()
-        for t, v in [(0, 1.0), (1, 2.0), (2, 3.0)]:
-            collector.record("latency", t, v)
-        assert collector.values("latency") == [1.0, 2.0, 3.0]
-        assert collector.summary("latency").mean == 2.0
-
-    def test_merge(self):
-        a, b = MetricCollector(), MetricCollector()
-        a.incr("x")
-        b.incr("x", 4)
-        b.record("s", 0, 1.0)
-        a.merge(b)
-        assert a.counter("x") == 5
-        assert a.values("s") == [1.0]
-
-    def test_merge_restores_time_order(self):
-        """Regression: merging runs that overlap in time must interleave
-        samples chronologically, not append one run after the other."""
-        a, b = MetricCollector(), MetricCollector()
-        for t in (0.0, 2.0, 4.0):
-            a.record("s", t, t)
-        for t in (1.0, 3.0, 5.0):
-            b.record("s", t, t)
-        a.merge(b)
-        assert a.samples("s") == [(t, t) for t in
-                                  (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)]
-
-    def test_merge_is_stable_at_equal_times(self):
-        a, b = MetricCollector(), MetricCollector()
-        a.record("s", 1.0, 10.0)
-        b.record("s", 1.0, 20.0)
-        a.merge(b)
-        assert a.samples("s") == [(1.0, 10.0), (1.0, 20.0)]
-
-    def test_merge_counters_accumulate_across_merges(self):
-        total = MetricCollector()
-        for value in (1.0, 2.0, 3.0):
-            shard = MetricCollector()
-            shard.incr("n", value)
-            total.merge(shard)
-        assert total.counter("n") == 6.0
-
-    def test_out_of_order_recording_keeps_series_sorted(self):
-        collector = MetricCollector()
-        for t in (5.0, 1.0, 3.0, 2.0, 4.0):
-            collector.record("s", t, t)
-        assert [t for t, _ in collector.samples("s")] == [1, 2, 3, 4, 5]
-
-    def test_window_query(self):
-        collector = MetricCollector()
-        for t in (0.0, 1.0, 2.0, 3.0, 4.0):
-            collector.record("s", t, t * 10)
-        assert collector.window("s", 1.0, 3.0) == [(1.0, 10.0), (2.0, 20.0)]
-        with pytest.raises(ValueError):
-            collector.window("s", 3.0, 1.0)
-
-    def test_ingest_tracer_snapshot(self):
-        from repro.trace import REASON_LOSS, Tracer
-
-        tracer = Tracer()
-        tracer.record_schedule(0.0, "a", "b", "tx")
-        tracer.record_drop(0.1, "a", "b", "tx", REASON_LOSS)
-        collector = MetricCollector()
-        collector.ingest_tracer(tracer)
-        assert collector.counter("trace.scheduled") == 1.0
-        # A second ingest overwrites rather than double-counts.
-        tracer.record_schedule(0.2, "a", "b", "tx")
-        tracer.record_deliver(0.3, "a", "b", "tx")
-        collector.ingest_tracer(tracer)
-        assert collector.counter("trace.scheduled") == 2.0
-        assert collector.counter("trace.delivered") == 1.0
 
 
 class TestRenderTable:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.metrics.slo import (
     detect_saturation_knee,
-    latency_histogram,
     load_point,
 )
 
@@ -51,16 +50,6 @@ class TestLoadPoint:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
             load_point(1.0, [], submitted=0, duration_s=0.0)
-
-
-class TestLatencyHistogram:
-    def test_buckets_and_overflow(self):
-        hist = latency_histogram([0.5, 1.5, 2.5, 10.0], [1.0, 2.0])
-        assert hist == [(1.0, 1), (2.0, 1), (float("inf"), 2)]
-
-    def test_rejects_unsorted_edges(self):
-        with pytest.raises(ValueError):
-            latency_histogram([], [2.0, 1.0])
 
 
 class TestSaturationKnee:

@@ -26,12 +26,12 @@ from repro.common.types import Hash
 from repro.consensus import BftNode, BftPayment
 from repro.crypto.keys import KeyPair
 from repro.faults import FaultInjector
-from repro.net.link import FAST_LINK
+from repro.net.link import FAST_LINK, LinkParams
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.sharded_plane import ShardedMessagePlane
 from repro.net.topology import complete_topology
-from repro.protocol import protocol_nodes
+from repro.protocol import aggregate_layer_counters, protocol_nodes
 from repro.sim.simulator import Simulator
 from repro.blockchain.block import build_genesis_with_allocations
 from repro.blockchain.node import MSG_BLOCK, BlockchainNode
@@ -71,8 +71,9 @@ def partition_faults(injector):
 
 
 def blackhole_faults(injector):
-    injector.blackhole_at(3.0, "n0", "n3", duration_s=12.0)
-    injector.blackhole_at(3.0, "n1", "n4", duration_s=12.0)
+    blackhole = LinkParams(loss_probability=1.0)
+    injector.degrade_link_at(3.0, "n0", "n3", blackhole, duration_s=12.0)
+    injector.degrade_link_at(3.0, "n1", "n4", blackhole, duration_s=12.0)
 
 
 SCENARIOS = {
@@ -283,7 +284,7 @@ def test_layer_counters_flow_through_fault_injector(paradigm):
     for i, t in enumerate(EMIT_TIMES):
         sim.schedule_at(t, lambda i=i: emit(i), label=f"emit:{i}")
     sim.run(until=SETTLE_UNTIL)
-    counters = injector.protocol_counters()
+    counters = aggregate_layer_counters(net.nodes())
     assert counters["transport.published"] >= ARTIFACTS
     for key in ("intake.parked", "intake.retried", "intake.revived",
                 "intake.backlog", "transport.republished"):

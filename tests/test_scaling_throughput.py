@@ -67,17 +67,3 @@ class TestThroughputMeter:
         meter = ThroughputMeter()
         assert meter.average_tps() == 0.0
         assert meter.peak_tps() == 0.0
-        assert meter.tps_series(1.0) == []
-
-    def test_series_buckets(self):
-        meter = ThroughputMeter()
-        meter.record(0.5)
-        meter.record(0.6)
-        meter.record(2.5)
-        series = dict(meter.tps_series(1.0))
-        assert series[0.0] == 2.0
-        assert series[2.0] == 1.0
-
-    def test_series_validates_bucket(self):
-        with pytest.raises(ValueError):
-            ThroughputMeter().tps_series(0.0)

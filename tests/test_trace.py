@@ -512,6 +512,7 @@ class TestGoldens:
     def test_seeded_faults_scenario(self, monkeypatch, capsys):
         import repro.net.network as network_module
         from repro.cli import main
+        from repro.core.experiment import EXPERIMENTS
 
         built = []
 
@@ -520,8 +521,11 @@ class TestGoldens:
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
+        # The bench binds ``Network`` at import, so patch its name too.
         monkeypatch.setattr(network_module, "Network", Recording)
-        assert main(["faults", "--seed", "1"]) == 0
+        monkeypatch.setattr(EXPERIMENTS["A7"].load_module(), "Network",
+                            Recording)
+        assert main(["bench", "A7", "--seed", "1"]) == 0
         capsys.readouterr()
         assert _observed(built[-1].tracer) == GOLDENS["faults_cli"]
 

@@ -40,7 +40,7 @@ class TestOpenLoopInjector:
         )
         injector.start()
         ledger.advance(150.0)
-        latencies = injector.confirmed_latencies()
+        latencies = ledger.stats().confirmation_latencies_s
         assert latencies
         assert all(lat >= 0 for lat in latencies)
 
