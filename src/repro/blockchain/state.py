@@ -256,12 +256,6 @@ class AccountState:
         The miner's reward is credited after all transactions, matching
         the coinbase-last convention.
         """
-        if len(txs) > 1:
-            from repro.crypto.keys import prewarm_signatures
-
-            prewarm_signatures(
-                [item for tx in txs for item in tx.signature_items()]
-            )
         receipts: List[Receipt] = []
         cumulative = 0
         for tx in txs:

@@ -157,17 +157,6 @@ class Transaction:
                 return False
         return True
 
-    def signature_items(self) -> List[tuple]:
-        """Per-input triples for
-        :func:`repro.crypto.keys.verify_signatures_batch` (coinbase inputs
-        carry no signature and are skipped)."""
-        digest = bytes(self._sighash)
-        return [
-            (tx_input.public_key, digest, tx_input.signature)
-            for tx_input in self.inputs
-            if not tx_input.is_coinbase
-        ]
-
 
 def make_coinbase(recipient: Address, amount: int, nonce: int = 0) -> Transaction:
     """The block-subsidy transaction that pays the miner (Section III-A1:
@@ -311,10 +300,6 @@ class AccountTransaction:
         return verify_signature(
             self.sender_public_key, bytes(self.sighash()), self.signature
         )
-
-    def signature_items(self) -> List[tuple]:
-        """Triples for :func:`repro.crypto.keys.verify_signatures_batch`."""
-        return [(self.sender_public_key, bytes(self._sighash), self.signature)]
 
 
 def sign_account_transaction(

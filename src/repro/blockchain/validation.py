@@ -23,7 +23,6 @@ from typing import Container, List, Tuple
 
 from repro.common.errors import InvalidProofOfWorkError, ValidationError
 from repro.common.types import TxId
-from repro.crypto.keys import prewarm_signatures
 from repro.blockchain.block import Block
 from repro.blockchain.gas import intrinsic_gas
 from repro.blockchain.params import ChainParams
@@ -82,13 +81,6 @@ def _connect(
     coinbase, *body = block.transactions
     if not isinstance(coinbase, Transaction) or not coinbase.is_coinbase:
         raise ValidationError("first transaction must be the coinbase")
-
-    unchecked = [tx for tx in body if isinstance(tx, Transaction)
-                 and not tx.is_coinbase and tx.txid not in verified]
-    if len(unchecked) > 1:
-        # Verify the signatures this block must check in one batch pass;
-        # the per-transaction checks below then hit the signature cache.
-        prewarm_signatures([item for tx in unchecked for item in tx.signature_items()])
 
     undos: List[UndoRecord] = []
     total_fees = 0

@@ -16,10 +16,8 @@ from repro.crypto import accel
 from repro.crypto.hashing import sha256, sha256d
 from repro.crypto.keys import (
     KeyPair,
-    prewarm_signatures,
     sigcache_counters,
     verify_signature,
-    verify_signatures_batch,
 )
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.pow import check_pow, difficulty_to_target, solve_pow
@@ -32,11 +30,9 @@ __all__ = [
     "accel",
     "check_pow",
     "difficulty_to_target",
-    "prewarm_signatures",
     "sha256",
     "sha256d",
     "sigcache_counters",
     "solve_pow",
     "verify_signature",
-    "verify_signatures_batch",
 ]

@@ -15,16 +15,15 @@ attacker node that does not hold a ``KeyPair`` object cannot produce a
 signature that verifies, and tampering with a signed message makes
 verification fail.
 
-**Amortization.**  Real node software amortizes signature checking over
-bursts (Bitcoin Core's sigcache and batch-validation lineage); so do we.
-:func:`verify_signatures_batch` partitions a burst into cached and
-uncached triples, resolves each signer's HMAC state once per key, and
-verifies the uncached set in one pass with no intermediate ``mac +
-message`` joins.  Signing, scalar and batch verification all clone
-per-seed ipad/opad SHA-256 states rather than build two :mod:`hmac`
-objects per message — byte-identical output (proved at import by
-:mod:`repro.crypto.accel`, property-tested against the stdlib), measured
-≈2× faster per signature.
+**Amortization.**  Real node software never re-verifies what the
+process already validated (Bitcoin Core's sigcache); neither do we.
+Every check goes through :func:`verify_signature` and its bounded
+sigcache, which signing seeds, so a cached triple costs one HMAC pair
+per process however many replicas check it.  Signing and verification
+clone per-seed ipad/opad SHA-256 states rather than build two
+:mod:`hmac` objects per message — byte-identical output (proved at
+import by :mod:`repro.crypto.accel`, property-tested against the
+stdlib), measured ≈2× faster per signature.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.common.memo import cached
 from repro.common.types import ADDRESS_SIZE, Address
@@ -190,85 +189,16 @@ def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> boo
 def verify_signatures_batch(
     items: Sequence[Tuple[bytes, bytes, bytes]],
 ) -> List[bool]:
-    """Per-item verdicts for a burst of ``(public_key, message, signature)``.
-
-    Agrees with :func:`verify_signature` item-for-item (mixed valid /
-    tampered / unregistered-key bursts included — property-tested), but
-    amortizes the work: one cache probe per item, one registry + HMAC
-    proto-state resolution per *distinct key*, and an early mac-half
-    comparison that skips the second HMAC for tampered signatures.
-    Verified triples are inserted into the sigcache so every later
-    replica's revalidation is a hit.
-    """
-    n = len(items)
-    verdicts: List[bool] = [False] * n
-    pending: List[Tuple[int, bytes, bytes, bytes, bytes]] = []
-    registry_get = _KEY_REGISTRY.get
-    cache_get = _SIG_CACHE.get
-    stats = _SIG_STATS
-    for index in range(n):
-        public_key, message, signature = items[index]
-        if len(signature) != SIGNATURE_SIZE:
-            continue
-        seed = registry_get(public_key)
-        if seed is None:
-            continue
-        cached = cache_get((public_key, message, signature))
-        if cached is not None:
-            stats["hits"] += 1
-            verdicts[index] = cached
-            continue
-        pending.append((index, seed, public_key, message, signature))
-    if not pending:
-        return verdicts
-
-    sig_cache = _SIG_CACHE
-    last_seed: Optional[bytes] = None
-    inner = outer = None
-    for index, seed, public_key, message, signature in pending:
-        cache_key = (public_key, message, signature)
-        cached = cache_get(cache_key)
-        if cached is not None:
-            # A duplicate earlier in this same burst already verified it.
-            stats["hits"] += 1
-            verdicts[index] = cached
-            continue
-        stats["misses"] += 1
-        if seed is not last_seed:
-            inner, outer = _hmac_protos(seed)
-            last_seed = seed
-        i = inner.copy()
-        i.update(message)
-        o = outer.copy()
-        o.update(i.digest())
-        mac = o.digest()
-        if signature[:32] != mac:
-            ok = False
-        else:
-            i = inner.copy()
-            i.update(mac)
-            i.update(message)
-            o = outer.copy()
-            o.update(i.digest())
-            ok = signature[32:] == o.digest()
-        if len(sig_cache) >= _SIG_CACHE_MAX:
-            _evict_sig_cache()
-        sig_cache[cache_key] = ok
-        verdicts[index] = ok
-    return verdicts
+    """:func:`verify_signature` per item.  Kept only because
+    ``perfbench/spans.py`` ``ENTRY_POINTS`` names it; nothing calls it."""
+    return [verify_signature(*item) for item in items]
 
 
 def prewarm_signatures(items: Iterable[Tuple[bytes, bytes, bytes]]) -> None:
-    """Warm the sigcache for a burst so the scalar checks downstream hit.
-
-    Behavior-neutral by construction: it only populates the cache that
-    :func:`verify_signature` would populate anyway, so validation
-    outcomes (and golden fingerprints) are byte-identical with or
-    without the prewarm.
-    """
-    batch = items if isinstance(items, (list, tuple)) else list(items)
-    if batch:
-        verify_signatures_batch(batch)
+    """:func:`verify_signature` per item.  Kept only because
+    ``perfbench/spans.py`` ``ENTRY_POINTS`` names it; nothing calls it."""
+    for item in items:
+        verify_signature(*item)
 
 
 def sigcache_counters() -> Dict[str, int]:

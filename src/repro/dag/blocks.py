@@ -140,10 +140,6 @@ class NanoBlock:
             self.public_key, bytes(self.block_hash), self.signature
         )
 
-    def signature_item(self) -> tuple:
-        """Triple for :func:`repro.crypto.keys.verify_signatures_batch`."""
-        return (self.public_key, bytes(self.block_hash), self.signature)
-
     def verify_work(self, difficulty: float) -> bool:
         """Check the hashcash anti-spam stamp (Section III-B)."""
         return check_antispam(self.work_root(), self.work, difficulty)

@@ -20,7 +20,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.common.types import Address, Hash
-from repro.crypto.keys import KeyPair, address_of, prewarm_signatures
+from repro.crypto.keys import KeyPair, address_of
 from repro.dag.blocks import BlockType, NanoBlock, make_open
 from repro.dag.params import NanoParams
 from repro.dag.representatives import RepresentativeLedger
@@ -133,34 +133,28 @@ class Lattice:
         old blocks are gone — ``NanoNode.bootstrap_from`` would park the
         heads forever waiting on pruned predecessors.  Installed heads
         are cemented (they come from a checkpoint, not an election).
-        Returns the number of chains installed.
+        All or nothing: every fresh head's signature is checked before
+        any is installed.  Returns the number of chains installed.
         """
-        installed = 0
-        fresh = [
-            head for head in heads
-            if head.account not in self._chains
-            and head.block_hash not in self._blocks
-        ]
-        if len(fresh) > 1:
-            # Burst path: verify the whole checkpoint in one batch pass so
-            # the scalar per-head checks below all hit the sigcache.
-            prewarm_signatures([head.signature_item() for head in fresh])
+        fresh: Dict[Address, NanoBlock] = {}
         for head in heads:
             if head.account in self._chains or head.block_hash in self._blocks:
                 continue  # already have (some of) this chain: keep ours
+            fresh.setdefault(head.account, head)
+        for head in fresh.values():
             if not head.verify_signature():
                 raise ValidationError(
                     f"checkpoint head {head.block_hash.short()} has an "
                     "invalid signature"
                 )
+        for head in fresh.values():
             self._append(head)
             self.cement(head.block_hash)
-            installed += 1
         for info in pending:
             if info.source_hash in self._pending or info.source_hash in self._settled:
                 continue
             self._pending_add(info)
-        return installed
+        return len(fresh)
 
     # ---------------------------------------------------------------- reads
 

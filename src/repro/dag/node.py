@@ -110,9 +110,6 @@ class NanoConsensus(ConsensusEngine):
         self._node._maybe_auto_receive(block)
         self._node._maybe_vote_on_sight(block)
 
-    def signature_items(self, block: NanoBlock):
-        return (block.signature_item(),)
-
 
 class NanoNode(ProtocolNode):
     """Full DAG node with optional representative role."""
@@ -320,9 +317,9 @@ class NanoNode(ProtocolNode):
         # Served in dependency order — each chain oldest-first, a send
         # before the open or receive that names it — so nothing parks
         # and the intake buffer's capacity never bounds what a replica
-        # can join.  One batch: signatures verified in a single pass.
-        # The skip guard re-checks membership at each block's turn — an
-        # auto-receive minted mid-batch can collide with the peer's copy.
+        # can join.  The skip guard re-checks membership at each block's
+        # turn — an auto-receive minted mid-burst can collide with the
+        # peer's copy.
         settles = (BlockType.OPEN, BlockType.RECEIVE)
         order = TopologicalSorter({
             key: [block.previous, *([block.source]

@@ -313,33 +313,8 @@ def _bench_lattice_settle(scale: float) -> Tuple[int, float]:
 
 
 # --------------------------------------------------------------------------
-# Burst-amortization benches
+# Burst-ingestion benches
 # --------------------------------------------------------------------------
-
-
-def _bench_sig_batch_verify(scale: float) -> Tuple[int, float]:
-    """Artifact lifecycle, cold caches: sign a burst, then first-contact
-    verification through the batch API — what every simulated artifact
-    pays once per process.  Signing seeds the sigcache, so the burst
-    partitions into cached triples plus the tampered minority (one per
-    16) that must be recomputed and rejected."""
-    from repro.crypto.keys import KeyPair, clear_sigcache, verify_signatures_batch
-
-    signers = 8
-    n = max(64, int(6000 * scale))
-    keys = [KeyPair.from_seed(bytes([0x40 + i]) * 32) for i in range(signers)]
-    messages = [b"burst:%d" % i for i in range(n)]
-    start = perf_counter()
-    clear_sigcache()
-    items = []
-    for i in range(n):
-        key = keys[i % signers]
-        signature = key.sign(messages[i]) if i % 16 != 15 else bytes(64)
-        items.append((key.public_key, messages[i], signature))
-    verdicts = verify_signatures_batch(items)
-    wall = perf_counter() - start
-    assert verdicts == [i % 16 != 15 for i in range(n)]
-    return n, wall
 
 
 def _build_source_lattice(accounts_n: int, rounds: int):
@@ -386,8 +361,8 @@ def _build_source_lattice(accounts_n: int, rounds: int):
 
 def _bench_ingest_batch(scale: float) -> Tuple[int, float]:
     """Burst ingestion through the stack: a cold replica adopts a peer's
-    lattice via ``ingest_batch`` — one signature prewarm for the whole
-    burst and one closing dependent-retry pass."""
+    lattice via ``ingest_batch`` — quiet ingest per block, each window's
+    parked blocks revived when their dependency lands."""
     from repro.crypto.keys import clear_sigcache
     from repro.dag.node import NanoNode
 
@@ -611,9 +586,7 @@ BENCHES: Dict[str, Bench] = {
               _bench_state_trie_block_apply, paradigms=("blockchain",)),
         Bench("lattice_settle", "block-lattice send/receive settlement",
               _bench_lattice_settle, paradigms=("dag",)),
-        Bench("sig_batch_verify", "cold-cache burst signature verification",
-              _bench_sig_batch_verify),
-        Bench("ingest_batch", "stack burst ingestion (prewarm + one retry pass)",
+        Bench("ingest_batch", "stack burst ingestion (quiet ingest, park/revive)",
               _bench_ingest_batch, repeats=2, paradigms=("dag",)),
         Bench("mempool_admit", "fee-market mempool admission under caps",
               _bench_mempool_admit, paradigms=("blockchain",)),

@@ -141,18 +141,6 @@ class ConsensusEngine(abc.ABC):
     def on_applied(self, artifact: Any) -> None:
         """Post-acceptance consensus actions (default: none)."""
 
-    def signature_items(self, artifact: Any) -> Any:
-        """``(public_key, message, signature)`` triples ``artifact`` carries.
-
-        :meth:`ProtocolNode.ingest_batch` feeds these to
-        :func:`repro.crypto.keys.prewarm_signatures` before a burst is
-        ingested, so the engine's own scalar checks all hit the
-        sigcache.  Must be side-effect-free; only engines fed through
-        ``ingest_batch`` (the lattice bootstrap) override the empty
-        default.
-        """
-        return ()
-
     def counters(self) -> Dict[str, float]:
         """Engine-level counters (votes, view changes, QCs formed, ...).
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Optional
 
 from repro.common.errors import ReproError
-from repro.crypto.keys import prewarm_signatures
 from repro.net.node import NetworkNode
 from repro.protocol.intake import DEFAULT_INTAKE_CAPACITY, IntakeLayer
 from repro.protocol.interfaces import ConsensusEngine
@@ -112,48 +111,17 @@ class ProtocolNode(NetworkNode):
             return False
 
     def ingest_batch(self, artifacts: Any, *, skip: Any = None) -> int:
-        """Run a whole burst through intake + consensus; returns the
-        number integrated.
-
-        Amortizes the burst two ways: the engine's signature triples are
-        batch-verified up front (one sigcache fill for the whole burst,
-        see :meth:`ConsensusEngine.signature_items`), and the
-        dependent-retry pass runs once at the end instead of after every
-        artifact.  Validation errors are swallowed per artifact (quiet
-        ingest semantics — this is the bootstrap/sync/burst path).  The
-        final ledger state is identical to scalar ingest in any order:
-        an artifact parked because its dependency sat later in the burst
-        is revived by the closing retry pass.
+        """:meth:`ingest_quietly` over a burst; returns the number
+        integrated directly (revived dependents not counted).
 
         ``skip`` (optional callable) is evaluated at each artifact's turn
         and drops it without touching the engine — callers whose engines
         count duplicates (the lattice) pass a membership test so an
-        artifact integrated mid-batch (dependency retry, auto-receive)
-        is skipped exactly as the scalar loop's re-check would.
+        artifact integrated mid-burst (dependency retry, auto-receive)
+        is skipped.
         """
-        if not isinstance(artifacts, (list, tuple)):
-            artifacts = list(artifacts)
-        engine = self.consensus
-        if len(artifacts) > 1:
-            triples: list = []
-            collect = engine.signature_items
-            for artifact in artifacts:
-                triples.extend(collect(artifact))
-            if triples:
-                prewarm_signatures(triples)
-        applied_keys = []
-        for artifact in artifacts:
-            if skip is not None and skip(artifact):
-                continue
-            try:
-                key = self._ingest_no_retry(artifact)
-            except ReproError:
-                continue
-            if key is not None:
-                applied_keys.append(key)
-        for key in applied_keys:
-            self.retry_dependents(key)
-        return len(applied_keys)
+        return sum(self.ingest_quietly(a) for a in artifacts
+                   if skip is None or not skip(a))
 
     def retry_dependents(self, key: Hashable) -> int:
         """Re-ingest everything parked on the just-integrated ``key``.

@@ -1,13 +1,12 @@
-"""Burst verification, sigcache bounds, batch ingest, coalesced delivery.
+"""Sigcache bounds, cloned-state HMAC, burst ingest, coalesced delivery.
 
 Everything here pins the amortized paths to their one-at-a-time
-semantics: the cloned-state HMAC must equal the stdlib's,
-:func:`verify_signatures_batch` must agree item-for-item with
-:func:`verify_signature` on arbitrary mixed bursts, the sigcache must
-stay bounded under overflow (chunk eviction, not wholesale clears) and
-never hold a verdict nobody verified, ``ingest_batch`` must converge to
-the same ledger as scalar ingest in any arrival order, and a lossy gossip
-run and a whole E14 simulation must reproduce their recorded goldens.
+semantics: the cloned-state HMAC must equal the stdlib's, the sigcache
+must stay bounded under overflow (chunk eviction, not wholesale clears)
+and never hold a verdict nobody verified, ``ingest_batch`` must converge
+to the same ledger as scalar ingest in any arrival order, and a lossy
+gossip run and a whole E14 simulation must reproduce their recorded
+goldens.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.crypto.keys import (
     clear_sigcache,
     sigcache_counters,
     verify_signature,
-    verify_signatures_batch,
 )
 
 
@@ -36,77 +34,6 @@ def _fresh_sigcache():
     clear_sigcache()
     yield
     clear_sigcache()
-
-
-def _burst(seed: int, n: int = 120):
-    """A mixed burst: valid / tampered signature / tampered message /
-    unregistered key / wrong-length signature / in-burst duplicates."""
-    rng = random.Random(seed)
-    signers = [KeyPair.generate(rng) for _ in range(5)]
-    stranger_pk = rng.getrandbits(256).to_bytes(32, "big")  # never registered
-    items = []
-    for i in range(n):
-        key = signers[i % len(signers)]
-        message = b"burst:%d:%d" % (seed, i)
-        signature = key.sign(message)
-        flavor = i % 6
-        if flavor == 1:  # tampered signature
-            signature = bytes([signature[0] ^ 0xFF]) + signature[1:]
-        elif flavor == 2:  # message swapped after signing
-            message = message + b"!"
-        elif flavor == 3:  # unregistered public key
-            items.append((stranger_pk, message, signature))
-            continue
-        elif flavor == 4:  # wrong length
-            signature = signature[:32]
-        elif flavor == 5 and items:  # duplicate of an earlier item
-            items.append(items[rng.randrange(len(items))])
-            continue
-        items.append((key.public_key, message, signature))
-    return items
-
-
-class TestBatchScalarAgreement:
-    @pytest.mark.parametrize("seed", [1, 7, 42])
-    def test_batch_matches_scalar_cold(self, seed):
-        items = _burst(seed)
-        clear_sigcache()
-        batch = verify_signatures_batch(items)
-        clear_sigcache()
-        scalar = [verify_signature(*item) for item in items]
-        assert batch == scalar
-
-    def test_batch_then_scalar_is_all_hits(self):
-        items = [it for it in _burst(3) if len(it[2]) == 64]
-        verify_signatures_batch(items)
-        before = sigcache_counters()["sigcache.misses"]
-        scalar = [verify_signature(*item) for item in items]
-        after = sigcache_counters()
-        # Registered-key triples were all cached by the batch pass; the
-        # scalar re-check may only miss on unregistered keys (never
-        # cached, by design).
-        registered = [it for it in items if it[0] in keys._KEY_REGISTRY]
-        assert after["sigcache.misses"] == before
-        assert after["sigcache.hits"] >= len(registered)
-        assert scalar == verify_signatures_batch(items)
-
-    def test_empty_and_singleton(self):
-        assert verify_signatures_batch([]) == []
-        key = KeyPair.from_seed(b"\x01" * 32)
-        sig = key.sign(b"solo")
-        assert verify_signatures_batch([(key.public_key, b"solo", sig)]) == [True]
-
-    def test_in_burst_duplicate_verified_once(self):
-        clear_sigcache()
-        key = KeyPair.from_seed(b"\x02" * 32)
-        sig = key.sign(b"dup")
-        clear_sigcache()  # drop any signer-side seeding: force a cold burst
-        item = (key.public_key, b"dup", sig)
-        verdicts = verify_signatures_batch([item, item, item])
-        assert verdicts == [True, True, True]
-        counters = sigcache_counters()
-        assert counters["sigcache.misses"] == 1
-        assert counters["sigcache.hits"] == 2
 
 
 class TestClonedStateHmac:
@@ -143,18 +70,13 @@ class TestForgedKeyPair:
         return victim, (victim.public_key, b"pay mallory", forged.sign(b"pay mallory"))
 
     def test_scalar_rejects_and_nothing_was_seeded(self):
-        _victim, triple = self._forge()
+        victim, triple = self._forge()
         assert sigcache_counters()["sigcache.seeds"] == 0
         assert triple not in keys._SIG_CACHE
         assert verify_signature(*triple) is False
-
-    def test_batch_rejects_and_nothing_was_seeded(self):
-        victim, triple = self._forge()
-        honest = (victim.public_key, b"pay bob", victim.sign(b"pay bob"))
-        assert sigcache_counters()["sigcache.seeds"] == 1  # honest only
-        assert verify_signatures_batch([triple, honest, triple]) == [
-            False, True, False]
         # The honest from_seed signer still gets its first-contact hit.
+        assert verify_signature(victim.public_key, b"pay bob", victim.sign(b"pay bob"))
+        assert verify_signature(*triple) is False  # the rejection is cached
         assert sigcache_counters()["sigcache.misses"] == 1
 
 
@@ -198,7 +120,6 @@ class TestSigcacheBounds:
     def test_unregistered_key_never_cached(self):
         stranger_pk = b"\x99" * 32
         assert not verify_signature(stranger_pk, b"msg", b"\x00" * 64)
-        assert not verify_signatures_batch([(stranger_pk, b"msg", b"\x00" * 64)])[0]
         assert sigcache_counters()["sigcache.entries"] == 0
 
 

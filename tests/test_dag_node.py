@@ -1,9 +1,11 @@
 """Integration tests for repro.dag.node over the simulated network."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import GenesisMismatchError, ValidationError
-from repro.crypto.keys import KeyPair
+from repro.crypto.keys import KeyPair, clear_sigcache, sigcache_counters
 from repro.net.link import LinkParams
 from repro.dag.blocks import make_send
 from repro.dag.bootstrap import build_nano_testbed, fund_accounts
@@ -156,6 +158,50 @@ class TestStateSync:
         assert joiner.lattice.total_supply() == ours.lattice.total_supply()
         assert joiner.lattice.block_count() == 1
         assert joiner.transport.counters.state_syncs == 0
+
+    def test_forged_head_installs_nothing(self, funded):
+        """A forged head used to leave every head before it appended and
+        cemented: 4 of 5 chains, supply short by the forged chain's."""
+        tb, _users = funded
+        peer = tb.nodes[0]
+        heads = [chain.head for chain in peer.lattice.chains() if chain.blocks]
+        forged = replace(heads[-1], signature=bytes(64))
+        joiner = NanoNode("joiner", peer.params)
+        with pytest.raises(ValidationError, match="invalid signature"):
+            joiner.lattice.install_frontier(heads[:-1] + [forged], [])
+        assert joiner.lattice.account_count() == 0
+        assert joiner.lattice.block_count() == 0
+        assert joiner.lattice.total_supply() == 0
+        assert joiner.lattice.install_frontier(heads, []) == len(heads)
+
+
+class TestColdJoinChecksEachSignatureOnce:
+    """A cold replica verifies each adopted block's signature exactly
+    once: every check a sigcache miss, none a hit."""
+
+    def test_bootstrap(self, funded):
+        tb, _users = funded
+        peer = tb.nodes[0]
+        joiner = NanoNode("joiner", peer.params)
+        joiner.lattice.install_genesis(
+            peer.lattice.chain(peer.lattice.genesis_account).blocks[0])
+        clear_sigcache()
+        adopted = joiner.bootstrap_from(peer)
+        assert adopted == peer.lattice.block_count() - 1
+        counters = sigcache_counters()
+        assert counters["sigcache.hits"] == 0
+        assert counters["sigcache.misses"] == adopted
+
+    def test_state_sync(self, funded):
+        tb, _users = funded
+        peer = tb.nodes[0]
+        joiner = NanoNode("joiner", peer.params)
+        clear_sigcache()
+        installed = joiner.state_sync_from(peer)
+        assert installed == peer.lattice.account_count()
+        counters = sigcache_counters()
+        assert counters["sigcache.hits"] == 0
+        assert counters["sigcache.misses"] == installed
 
 
 class TestConfirmation:
