@@ -11,9 +11,10 @@ Run:  python examples/quickstart.py
 
 from dataclasses import replace
 
-from repro import BlockchainLedger, DagLedger, compare_ledgers
 from repro.blockchain.params import BITCOIN
-from repro.workloads import PaymentWorkload
+from repro.core.adapters import BlockchainLedger, DagLedger
+from repro.core.comparison import compare_ledgers
+from repro.workloads.generators import PaymentWorkload
 
 
 def main() -> None:

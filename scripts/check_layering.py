@@ -15,7 +15,12 @@ The dependency contract that keeps ``repro.protocol`` paradigm-agnostic:
   ``repro.protocol.interfaces``, the contract module that defines the
   :class:`MessagePlane` seam the fabric implements.  The interface module
   is the *only* protocol surface the fabric may see; reaching any other
-  ``repro.protocol`` submodule from below is still a violation.
+  ``repro.protocol`` submodule from below is still a violation;
+* ``numpy`` and ``networkx`` load only with the scale tier and the
+  random topologies: the four scale-tier modules in ``SCALE_TIER`` may
+  import them at module level, and every other module only inside the
+  function that needs them, so the paper's small exact deployments
+  never load either.
 
 Violations are reported with file:line so the CI annotation is
 clickable.  Exits non-zero on any violation.
@@ -70,32 +75,57 @@ ALLOWED = {
 }
 
 
+#: third-party libraries only the scale tier may import at module level
+SCALE_LIBRARIES = ("numpy", "networkx")
+
+#: the modules (relative to ``SRC``) allowed to import them at module level
+SCALE_TIER = (
+    "repro/net/aggregate.py",
+    "repro/net/sharded_plane.py",
+    "repro/sim/sharded.py",
+    "repro/scaling/channels.py",
+)
+
+
 def imported_names(tree: ast.AST) -> list:
-    """(lineno, module) for every import in ``tree``."""
+    """(lineno, module, in_function) for every import in ``tree``."""
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found.extend((node.lineno, alias.name) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            found.append((node.lineno, node.module))
-    return found
+    pending = [(tree, False)]
+    while pending:
+        parent, in_function = pending.pop()
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, ast.Import):
+                found.extend((node.lineno, alias.name, in_function)
+                             for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                found.append((node.lineno, node.module, in_function))
+            pending.append((node, in_function or isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))))
+    return sorted(found)
 
 
 def check() -> int:
     violations = []
-    for package, banned in FORBIDDEN.items():
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        package = "/".join(relative.split("/")[:2])
+        banned = FORBIDDEN.get(package, ())
         allowed = ALLOWED.get(package, ())
-        for path in sorted((SRC / package).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for lineno, module in imported_names(tree):
-                if module in allowed:
-                    continue
-                for prefix in banned:
-                    if module == prefix or module.startswith(prefix + "."):
-                        violations.append(
-                            f"{path.relative_to(SRC.parent)}:{lineno}: "
-                            f"{package.replace('/', '.')} must not import {module}"
-                        )
+        where = path.relative_to(SRC.parent)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, module, in_function in imported_names(tree):
+            if module not in allowed and any(
+                    module == prefix or module.startswith(prefix + ".")
+                    for prefix in banned):
+                violations.append(
+                    f"{where}:{lineno}: "
+                    f"{package.replace('/', '.')} must not import {module}")
+            if (module.split(".")[0] in SCALE_LIBRARIES and not in_function
+                    and relative not in SCALE_TIER):
+                violations.append(
+                    f"{where}:{lineno}: "
+                    f"{module} may be imported at module level only by "
+                    f"the scale tier; import it inside the function")
     for violation in violations:
         print(violation)
     if violations:

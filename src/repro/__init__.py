@@ -8,8 +8,9 @@ behaviour, and every scaling approach the paper surveys.
 
 Quick start::
 
-    from repro import BlockchainLedger, DagLedger, compare_ledgers
-    from repro.workloads import PaymentWorkload
+    from repro.core.adapters import BlockchainLedger, DagLedger
+    from repro.core.comparison import compare_ledgers
+    from repro.workloads.generators import PaymentWorkload
 
     events = PaymentWorkload(accounts=10, rate_tps=0.05, seed=1).generate(600)
     report = compare_ledgers(
@@ -17,29 +18,11 @@ Quick start::
         accounts=10, initial_balance=1_000_000,
     )
     print(report.render())
+
+Import every name from its defining module.  The package ``__init__``
+files re-export nothing (except :mod:`repro.protocol`,
+:mod:`repro.common` and :mod:`repro.crypto`, which every node loads
+anyway), so a deployment loads only the modules it runs.
 """
 
-from repro.core import (
-    BlockchainLedger,
-    ComparisonReport,
-    DagLedger,
-    EXPERIMENTS,
-    Experiment,
-    Ledger,
-    LedgerStats,
-    compare_ledgers,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "BlockchainLedger",
-    "ComparisonReport",
-    "DagLedger",
-    "EXPERIMENTS",
-    "Experiment",
-    "Ledger",
-    "LedgerStats",
-    "compare_ledgers",
-    "__version__",
-]

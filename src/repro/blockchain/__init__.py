@@ -2,61 +2,3 @@
 account/gas chains, with PoW and PoS consensus (Sections II-A, III-A,
 IV-A, V-A, VI-A of the paper).
 """
-
-from repro.blockchain.block import (
-    Block,
-    BlockHeader,
-    build_genesis_block,
-    build_genesis_with_allocations,
-)
-from repro.blockchain.chain import ChainStore, ReorgResult
-from repro.blockchain.finality import FinalityDriver
-from repro.blockchain.mempool import Mempool
-from repro.blockchain.miner import Miner, SimulatedMiner
-from repro.blockchain.params import BITCOIN, ETHEREUM, ETHEREUM_POS, SEGWIT2X, ChainParams
-from repro.blockchain.pos import FinalityGadget, Validator, ValidatorSet
-from repro.blockchain.retarget import LiveRetargeter
-from repro.blockchain.spv import SpvClient, make_payment_proof
-from repro.blockchain.state import AccountState
-from repro.blockchain.transaction import (
-    AccountTransaction,
-    Transaction,
-    TxInput,
-    TxOutput,
-    make_coinbase,
-)
-from repro.blockchain.utxo import UTXOSet
-from repro.blockchain.wallet import AccountWallet, UtxoWallet
-
-__all__ = [
-    "AccountState",
-    "AccountTransaction",
-    "AccountWallet",
-    "BITCOIN",
-    "Block",
-    "BlockHeader",
-    "ChainParams",
-    "ChainStore",
-    "ETHEREUM",
-    "ETHEREUM_POS",
-    "FinalityDriver",
-    "FinalityGadget",
-    "LiveRetargeter",
-    "Mempool",
-    "Miner",
-    "ReorgResult",
-    "SEGWIT2X",
-    "SimulatedMiner",
-    "SpvClient",
-    "Transaction",
-    "TxInput",
-    "TxOutput",
-    "UTXOSet",
-    "UtxoWallet",
-    "Validator",
-    "ValidatorSet",
-    "build_genesis_block",
-    "build_genesis_with_allocations",
-    "make_coinbase",
-    "make_payment_proof",
-]

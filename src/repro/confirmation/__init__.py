@@ -7,17 +7,3 @@ delay vs. block interval (:mod:`repro.confirmation.orphan`).  DAG:
 confidence is the voted share of representative weight
 (:mod:`repro.confirmation.dag_confirmation`).
 """
-
-from repro.confirmation.nakamoto import (
-    attacker_success_probability,
-    confirmations_for_confidence,
-)
-from repro.confirmation.orphan import expected_orphan_rate
-from repro.confirmation.dag_confirmation import vote_confidence
-
-__all__ = [
-    "attacker_success_probability",
-    "confirmations_for_confidence",
-    "expected_orphan_rate",
-    "vote_confidence",
-]

@@ -9,27 +9,3 @@ same TransportLayer / IntakeLayer / ProtocolNode pipeline as the other
 four node types, so it drops into the parity matrix, the fuzzer and the
 bench registry unchanged.
 """
-
-from repro.consensus.hotstuff import (
-    BYZ_EQUIVOCATE,
-    BYZ_WITHHOLD,
-    BftBlock,
-    BftNode,
-    BftPayment,
-    HotStuffEngine,
-    QuorumCert,
-    Vote,
-    default_f,
-)
-
-__all__ = [
-    "BYZ_EQUIVOCATE",
-    "BYZ_WITHHOLD",
-    "BftBlock",
-    "BftNode",
-    "BftPayment",
-    "HotStuffEngine",
-    "QuorumCert",
-    "Vote",
-    "default_f",
-]

@@ -7,19 +7,3 @@ runs the same workload through both and produces the paper's
 five-dimension comparison; :mod:`repro.core.experiment` registers every
 reproduced figure/claim.
 """
-
-from repro.core.adapters import BlockchainLedger, DagLedger
-from repro.core.comparison import ComparisonReport, compare_ledgers
-from repro.core.experiment import EXPERIMENTS, Experiment
-from repro.core.ledger import Ledger, LedgerStats
-
-__all__ = [
-    "BlockchainLedger",
-    "ComparisonReport",
-    "DagLedger",
-    "EXPERIMENTS",
-    "Experiment",
-    "Ledger",
-    "LedgerStats",
-    "compare_ledgers",
-]

@@ -15,16 +15,19 @@ lives in the adapter constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.blockchain.mempool import MempoolLimits
 from repro.blockchain.params import ChainParams
 from repro.core.adapters import BftLedger, BlockchainLedger, DagLedger
 from repro.core.ledger import Ledger
 from repro.faults import ByzantineSpec, FaultInjector
-from repro.net.aggregate import TopologyScale, attach_clusters
 from repro.net.link import LinkParams
 from repro.protocol import aggregate_layer_counters
+
+if TYPE_CHECKING:
+    # The scale tier (numpy) loads only when a deployment asks for it.
+    from repro.net.aggregate import TopologyScale
 
 #: Paradigms the factory can stand up (the cross-paradigm matrix).
 PARADIGMS = ("blockchain", "dag", "bft")
@@ -77,6 +80,8 @@ class Deployment:
             # The sharded plane carries the whole population itself;
             # clusters only serve the aggregate plane (and zero-surplus
             # scales attach none — see attach_clusters).
+            from repro.net.aggregate import attach_clusters
+
             self.clusters = attach_clusters(self.network,
                                             self.topology_scale)
         return self
@@ -203,6 +208,8 @@ def build_deployment(
             f"paradigm {paradigm!r} (choose from "
             f"{', '.join(_PARADIGM_BEHAVIORS[paradigm])})")
     if isinstance(topology_scale, int):
+        from repro.net.aggregate import TopologyScale
+
         topology_scale = TopologyScale(total_nodes=topology_scale)
     plane_factory = None
     if topology_scale is not None and topology_scale.plane == "sharded":

@@ -6,40 +6,3 @@ matching *receive* block on the recipient's chain.  Conflicts are
 resolved by weighted representative voting (Open Representative Voting),
 not leader election.
 """
-
-from repro.dag.blocks import BlockType, NanoBlock, make_change, make_open, make_receive, make_send
-from repro.dag.byteball import ByteballDag, Unit, make_unit
-from repro.dag.byteball_node import ByteballNode
-from repro.dag.lattice import Lattice, PendingInfo
-from repro.dag.node import NanoNode
-from repro.dag.params import NANO, NanoParams
-from repro.dag.representatives import RepresentativeLedger
-from repro.dag.tangle import Tangle, TangleTransaction, issue_transaction
-from repro.dag.tangle_node import TangleNode
-from repro.dag.voting import Election, ElectionManager, Vote
-
-__all__ = [
-    "BlockType",
-    "ByteballDag",
-    "ByteballNode",
-    "Election",
-    "ElectionManager",
-    "Lattice",
-    "NANO",
-    "NanoBlock",
-    "NanoNode",
-    "NanoParams",
-    "PendingInfo",
-    "RepresentativeLedger",
-    "Tangle",
-    "TangleNode",
-    "TangleTransaction",
-    "Unit",
-    "Vote",
-    "issue_transaction",
-    "make_unit",
-    "make_change",
-    "make_open",
-    "make_receive",
-    "make_send",
-]

@@ -7,36 +7,11 @@ and bound the throughput of Section VI.
 
 Three message planes implement the
 :class:`repro.protocol.interfaces.MessagePlane` contract: the exact
-:class:`Network` (reference), the :class:`ShardedMessagePlane` (full
-protocol traffic over an epoch-barrier crowd, 10^4-10^6 nodes) and the
-mean-field aggregate tier (:class:`AggregateCluster` /
-:func:`attach_clusters`, one infection law at every population).
+:class:`repro.net.network.Network` (reference), the
+:class:`repro.net.sharded_plane.ShardedMessagePlane` (full protocol
+traffic over an epoch-barrier crowd, 10^4-10^6 nodes) and the mean-field
+aggregate tier in :mod:`repro.net.aggregate` (one infection law at every
+population).  Import each from its defining module: this package
+re-exports nothing, so the exact plane never loads numpy, which only the
+two scaled planes use.
 """
-
-from repro.net.aggregate import (
-    AggregateCluster,
-    TopologyScale,
-    attach_clusters,
-    validate_aggregate_model,
-)
-from repro.net.link import LinkParams
-from repro.net.message import Message
-from repro.net.network import Network
-from repro.net.node import NetworkNode
-from repro.net.sharded_plane import ShardedMessagePlane
-from repro.net.topology import complete_topology, random_regular_topology, small_world_topology
-
-__all__ = [
-    "AggregateCluster",
-    "LinkParams",
-    "Message",
-    "Network",
-    "NetworkNode",
-    "ShardedMessagePlane",
-    "TopologyScale",
-    "attach_clusters",
-    "complete_topology",
-    "random_regular_topology",
-    "small_world_topology",
-    "validate_aggregate_model",
-]

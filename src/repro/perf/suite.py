@@ -22,6 +22,7 @@ from __future__ import annotations
 import platform
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -569,6 +570,35 @@ def _bench_sharded_flood(scale: float) -> Tuple[int, float]:
     return reached, wall
 
 
+# --------------------------------------------------------------------------
+# Cold start
+# --------------------------------------------------------------------------
+
+_COLD_START = """
+from repro.core.deploy import build_deployment
+
+build_deployment("blockchain", node_count=3, seed=1).setup(4, 10**6)
+"""
+
+
+def _bench_cold_start(scale: float) -> Tuple[int, float]:
+    """Fresh interpreters, each importing the deployment factory and
+    setting up a 3-node blockchain: the import and set-up cost every CLI
+    call, sweep worker and benchmark child pays before its first event."""
+    import os
+    import subprocess
+
+    src = str(Path(__file__).resolve().parents[2])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    n = max(2, int(8 * scale))
+    start = perf_counter()
+    for _ in range(n):
+        subprocess.run([sys.executable, "-c", _COLD_START], env=env, check=True)
+    wall = perf_counter() - start
+    return n, wall
+
+
 BENCHES: Dict[str, Bench] = {
     bench.name: bench
     for bench in [
@@ -596,6 +626,8 @@ BENCHES: Dict[str, Bench] = {
               _bench_sharded_flood),
         Bench("utxo_block_connect", "8 replicas admit payments, connect blocks",
               _bench_utxo_block_connect, paradigms=("blockchain",)),
+        Bench("cold_start", "fresh interpreter: import + 3-node deployment",
+              _bench_cold_start, repeats=2, paradigms=("blockchain",)),
     ]
 }
 

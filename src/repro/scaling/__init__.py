@@ -8,21 +8,3 @@
 * :mod:`repro.scaling.throughput` — TPS measurement and the Visa
   comparator.
 """
-
-from repro.scaling.blocksize import blocksize_sweep, node_load_for
-from repro.scaling.channels import Channel, ChannelNetwork
-from repro.scaling.plasma import PlasmaChain, PlasmaOperator
-from repro.scaling.sharding import ShardedLedger
-from repro.scaling.throughput import VISA_TPS, ThroughputMeter
-
-__all__ = [
-    "Channel",
-    "ChannelNetwork",
-    "PlasmaChain",
-    "PlasmaOperator",
-    "ShardedLedger",
-    "ThroughputMeter",
-    "VISA_TPS",
-    "blocksize_sweep",
-    "node_load_for",
-]

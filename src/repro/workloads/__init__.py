@@ -1,14 +1,1 @@
 """Workload and attack generators driving the experiments."""
-
-from repro.workloads.generators import PaymentEvent, PaymentWorkload
-from repro.workloads.open_loop import OpenLoopInjector, OpenLoopReport
-from repro.workloads.attacks import DoubleSpendAttacker, SpamAttacker
-
-__all__ = [
-    "DoubleSpendAttacker",
-    "OpenLoopInjector",
-    "OpenLoopReport",
-    "PaymentEvent",
-    "PaymentWorkload",
-    "SpamAttacker",
-]

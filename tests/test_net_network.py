@@ -439,3 +439,47 @@ class TestTopologies:
     def test_complete_requires_positive_count(self):
         with pytest.raises(ValueError):
             complete_topology(Network(Simulator()), 0, Recorder)
+
+    @pytest.mark.parametrize("build", [
+        lambda net: random_regular_topology(net, 5, 3, Recorder),
+        lambda net: random_regular_topology(net, 5, -1, Recorder),
+        lambda net: small_world_topology(net, 3, Recorder, k=4),
+        lambda net: small_world_topology(net, 0, Recorder),
+        lambda net: small_world_topology(net, 10, Recorder, k=1),
+        lambda net: small_world_topology(net, 10, Recorder, rewire_p=2.0),
+        lambda net: small_world_topology(net, 10, Recorder, rewire_p=-0.1),
+        lambda net: line_topology(net, 0, Recorder),
+        lambda net: line_topology(net, -1, Recorder),
+    ], ids=["regular-odd-degree-sum", "regular-negative-degree",
+            "small-world-k-above-count", "small-world-empty",
+            "small-world-k-below-2", "small-world-p-above-1",
+            "small-world-p-below-0", "line-empty", "line-negative"])
+    def test_bad_shape_is_a_value_error(self, build):
+        """A shape the builder cannot make is refused as ValueError before
+        any node is attached, never as a networkx error or an empty net."""
+        net = Network(Simulator())
+        with pytest.raises(ValueError):
+            build(net)
+        assert net.node_ids() == []
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_complete_matches_networkx(self, count):
+        """networkx stays the oracle: same node order, neighbour order and
+        link params as the graph built from ``nx.complete_graph``."""
+        import networkx as nx
+
+        link = LinkParams(latency_s=0.3, jitter_s=0.0, bandwidth_bps=1e6)
+        ours = Network(Simulator())
+        complete_topology(ours, count, Recorder, link)
+        oracle = Network(Simulator())
+        graph = nx.complete_graph(count)
+        for index in sorted(graph.nodes()):
+            oracle.add_node(Recorder(f"n{index}"))
+        for a, b in graph.edges():
+            oracle.connect(f"n{a}", f"n{b}", link)
+        assert ours.node_ids() == oracle.node_ids()
+        for node_id in oracle.node_ids():
+            assert ours.neighbors(node_id) == oracle.neighbors(node_id)
+            for peer in oracle.neighbors(node_id):
+                assert (ours.link_params(node_id, peer)
+                        == oracle.link_params(node_id, peer))

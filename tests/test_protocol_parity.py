@@ -23,7 +23,7 @@ import pytest
 
 from repro.check.monitor import intake_backlog
 from repro.common.types import Hash
-from repro.consensus import BftNode, BftPayment
+from repro.consensus.hotstuff import BftNode, BftPayment
 from repro.crypto.keys import KeyPair
 from repro.faults import FaultInjector
 from repro.net.link import FAST_LINK, LinkParams
