@@ -5,8 +5,8 @@ ledger-growth picture (§V).  This bench measures the steady-state
 versions: open-loop Poisson traffic swept across offered loads gives a
 p50/p99 confirmation-latency curve with a saturation knee per paradigm
 (PoW blockchain vs Nano lattice), and a long soak with periodic live
-pruning shows bounded ledger size where the unpruned control grows
-linearly.
+pruning shows, on both paradigms, bounded ledger size where the
+unpruned control grows linearly.
 """
 
 import time
@@ -67,21 +67,51 @@ def _dag_deployment(seed, processing_tps, prune_interval_s=None,
     )
 
 
-def measure_load(ledger, accounts, offered_tps, duration_s, settle_s):
-    """One load point: open-loop traffic, then a settle window."""
-    ledger.setup(accounts, FUNDING)
+def open_loop(deployment, accounts, rate_tps, duration_s, settle_s=0.0,
+              sample_every_s=None):
+    """Fund ``accounts``, offer Poisson traffic at ``rate_tps`` for
+    ``duration_s``, then run ``settle_s`` more.
+
+    With ``sample_every_s``, ledger bytes are sampled on that cadence
+    from the start of traffic, and once more when the run ends.  Returns
+    the run stats, the injector report and the ``(time, ledger bytes)``
+    series.
+    """
+    deployment.setup(accounts, FUNDING)
+    ledger = deployment.ledger
+    run_s = duration_s + settle_s
+    series = []
+
+    def sample():
+        series.append((ledger.now(), ledger.serialized_size()))
+
+    if sample_every_s is not None:
+        # Armed before the injector: a sample and a tick due at the
+        # same instant fire in that order.
+        ledger.simulator.schedule_periodic(
+            sample_every_s, sample, until=ledger.now() + run_s)
     injector = OpenLoopInjector.from_sim_stream(
-        ledger, accounts=accounts, rate_tps=offered_tps, duration_s=duration_s
+        ledger, accounts=accounts, rate_tps=rate_tps, duration_s=duration_s
     )
     injector.start()
-    ledger.advance(duration_s + settle_s)
-    stats = ledger.stats()
+    ledger.advance(run_s)
+    if sample_every_s is not None:
+        if series and series[-1][0] == ledger.now():
+            series.pop()  # superseded by the end-of-run sample
+        sample()
+    return ledger.stats(), injector.report, series
+
+
+def measure_load(deployment, accounts, offered_tps, duration_s, settle_s):
+    """One load point: open-loop traffic, then a settle window."""
+    stats, injector_report, _ = open_loop(
+        deployment, accounts, offered_tps, duration_s, settle_s)
     return load_point(
         offered_tps,
         stats.confirmation_latencies_s,
-        injector.report.submitted,
+        injector_report.submitted,
         duration_s,
-        rejected=injector.report.rejected,
+        rejected=injector_report.rejected,
     )
 
 
@@ -90,12 +120,12 @@ def sweep(paradigm, loads, p, seed):
     points = []
     for offered in loads:
         if paradigm == "blockchain":
-            ledger = _blockchain_deployment(seed).ledger
+            deployment = _blockchain_deployment(seed)
         else:
-            ledger = _dag_deployment(
-                seed, processing_tps=p["dag_processing_tps"]).ledger
+            deployment = _dag_deployment(
+                seed, processing_tps=p["dag_processing_tps"])
         points.append(
-            measure_load(ledger, p["accounts"], float(offered),
+            measure_load(deployment, p["accounts"], float(offered),
                          p["duration_s"], p["settle_s"])
         )
     return points
@@ -117,48 +147,37 @@ def scale_curve(paradigm, p, seed):
             deployment = _dag_deployment(
                 seed, processing_tps=p["dag_processing_tps"],
                 topology_scale=total)
-        deployment.setup(p["accounts"], FUNDING)
-        ledger = deployment.ledger
-        injector = OpenLoopInjector.from_sim_stream(
-            ledger, accounts=p["accounts"], rate_tps=rate,
-            duration_s=p["scale_duration_s"])
-        injector.start()
-        ledger.advance(p["scale_duration_s"] + p["scale_settle_s"])
-        stats = ledger.stats()
-        point = load_point(rate, stats.confirmation_latencies_s,
-                           injector.report.submitted, p["scale_duration_s"],
-                           rejected=injector.report.rejected)
+        point = measure_load(deployment, p["accounts"], rate,
+                             p["scale_duration_s"], p["scale_settle_s"])
         points.append((total, point, deployment.scale_stats()))
     return points
 
 
-def soak(p, seed, pruned):
+def soak(paradigm, p, seed, pruned):
     """Sustained load with (or without) periodic live pruning.
 
     Returns the sampled ``(time, ledger bytes)`` series, the run stats,
-    and the injector report.
+    and the injector report.  ``soak_keep_depth`` and the mempool cap
+    apply to the chain only: the lattice has no mempool, and its pruning
+    keeps just each account's head and the unsettled sends.
     """
     interval = p["soak_prune_interval_s"]
-    ledger = _blockchain_deployment(
-        seed,
-        limits=MempoolLimits(max_count=400),
-        prune_interval_s=interval if pruned else None,
-        keep_depth=p["soak_keep_depth"],
-    ).ledger
-    ledger.setup(p["accounts"], FUNDING)
-    series = []
-    ledger.simulator.schedule_periodic(
-        interval,
-        lambda: series.append((ledger.now(), ledger.serialized_size())),
-        until=p["soak_duration_s"],
-    )
-    injector = OpenLoopInjector.from_sim_stream(
-        ledger, accounts=p["accounts"], rate_tps=p["soak_rate_tps"],
-        duration_s=p["soak_duration_s"],
-    )
-    injector.start()
-    ledger.advance(p["soak_duration_s"])
-    return series, ledger.stats(), injector.report
+    prune_interval_s = interval if pruned else None
+    if paradigm == "blockchain":
+        deployment = _blockchain_deployment(
+            seed,
+            limits=MempoolLimits(max_count=400),
+            prune_interval_s=prune_interval_s,
+            keep_depth=p["soak_keep_depth"],
+        )
+    else:
+        deployment = _dag_deployment(
+            seed, processing_tps=p["dag_processing_tps"],
+            prune_interval_s=prune_interval_s)
+    stats, injector_report, series = open_loop(
+        deployment, p["accounts"], p["soak_rate_tps"], p["soak_duration_s"],
+        sample_every_s=interval)
+    return series, stats, injector_report
 
 
 def run(params: dict, seed: int) -> dict:
@@ -170,48 +189,52 @@ def run(params: dict, seed: int) -> dict:
     dag_points = sweep("dag", p["dag_loads"], p, seed)
     bc_knee = detect_saturation_knee(bc_points)
     dag_knee = detect_saturation_knee(dag_points)
-
-    pruned_series, pruned_stats, pruned_report = soak(p, seed, pruned=True)
-    control_series, _, _ = soak(p, seed, pruned=False)
-
-    scale_metrics = {}
-    for paradigm in ("blockchain", "dag"):
-        short = "bc" if paradigm == "blockchain" else "dag"
-        for total, point, stats in scale_curve(paradigm, p, seed):
-            tag = f"{short}_scale{total}"
-            scale_metrics[f"{tag}_achieved_tps"] = point.achieved_tps
-            scale_metrics[f"{tag}_p50_s"] = point.p50_s
-            scale_metrics[f"{tag}_p99_s"] = point.p99_s
-            scale_metrics[f"{tag}_prop_max_s"] = stats["propagation_max_s"]
-            scale_metrics[f"{tag}_modeled_nodes"] = stats["modeled_nodes"]
-
     metrics = {
         "blockchain_knee_tps": float(bc_knee) if bc_knee is not None else -1.0,
         "dag_knee_tps": float(dag_knee) if dag_knee is not None else -1.0,
-        "soak_confirmed": float(pruned_stats.entries_confirmed),
-        "soak_offered": float(pruned_report.offered),
-        "soak_backpressure_fraction": pruned_report.backpressure_fraction,
-        "soak_pruned_final_bytes": float(pruned_series[-1][1]),
-        "soak_unpruned_final_bytes": float(control_series[-1][1]),
-        "soak_growth_ratio": (
-            control_series[-1][1] / max(pruned_series[-1][1], 1)
-        ),
-        "soak_mempool_dropped": pruned_stats.extra.get("mempool.dropped", 0.0),
-        "soak_mempool_rejected_full": pruned_stats.extra.get(
-            "mempool.rejected_full", 0.0
-        ),
     }
+
+    for paradigm, prefix in (("blockchain", "soak"), ("dag", "dag_soak")):
+        pruned_series, stats, injector_report = soak(
+            paradigm, p, seed, pruned=True)
+        control_series, _, _ = soak(paradigm, p, seed, pruned=False)
+        pruned_bytes = pruned_series[-1][1]
+        control_bytes = control_series[-1][1]
+        metrics[f"{prefix}_confirmed"] = float(stats.entries_confirmed)
+        metrics[f"{prefix}_offered"] = float(injector_report.offered)
+        metrics[f"{prefix}_pruned_final_bytes"] = float(pruned_bytes)
+        metrics[f"{prefix}_unpruned_final_bytes"] = float(control_bytes)
+        metrics[f"{prefix}_growth_ratio"] = control_bytes / max(
+            pruned_bytes, 1)
+        if paradigm == "blockchain":
+            metrics["soak_backpressure_fraction"] = (
+                injector_report.backpressure_fraction)
+            metrics["soak_mempool_dropped"] = stats.extra.get(
+                "mempool.dropped", 0.0)
+            metrics["soak_mempool_rejected_full"] = stats.extra.get(
+                "mempool.rejected_full", 0.0)
+
     for point in bc_points:
         metrics.update(point.as_metrics("bc"))
     for point in dag_points:
         metrics.update(point.as_metrics("dag"))
-    metrics.update(scale_metrics)
+    for paradigm in ("blockchain", "dag"):
+        short = "bc" if paradigm == "blockchain" else "dag"
+        for total, point, stats in scale_curve(paradigm, p, seed):
+            tag = f"{short}_scale{total}"
+            metrics[f"{tag}_achieved_tps"] = point.achieved_tps
+            metrics[f"{tag}_p50_s"] = point.p50_s
+            metrics[f"{tag}_p99_s"] = point.p99_s
+            metrics[f"{tag}_prop_max_s"] = stats["propagation_max_s"]
+            metrics[f"{tag}_modeled_nodes"] = stats["modeled_nodes"]
+
     return make_result("A8", p, seed, metrics, started=started)
 
 
 def test_a8_sustained_service(benchmark):
     """Reduced-scale shape check: both paradigms expose a saturation
-    knee, and the pruned soak stays bounded while the control grows."""
+    knee, and on both the pruned soak stays bounded while the control
+    grows."""
     p = {
         "accounts": 10,
         "duration_s": 150.0,
@@ -231,9 +254,10 @@ def test_a8_sustained_service(benchmark):
     m = result["metrics"]
     assert m["blockchain_knee_tps"] > 0
     assert m["dag_knee_tps"] > 0
-    assert m["soak_confirmed"] > 0
-    # Pruned replica stays well under the linearly growing control.
-    assert m["soak_growth_ratio"] > 1.5
+    for prefix in ("soak", "dag_soak"):
+        assert m[f"{prefix}_confirmed"] > 0
+        # Pruned replica stays well under the linearly growing control.
+        assert m[f"{prefix}_growth_ratio"] > 1.5
     # The loaded-latency curve stays live as the modeled population
     # deepens two decades, and the gossip tail stretches with it.
     for short in ("bc", "dag"):
@@ -261,13 +285,31 @@ def test_a8_sustained_service(benchmark):
                          f"{m[tag + '_p99_s']:.1f}"])
     rows.append(["blockchain knee", f"{m['blockchain_knee_tps']:g} TPS", "", ""])
     rows.append(["dag knee", f"{m['dag_knee_tps']:g} TPS", "", ""])
-    rows.append(["soak pruned / control bytes",
-                 f"{m['soak_pruned_final_bytes']:.0f} / "
-                 f"{m['soak_unpruned_final_bytes']:.0f}", "", ""])
+    for prefix, label in (("soak", "blockchain"), ("dag_soak", "dag")):
+        rows.append([f"{label} soak pruned / control bytes",
+                     f"{m[prefix + '_pruned_final_bytes']:.0f} / "
+                     f"{m[prefix + '_unpruned_final_bytes']:.0f}", "", ""])
     report(
         "A8 sustained-service SLOs (open-loop load + bounded-memory soak)",
         render_table(["run", "achieved TPS", "p50 s", "p99 s"], rows),
     )
+
+
+def test_a8_soak_samples_until_the_run_ends():
+    """The soak series runs from one prune interval into the traffic to
+    its end, even when the soak is shorter than one interval or setup
+    has already advanced the clock (the lattice funds its accounts)."""
+    p = {**dict(EXPERIMENTS["A8"].default_params), "accounts": 4,
+         "soak_rate_tps": 1.0, "soak_prune_interval_s": 60.0}
+    for paradigm in ("blockchain", "dag"):
+        series, _, _ = soak(
+            paradigm, {**p, "soak_duration_s": 30.0}, 1, pruned=True)
+        assert len(series) == 1
+        series, _, _ = soak(
+            paradigm, {**p, "soak_duration_s": 130.0}, 1, pruned=True)
+        times = [t for t, _ in series]
+        assert times[1] - times[0] == 60.0
+        assert times[-1] - times[0] == 130.0 - 60.0
 
 
 if __name__ == "__main__":

@@ -7,8 +7,6 @@ writing any code:
 * ``compare``       — run the blockchain-vs-DAG comparison on a workload;
 * ``fuzz``          — differential fuzzing with in-loop invariant
   enforcement across both paradigms (see ``repro.check``);
-* ``soak``          — sustained open-loop load with live pruning vs an
-  unpruned control (bounded-memory check);
 * ``report``        — the analytic paper tables (§§ IV-A, V, VI-A) as
   markdown;
 * ``bench``         — one experiment, one trial, in process; e.g.
@@ -34,7 +32,7 @@ from repro.core.experiment import EXPERIMENTS
 from repro.metrics.tables import render_table
 
 #: The normalized ``--paradigm`` spelling every deployment-shaped
-#: subcommand (fuzz/sweep/soak/perf) shares: ``both`` is the paper's
+#: subcommand (fuzz/sweep/perf) shares: ``both`` is the paper's
 #: differential pair, ``all`` adds the BFT engine.
 _PARADIGM_CHOICES = ("all", "both", "blockchain", "dag", "bft")
 
@@ -48,24 +46,16 @@ _SWEEP_MODULE_PREFIXES = {
 }
 
 
-def _selection_parent(paradigm_default: Optional[str] = None,
-                      profile_default: Optional[str] = None,
-                      profile_help: Optional[str] = None,
-                      ) -> argparse.ArgumentParser:
-    """The shared ``--paradigm`` (and, where fuzz scenario profiles
-    apply, ``--profile``) option block.
+def _selection_parent() -> argparse.ArgumentParser:
+    """The shared ``--paradigm`` option block.
 
     Built once per subcommand as an argparse *parent parser* so every
     deployment-shaped command accepts the same spelling (no copy-pasted
     option blocks drifting apart)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--paradigm", choices=_PARADIGM_CHOICES,
-                        default=paradigm_default,
                         help="paradigm selection (both = blockchain+dag, "
                              "all = +bft)")
-    if profile_help is not None:
-        parent.add_argument("--profile", default=profile_default,
-                            help=profile_help)
     return parent
 
 
@@ -173,107 +163,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                   + "; ".join(f"[{v.invariant}] {v.detail}"
                               for v in result.violation.violations))
     return 1 if failing else 0
-
-
-def _cmd_soak(args: argparse.Namespace) -> int:
-    """Bounded-memory soak: open-loop traffic against a live deployment
-    with periodic pruning, compared against an unpruned control."""
-    from repro.blockchain.mempool import MempoolLimits
-    from repro.blockchain.params import BITCOIN
-    from repro.core.deploy import build_deployment
-    from repro.net.link import FAST_LINK
-    from repro.workloads.open_loop import OpenLoopInjector
-
-    if args.paradigm in ("both", "all"):
-        print("error: soak runs one paradigm at a time "
-              "(--paradigm blockchain or dag)", file=sys.stderr)
-        return 2
-    if args.paradigm == "bft":
-        print("error: the bft paradigm has no pruning path to soak "
-              "(choose blockchain or dag)", file=sys.stderr)
-        return 2
-    if args.profile is not None:
-        # Borrow the deployment knobs of a named fuzz profile, so e.g.
-        # ``repro soak --profile soak`` replays the CI soak scenario.
-        from repro.check.generator import PROFILES
-        if args.profile not in PROFILES:
-            print(f"error: unknown profile {args.profile!r} "
-                  f"(choose from {', '.join(sorted(PROFILES))})",
-                  file=sys.stderr)
-            return 2
-        prof = PROFILES[args.profile]
-        args.rate = prof.rate_tps
-        args.duration = prof.duration_s
-        if prof.prune_interval_s is not None:
-            args.prune_interval = prof.prune_interval_s
-        args.keep_depth = prof.prune_keep_depth
-        if prof.mempool_max_count is not None:
-            args.mempool_cap = prof.mempool_max_count
-
-    def build(pruned: bool):
-        interval = args.prune_interval if pruned else None
-        if args.paradigm == "dag":
-            return build_deployment(
-                "dag", node_count=4, representative_count=2, seed=args.seed,
-                prune_interval_s=interval,
-                topology_scale=args.topology_scale,
-            )
-        params = replace(
-            BITCOIN, target_block_interval_s=15.0,
-            max_block_size_bytes=4_000, confirmation_depth=2,
-        )
-        return build_deployment(
-            "blockchain", chain_params=params, node_count=3,
-            link_params=FAST_LINK, seed=args.seed,
-            mempool_limits=MempoolLimits(max_count=args.mempool_cap),
-            prune_interval_s=interval,
-            prune_keep_depth=args.keep_depth,
-            topology_scale=args.topology_scale,
-        )
-
-    rows = []
-    sizes = {}
-    confirmed = {}
-    scale_report = None
-    for pruned in (True, False):
-        deployment = build(pruned)
-        deployment.setup(args.accounts, 10**9)
-        ledger = deployment.ledger
-        injector = OpenLoopInjector.from_sim_stream(
-            ledger, accounts=args.accounts, rate_tps=args.rate,
-            duration_s=args.duration,
-        )
-        injector.start()
-        ledger.advance(args.duration)
-        stats = ledger.stats()
-        label = "pruned" if pruned else "control"
-        sizes[label] = ledger.serialized_size()
-        confirmed[label] = stats.entries_confirmed
-        rows.append([
-            label,
-            injector.report.offered,
-            stats.entries_confirmed,
-            f"{injector.report.backpressure_fraction:.1%}",
-            format_bytes(sizes[label]),
-        ])
-        scale = deployment.scale_stats()
-        if scale["scaled"]:
-            scale_report = scale
-    print(render_table(
-        ["run", "offered", "confirmed", "backpressure", "ledger size"],
-        rows,
-        title=f"{args.duration:.0f}s soak @ {args.rate:g} tx/s "
-              f"({args.paradigm}, prune every {args.prune_interval:g}s)",
-    ))
-    ratio = sizes["control"] / max(sizes["pruned"], 1)
-    print(f"unpruned/pruned ledger ratio: {ratio:.2f}x", file=sys.stderr)
-    if scale_report is not None:
-        print(f"scaled tier: {scale_report['modeled_nodes']:.0f} modeled "
-              f"nodes behind {scale_report['boundary_nodes']:.0f} replicas, "
-              f"{scale_report['modeled_deliveries']:.0f} modeled deliveries, "
-              f"worst propagation "
-              f"{scale_report['propagation_max_s']:.3f}s", file=sys.stderr)
-    return 0 if confirmed["pruned"] > 0 and ratio > 1.0 else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -664,13 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser(
         "fuzz", help="differential fuzzing with in-loop invariant audits",
-        parents=[_selection_parent(
-            paradigm_default="both", profile_default="baseline",
-            profile_help="scenario family: baseline, conflict, churn, "
-                         "adversarial, seeded-violation, soak, byzantine, "
-                         "byzantine-violation",
-        )],
+        parents=[_selection_parent()],
     )
+    fuzz.add_argument("--profile", default="baseline",
+                      help="scenario family: baseline, conflict, churn, "
+                           "adversarial, seeded-violation, soak, byzantine, "
+                           "byzantine-violation")
     fuzz.add_argument("--seeds", type=int, default=10,
                       help="number of seeds in the campaign")
     fuzz.add_argument("--seed-start", type=int, default=0,
@@ -690,33 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "surplus beyond the replicas rides the "
                            "aggregate plane")
     fuzz.set_defaults(func=_cmd_fuzz)
-
-    soak = sub.add_parser(
-        "soak", help="sustained open-loop load with live pruning vs an "
-                     "unpruned control",
-        parents=[_selection_parent(
-            paradigm_default="blockchain",
-            profile_help="borrow deployment knobs from a named fuzz "
-                         "profile (e.g. soak)",
-        )],
-    )
-    soak.add_argument("--duration", type=float, default=600.0,
-                      help="offered-traffic horizon (simulated s)")
-    soak.add_argument("--rate", type=float, default=1.0,
-                      help="offered load (tx/s, Poisson arrivals)")
-    soak.add_argument("--accounts", type=int, default=10)
-    soak.add_argument("--prune-interval", type=float, default=60.0,
-                      help="live pruning cadence (simulated s)")
-    soak.add_argument("--keep-depth", type=int, default=8,
-                      help="blocks kept below the tip when pruning")
-    soak.add_argument("--mempool-cap", type=int, default=400,
-                      help="mempool admission cap (blockchain only)")
-    soak.add_argument("--topology-scale", type=int, default=None,
-                      metavar="N",
-                      help="total node population; surplus beyond the "
-                           "replicas rides the aggregate plane")
-    soak.add_argument("--seed", type=int, default=0)
-    soak.set_defaults(func=_cmd_soak)
 
     report = sub.add_parser("report", help="generate a markdown results report")
     report.add_argument("--output", "-o", default=None,

@@ -52,8 +52,6 @@ def build_nano_testbed(
     params: Optional[NanoParams] = None,
     link_params: Optional[LinkParams] = None,
     seed: int = 0,
-    topology: Optional[Callable[..., List[NanoNode]]] = None,
-    auto_receive: bool = True,
     processing_tps: Optional[float] = None,
     tracer: Optional[Tracer] = None,
     network_factory: Optional[Callable[[Simulator], Network]] = None,
@@ -63,7 +61,8 @@ def build_nano_testbed(
     The first ``representative_count`` nodes hold representative keys; the
     genesis account delegates its entire weight to the first
     representative, then the harness typically spreads balances (and thus
-    weight) with :func:`fund_accounts`.
+    weight) with :func:`fund_accounts`.  The nodes form a complete graph
+    and auto-receive every send addressed to their accounts.
 
     ``tracer`` is forwarded to the :class:`Network` (default: a fresh
     :class:`repro.trace.Tracer`).  ``network_factory`` swaps the message
@@ -91,12 +90,11 @@ def build_nano_testbed(
             node_id,
             params,
             representative_key=rep_key,
-            auto_receive=auto_receive,
             processing_tps=processing_tps,
         )
 
-    build = topology or complete_topology
-    nodes = build(network, node_count, factory, link_params or LinkParams())
+    nodes = complete_topology(network, node_count, factory,
+                              link_params or LinkParams())
     # Filter on the stack interface; the factory fixes the node type.
     nano_nodes = protocol_nodes(nodes)
 

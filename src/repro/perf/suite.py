@@ -761,16 +761,3 @@ def render_results(results: Dict[str, BenchResult]) -> str:
             f"{result.ops_per_s:>14.1f}"
         )
     return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    """Tiny direct entry point: ``python -m repro.perf.suite [bench...]``."""
-    names = [a for a in (argv if argv is not None else sys.argv[1:])
-             if not a.startswith("-")]
-    results = run_suite(names or None)
-    print(render_results(results))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

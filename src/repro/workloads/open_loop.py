@@ -13,10 +13,9 @@ due, whether or not earlier traffic confirmed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.common.types import Hash
 from repro.workloads.generators import PaymentEvent, PaymentWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,8 +33,6 @@ class OpenLoopReport:
     offered: int = 0
     submitted: int = 0
     rejected: int = 0
-    #: entry id -> simulated submission time (latency measurement base)
-    submit_times: Dict[Hash, float] = field(default_factory=dict)
 
     @property
     def backpressure_fraction(self) -> float:
@@ -112,15 +109,12 @@ class OpenLoopInjector:
 
     def _tick(self) -> None:
         assert self._events is not None and self._start_time is not None
-        now = self.ledger.simulator.now
-        elapsed = now - self._start_time
+        elapsed = self.ledger.simulator.now - self._start_time
         while self._lookahead is not None and self._lookahead.time_s <= elapsed:
             event = self._lookahead
             self._lookahead = next(self._events, None)
             self.report.offered += 1
-            entry = self.ledger.submit(event)
-            if entry is None:
+            if self.ledger.submit(event) is None:
                 self.report.rejected += 1
             else:
                 self.report.submitted += 1
-                self.report.submit_times[entry] = now

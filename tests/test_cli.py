@@ -201,12 +201,3 @@ class TestCommands:
         assert code == 0
         err = capsys.readouterr().err
         assert "scale=500" in err  # the profile describes its scale
-
-    def test_soak_reports_the_scaled_tier(self, capsys):
-        main([
-            "soak", "--duration", "60", "--rate", "2",
-            "--topology-scale", "2000", "--seed", "1",
-        ])
-        err = capsys.readouterr().err
-        assert "1997 modeled nodes" in err
-        assert "modeled deliveries" in err
