@@ -130,6 +130,9 @@ class BlockchainNode(ProtocolNode):
             self._state_roots: Dict[Hash, Hash] = {
                 genesis.block_id: self.state.root_hash
             }
+            # The last account template: (parent state root, body Merkle
+            # root, proposer) -> the post-state root it read.
+            self._template_post: Optional[Tuple[Tuple[Hash, Hash, Address], Hash]] = None
         else:
             self.state = None
             self.utxo = UTXOSet()
@@ -305,22 +308,27 @@ class BlockchainNode(ProtocolNode):
             raise error
 
     def _apply_account_block(self, block: Block) -> None:
+        """Execute ``block`` on its parent's state, or adopt the post-state
+        of the template this node built from the same parent state, body
+        and proposer (execution is a function of those three)."""
         assert self.state is not None
-        account_txs = [
-            tx for tx in block.transactions if isinstance(tx, AccountTransaction)
-        ]
         miner = block.header.proposer or Address.zero()
-        self.state.apply_block_transactions(
-            account_txs, miner, self.params.block_reward
-        )
-        if (
-            not block.header.state_root.is_zero()
-            and self.state.root_hash != block.header.state_root
-        ):
+        key = (self.state.root_hash, block.header.merkle_root, miner)
+        if self._template_post is not None and self._template_post[0] == key:
+            self.state.rollback_to(self._template_post[1])
+        else:
+            account_txs = [
+                tx for tx in block.transactions if isinstance(tx, AccountTransaction)
+            ]
+            self.state.apply_block_transactions(
+                account_txs, miner, self.params.block_reward
+            )
+        root = self.state.root_hash
+        if not block.header.state_root.is_zero() and root != block.header.state_root:
             raise ValidationError(
                 f"block {block.block_id.short()} state root mismatch"
             )
-        self._state_roots[block.block_id] = self.state.root_hash
+        self._state_roots[block.block_id] = root
 
     # ------------------------------------------------------------- catch-up
 
@@ -531,10 +539,11 @@ class BlockchainNode(ProtocolNode):
                 continue
             receipts.append(receipt)
             chosen.append(tx)
-        self.state.credit(proposer, self.params.block_reward)
+        if self.params.block_reward:  # as apply_block_transactions does
+            self.state.credit(proposer, self.params.block_reward)
         state_root = self.state.root_hash
         self.state.rollback_to(before)
-        return assemble_block(
+        block = assemble_block(
             parent=self.head.header,
             transactions=chosen,
             timestamp=timestamp,
@@ -543,6 +552,8 @@ class BlockchainNode(ProtocolNode):
             receipts_root=receipts_root(receipts),
             proposer=proposer,
         )
+        self._template_post = ((before, block.header.merkle_root, proposer), state_root)
+        return block
 
     # ----------------------------------------------------------- PoW mining
 

@@ -1,11 +1,14 @@
 """Ethereum-style account state backed by a Merkle-Patricia trie.
 
-The trie's root hash is the header's ``state_root``.  Transactions write
-into the trie's un-hashed overlay; a root — and with it a stored, durably
-addressable version — exists only where one is read, which a node does
-once per block.  Those per-block versions are the "deltas in the global
-state" that Section V-A says can be rolled back on a soft fork or
-discarded by fast sync.
+The trie's root hash is the header's ``state_root``.  Account records
+are read through and written back by a decoded per-version cache: a
+block's transactions touch the trie once per account (one ``get`` on the
+first read, one ``put`` when the root is read), however often they read
+or rewrite it.  A root — and with it a stored, durably addressable
+version — exists only where one is read, which a node does once per
+block.  Those per-block versions are the "deltas in the global state"
+that Section V-A says can be rolled back on a soft fork or discarded by
+fast sync.
 
 Contract accounts (Section VI-A: smart contracts make Ethereum "a
 platform rather than only a cryptocurrency") carry code executed by
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.common.encoding import Decoder, encode_bytes, encode_uint
+from repro.common.encoding import encode_bytes, encode_uint
 from repro.common.errors import InsufficientFundsError, ValidationError
 from repro.common.types import ADDRESS_SIZE, Address, Hash
 from repro.crypto.trie import MerklePatriciaTrie
@@ -36,6 +39,9 @@ _STORAGE_PREFIX = b"\x01"
 #: Gas surcharge for deploying a contract, plus per-byte code cost.
 CREATE_GAS = 32_000
 CODE_DEPOSIT_GAS_PER_BYTE = 200
+
+# A record's fixed head: 16-byte balance, 8-byte nonce, 4-byte code length.
+_RECORD_HEAD = 28
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,13 @@ class AccountRecord:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "AccountRecord":
-        d = Decoder(data)
-        return cls(balance=d.read_uint(16), nonce=d.read_uint(8), code=d.read_bytes())
+        """Inverse of :meth:`serialize`; a short record, or bytes past the
+        code its length field announces, raise :class:`ValidationError`."""
+        if (len(data) < _RECORD_HEAD
+                or int.from_bytes(data[24:_RECORD_HEAD], "big") != len(data) - _RECORD_HEAD):
+            raise ValidationError(f"malformed {len(data)}-byte account record")
+        return cls(int.from_bytes(data[:16], "big"), int.from_bytes(data[16:24], "big"),
+                   data[_RECORD_HEAD:])
 
 
 EMPTY_ACCOUNT = AccountRecord(balance=0, nonce=0)
@@ -77,26 +88,37 @@ def contract_address(creator: Address, nonce: int) -> Address:
 class AccountState:
     """Mutable world state with checkpointable roots.
 
-    All reads/writes go through the trie so ``root_hash`` always commits
-    to the full state, and :meth:`rollback_to` restores any root that
-    was read before in O(1), dropping the writes made since (persistent
-    trie hashed at commit time, see :mod:`repro.crypto.trie`).  Nothing
-    here reads the root between writes: a block's transactions cost one
-    hashing pass when the caller asks for the block's root.
+    Account records are read through and written back by a decoded cache
+    of the current version: ``_records`` holds each record read or
+    written since the last version switch, ``_dirty`` those written since
+    the last root read.  Every read of the whole version (``root_hash``,
+    :meth:`accounts`, the sizes) first writes each dirty record back with
+    one ``put``, so ``root_hash`` always commits to the full state;
+    contract storage slots go straight to the trie.  :meth:`rollback_to`
+    restores any root that was read before in O(1) and drops the cache
+    with the writes made since (persistent trie hashed at commit time,
+    see :mod:`repro.crypto.trie`).
     """
 
     def __init__(self) -> None:
         self._trie = MerklePatriciaTrie()
+        self._records: Dict[Address, AccountRecord] = {}
+        self._dirty: Set[Address] = set()
 
     # ---------------------------------------------------------------- access
 
     @property
     def root_hash(self) -> Hash:
+        self._flush()
         return self._trie.root_hash
 
     def account(self, address: Address) -> AccountRecord:
-        raw = self._trie.get(_ACCOUNT_PREFIX + bytes(address))
-        return AccountRecord.deserialize(raw) if raw is not None else EMPTY_ACCOUNT
+        record = self._records.get(address)
+        if record is None:
+            raw = self._trie.get(_ACCOUNT_PREFIX + bytes(address))
+            record = AccountRecord.deserialize(raw) if raw is not None else EMPTY_ACCOUNT
+            self._records[address] = record
+        return record
 
     def balance(self, address: Address) -> int:
         return self.account(address).balance
@@ -112,6 +134,7 @@ class AccountState:
         return int.from_bytes(raw, "big") if raw is not None else 0
 
     def accounts(self) -> Iterator[Tuple[Address, AccountRecord]]:
+        self._flush()
         for key, value in self._trie.items():
             if key[:1] == _ACCOUNT_PREFIX:
                 yield Address(key[1:]), AccountRecord.deserialize(value)
@@ -122,7 +145,21 @@ class AccountState:
     # -------------------------------------------------------------- mutation
 
     def _write(self, address: Address, record: AccountRecord) -> None:
-        self._trie.put(_ACCOUNT_PREFIX + bytes(address), record.serialize())
+        self._records[address] = record
+        self._dirty.add(address)
+
+    def _flush(self) -> None:
+        """Write each dirty record back to the trie (in any order: the
+        trie's shape, and so its root, depends only on its contents)."""
+        if self._dirty:
+            records, put = self._records, self._trie.put
+            for address in self._dirty:
+                put(_ACCOUNT_PREFIX + bytes(address), records[address].serialize())
+            self._dirty.clear()
+
+    def _drop_cache(self) -> None:
+        self._records.clear()
+        self._dirty.clear()
 
     @staticmethod
     def _storage_key(address: Address, slot: int) -> bytes:
@@ -277,8 +314,10 @@ class AccountState:
 
     def rollback_to(self, root: Hash) -> None:
         """Restore the state committed by ``root``, a root read earlier
-        (reorg path, and discarding a block template or a rejected block)."""
+        (reorg path, discarding a block template or a rejected block, and
+        adopting a block this node's template already executed)."""
         self._trie.set_root(root)
+        self._drop_cache()
 
     def checkpoint(self) -> Hash:
         """Alias of ``root_hash`` that reads as intent at call sites."""
@@ -292,17 +331,19 @@ class AccountState:
         """Verify a downloaded snapshot against ``root`` and make it the
         current state (see :meth:`MerklePatriciaTrie.adopt_snapshot`)."""
         self._trie.adopt_snapshot(root, nodes)
+        self._drop_cache()
 
     # ------------------------------------------------------------ accounting
 
     def store_size_bytes(self) -> int:
         """Bytes of *all* stored state versions (one per root read, i.e.
         per block) — what fast sync prunes."""
+        self._flush()
         return self._trie.store_size_bytes()
 
     def live_size_bytes(self) -> int:
         """Bytes reachable from the current root only."""
-        return self._trie.version_size_bytes(self._trie.root_hash)
+        return self._trie.version_size_bytes(self.root_hash)
 
     def prune_history(self, keep_roots: Optional[List[Hash]] = None) -> int:
         """Discard state deltas not reachable from ``keep_roots`` (defaults

@@ -21,7 +21,7 @@ from repro.blockchain.block import (
 from repro.blockchain.node import MSG_TX, BlockchainNode, PosSlotDriver
 from repro.blockchain.params import BITCOIN, ETHEREUM, ETHEREUM_POS
 from repro.blockchain.pos import ValidatorSet
-from repro.blockchain.state import contract_address
+from repro.blockchain.state import AccountState, contract_address
 from repro.blockchain.transaction import (
     build_transaction,
     make_coinbase,
@@ -209,21 +209,26 @@ class TestGoldenStateRoots:
         ]
 
 
+def account_pair():
+    """Two funded keys, a miner key and two account-chain replicas."""
+    keys = [KeyPair.from_seed(bytes([i]) * 32) for i in range(2)]
+    miner = KeyPair.from_seed(bytes([100]) * 32)
+    allocations = {kp.address: 1_000_000 for kp in keys}
+    genesis = build_genesis_with_allocations(allocations)
+    peer, replica = (
+        BlockchainNode(nid, ETHEREUM, genesis, genesis_allocations=allocations)
+        for nid in ("peer", "replica")
+    )
+    return keys, miner, peer, replica
+
+
 class TestWrongStateRoot:
     """A header committing to the wrong state root must not move the
     replica: fork choice adopts the block before its state can be
     checked, so rejection has to un-connect it again."""
 
     def build(self):
-        keys = [KeyPair.from_seed(bytes([i]) * 32) for i in range(2)]
-        miner = KeyPair.from_seed(bytes([100]) * 32)
-        allocations = {kp.address: 1_000_000 for kp in keys}
-        genesis = build_genesis_with_allocations(allocations)
-        peer, replica = (
-            BlockchainNode(nid, ETHEREUM, genesis, genesis_allocations=allocations)
-            for nid in ("peer", "replica")
-        )
-        return keys, miner, peer, replica
+        return account_pair()
 
     @staticmethod
     def with_header(block, **changes):
@@ -273,6 +278,79 @@ class TestWrongStateRoot:
         assert replica.state.root_hash == honest.header.state_root
         assert replica.balance(bob.address) == 1_000_777
         assert replica.confirmations(honest.transactions[0].txid) == 1
+
+
+class TestTemplateReuse:
+    """A miner adopts the post-state its own template computed instead of
+    executing the block a second time; any other body is executed."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        apply = AccountState.apply_transaction
+
+        def counting(state, tx, miner):
+            calls.append(tx.txid)
+            return apply(state, tx, miner)
+
+        monkeypatch.setattr(AccountState, "apply_transaction", counting)
+        return calls
+
+    def build(self):
+        (alice, bob), miner, node, replica = account_pair()
+        for nonce in range(3):
+            tx = sign_account_transaction(alice, nonce, bob.address, 100, gas_price=1)
+            assert node.mempool.add(tx) and replica.mempool.add(tx)
+        return alice, bob, miner, node, replica
+
+    def test_own_block_is_not_executed_twice(self, monkeypatch):
+        alice, bob, miner, node, replica = self.build()
+        calls = self.counted(monkeypatch)
+        block = node.create_block_template(1.0, miner.address)
+        assert len(calls) == 3
+        assert node.receive_block(block).extended_main
+        assert len(calls) == 3
+        assert node.state.root_hash == block.header.state_root
+        assert node.balance(bob.address) == 1_000_300
+        # Another replica executes the same block and reaches the same root.
+        assert replica.receive_block(block).extended_main
+        assert len(calls) == 6
+        assert replica.state.root_hash == node.state.root_hash
+
+    def test_other_body_claiming_the_template_root_is_executed(self, monkeypatch):
+        alice, bob, miner, node, replica = self.build()
+        template = node.create_block_template(1.0, miner.address)
+        calls = self.counted(monkeypatch)
+        forged = assemble_block(
+            parent=node.head.header, transactions=template.transactions[:2],
+            timestamp=1.0, target=template.header.target, proposer=miner.address,
+            state_root=template.header.state_root,
+            receipts_root=template.header.receipts_root,
+        )
+        with pytest.raises(ValidationError, match="state root mismatch"):
+            node.receive_block(forged)
+        assert len(calls) == 2
+        assert node.head == node.chain.genesis
+        assert node.balance(bob.address) == 1_000_000
+        # The template's own block is still adopted without a second run.
+        assert node.receive_block(template).extended_main
+        assert len(calls) == 2
+        assert node.state.root_hash == template.header.state_root
+
+    def test_zero_reward_template_matches_execution(self):
+        # Execution credits no zero reward, so neither may the template:
+        # it would write an empty miner account no replica writes.
+        keys = [KeyPair.from_seed(bytes([i]) * 32) for i in range(2)]
+        allocations = {kp.address: 1_000_000 for kp in keys}
+        genesis = build_genesis_with_allocations(allocations)
+        params = replace(ETHEREUM, block_reward=0)
+        node, replica = (
+            BlockchainNode(nid, params, genesis, genesis_allocations=allocations)
+            for nid in ("node", "replica")
+        )
+        block = node.create_block_template(1.0, KeyPair.from_seed(bytes([100]) * 32).address)
+        assert replica.receive_block(block).extended_main
+        assert replica.state.root_hash == block.header.state_root
 
 
 class TestInvalidUtxoBlock:

@@ -1,6 +1,7 @@
 """Tests for repro.blockchain.state and gas (Ethereum account model)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import InsufficientFundsError, ValidationError
 from repro.crypto.keys import KeyPair
@@ -11,7 +12,7 @@ from repro.blockchain.gas import (
     adjust_gas_limit,
     intrinsic_gas,
 )
-from repro.blockchain.state import AccountState
+from repro.blockchain.state import AccountRecord, AccountState
 from repro.blockchain.transaction import sign_account_transaction
 
 
@@ -51,6 +52,35 @@ class TestGas:
     def test_below_floor_parent_rejected(self):
         with pytest.raises(ValueError):
             adjust_gas_limit(100, 0, 100)
+
+
+records = st.builds(
+    AccountRecord,
+    balance=st.integers(0, 2**128 - 1),
+    nonce=st.integers(0, 2**64 - 1),
+    code=st.binary(max_size=40),
+)
+
+
+class TestAccountRecordCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(record=records)
+    def test_round_trip(self, record):
+        assert AccountRecord.deserialize(record.serialize()) == record
+
+    @settings(max_examples=60, deadline=None)
+    @given(record=records, data=st.data())
+    def test_truncated_encoding_rejected(self, record, data):
+        raw = record.serialize()
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        with pytest.raises(ValidationError):
+            AccountRecord.deserialize(raw[:cut])
+
+    @settings(max_examples=60, deadline=None)
+    @given(record=records, junk=st.binary(min_size=1, max_size=8))
+    def test_trailing_bytes_rejected(self, record, junk):
+        with pytest.raises(ValidationError):
+            AccountRecord.deserialize(record.serialize() + junk)
 
 
 class TestAccountState:
