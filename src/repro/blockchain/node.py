@@ -37,8 +37,9 @@ from repro.blockchain.transaction import (
     Transaction,
     make_coinbase,
 )
-from repro.blockchain.utxo import UTXOSet, UndoRecord
+from repro.blockchain.utxo import UTXOSet
 from repro.blockchain.validation import (
+    BlockUndo,
     apply_block,
     revert_block,
     validate_block_structure,
@@ -136,11 +137,10 @@ class BlockchainNode(ProtocolNode):
         else:
             self.state = None
             self.utxo = UTXOSet()
-            self._undo: Dict[Hash, List[UndoRecord]] = {}
+            # Genesis is never reverted, so it keeps no undo.
+            self._undo: Dict[Hash, BlockUndo] = {}
             for tx in genesis.transactions:
-                undo = self.utxo.apply_transaction(tx)
-                self._undo.setdefault(genesis.block_id, []).append(undo)
-            for tx in genesis.transactions:
+                self.utxo.apply_transaction(tx)
                 self._tx_blocks[tx.txid] = genesis.block_id
 
     def _fee_of(self, tx: Transaction) -> int:
@@ -267,7 +267,7 @@ class BlockchainNode(ProtocolNode):
         error: Optional[ReproError] = None
         if self.utxo is not None:
             for block in reversed(result.rolled_back):
-                revert_block(self._undo.pop(block.block_id, []), self.utxo)
+                revert_block(self._undo.pop(block.block_id, ((), ())), self.utxo)
         elif result.rolled_back:
             fork_parent = self.chain.block_at_height(applied[0].height - 1)
             self.state.rollback_to(self._state_roots[fork_parent.block_id])
@@ -431,7 +431,7 @@ class BlockchainNode(ProtocolNode):
             adopted += self._replay(recent)
         else:
             for block in recent:
-                self._undo[block.block_id] = list(peer._undo.get(block.block_id, []))
+                self._undo[block.block_id] = peer._undo.get(block.block_id, ((), ()))
                 if self.chain.add_block(block).block_accepted:
                     adopted += 1
             self.utxo = peer.utxo.snapshot()

@@ -346,10 +346,9 @@ class AccountState:
         return self._trie.version_size_bytes(self.root_hash)
 
     def prune_history(self, keep_roots: Optional[List[Hash]] = None) -> int:
-        """Discard state deltas not reachable from ``keep_roots`` (defaults
-        to the current root).  Returns bytes freed — the fast-sync payoff."""
-        roots = keep_roots if keep_roots is not None else [self.root_hash]
-        return self._trie.prune(roots)
+        """Discard state deltas reachable neither from the current root nor
+        from ``keep_roots``.  Returns bytes freed — the fast-sync payoff."""
+        return self._trie.prune([self.root_hash, *(keep_roots or ())])
 
 
 def _decode_call_args(data: bytes) -> Tuple[int, ...]:

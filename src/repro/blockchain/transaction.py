@@ -148,13 +148,18 @@ class Transaction:
         return self._sighash
 
     def verify_input_signatures(self) -> bool:
-        """Check every non-coinbase input's signature over the sighash."""
+        """Check every non-coinbase input's signature over the sighash.
+        All inputs sign one digest, so an input repeating the key and
+        signature of the input checked just before it is not re-checked."""
         digest = bytes(self._sighash)
+        checked = None
         for tx_input in self.inputs:
-            if tx_input.is_coinbase:
+            pair = (tx_input.public_key, tx_input.signature)
+            if tx_input.is_coinbase or pair == checked:
                 continue
             if not verify_signature(tx_input.public_key, digest, tx_input.signature):
                 return False
+            checked = pair
         return True
 
 

@@ -1,13 +1,13 @@
 """The UTXO set — Bitcoin's materialized ledger state.
 
-Applying a block consumes inputs and creates outputs; each application
-returns an :class:`UndoRecord` so the set can be rolled back when a soft
-fork orphans the block (Section IV-A).
+Applying a transaction consumes inputs and creates outputs and returns
+the outputs it spent; with the transaction itself that is all a revert
+needs, so the set can be rolled back when a soft fork orphans the block
+(Section IV-A).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DoubleSpendError, ValidationError
@@ -15,15 +15,6 @@ from repro.common.types import Address, TxId
 from repro.blockchain.transaction import Transaction, TxOutput
 
 Outpoint = Tuple[TxId, int]
-
-
-@dataclass
-class UndoRecord:
-    """Everything needed to reverse one transaction's effect."""
-
-    txid: TxId
-    spent: List[Tuple[Outpoint, TxOutput]] = field(default_factory=list)
-    created: List[Outpoint] = field(default_factory=list)
 
 
 class UTXOSet:
@@ -70,8 +61,9 @@ class UTXOSet:
             del self._by_address[output.recipient]
         return output
 
-    def apply_transaction(self, tx: Transaction) -> UndoRecord:
-        """Spend the inputs and create the outputs of ``tx``.
+    def apply_transaction(self, tx: Transaction) -> Tuple[TxOutput, ...]:
+        """Spend the inputs and create the outputs of ``tx``; returns the
+        spent outputs in input order (empty for a coinbase).
 
         One pass: each input is popped in turn.  An input that is
         unknown, already spent or repeated within ``tx`` puts back what
@@ -79,30 +71,34 @@ class UTXOSet:
         is left unchanged on failure.
         """
         txid = tx.txid
-        undo = UndoRecord(txid=txid)
+        spent: List[TxOutput] = []
         if not tx.is_coinbase:
             for tx_input in tx.inputs:
                 outpoint = tx_input.outpoint
                 if outpoint not in self._utxos:
-                    self.revert_transaction(undo)
+                    self._unspend(tx.inputs[:len(spent)], spent)
                     raise DoubleSpendError(
                         f"tx {txid.short()} spends missing/spent output "
                         f"{outpoint[0].short()}:{outpoint[1]}"
                     )
-                undo.spent.append((outpoint, self._remove(outpoint)))
+                spent.append(self._remove(outpoint))
         for index, output in enumerate(tx.outputs):
-            outpoint = (txid, index)
-            self._add(outpoint, output)
-            undo.created.append(outpoint)
-        return undo
+            self._add((txid, index), output)
+        return tuple(spent)
 
-    def revert_transaction(self, undo: UndoRecord) -> None:
-        """Reverse a previously applied transaction (reorg path)."""
-        for outpoint in reversed(undo.created):
-            if outpoint in self._utxos:
-                self._remove(outpoint)
-        for outpoint, output in reversed(undo.spent):
-            self._add(outpoint, output)
+    def revert_transaction(self, tx: Transaction, spent: Tuple[TxOutput, ...]) -> None:
+        """Reverse ``apply_transaction(tx)``, which returned ``spent``
+        (reorg path)."""
+        txid = tx.txid
+        for index in range(len(tx.outputs) - 1, -1, -1):
+            if (txid, index) in self._utxos:
+                self._remove((txid, index))
+        self._unspend(tx.inputs, spent)
+
+    def _unspend(self, inputs, spent) -> None:
+        """Put back ``spent``, the outputs ``inputs`` popped, last first."""
+        for tx_input, output in zip(reversed(inputs), reversed(spent)):
+            self._add(tx_input.outpoint, output)
 
     def snapshot(self) -> "UTXOSet":
         """Independent copy of the set (checkpoint state-sync payload).

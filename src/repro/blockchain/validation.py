@@ -26,8 +26,12 @@ from repro.common.types import TxId
 from repro.blockchain.block import Block
 from repro.blockchain.gas import intrinsic_gas
 from repro.blockchain.params import ChainParams
-from repro.blockchain.transaction import AccountTransaction, Transaction
-from repro.blockchain.utxo import UTXOSet, UndoRecord
+from repro.blockchain.transaction import AccountTransaction, Transaction, TxOutput
+from repro.blockchain.utxo import UTXOSet
+
+#: What :func:`apply_block` returns and :func:`revert_block` takes: the
+#: block's transactions and every output they spent, in block order.
+BlockUndo = Tuple[Tuple[Transaction, ...], Tuple[TxOutput, ...]]
 
 
 def validate_block_structure(
@@ -73,16 +77,18 @@ def validate_transaction(tx: Transaction, utxo_set: UTXOSet) -> int:
 
 def _connect(
     block: Block, utxo_set: UTXOSet, params: ChainParams, verified: Container[TxId]
-) -> Tuple[List[UndoRecord], int]:
+) -> Tuple[BlockUndo, int]:
     """Check and apply a UTXO block body in one pass; returns the undo
-    records, coinbase first, and the total fees.  All or nothing."""
-    if not block.transactions:
+    and the total fees.  All or nothing."""
+    txs = block.transactions
+    if not txs:
         raise ValidationError("block has no transactions (missing coinbase)")
-    coinbase, *body = block.transactions
+    coinbase, body = txs[0], txs[1:]
     if not isinstance(coinbase, Transaction) or not coinbase.is_coinbase:
         raise ValidationError("first transaction must be the coinbase")
 
-    undos: List[UndoRecord] = []
+    spent: List[TxOutput] = []
+    applied = 0
     total_fees = 0
     try:
         for tx in body:
@@ -92,9 +98,10 @@ def _connect(
                 raise ValidationError("only the first transaction may be a coinbase")
             if tx.txid not in verified and not tx.verify_input_signatures():
                 raise ValidationError(f"tx {tx.txid.short()} has an invalid signature")
-            undo = utxo_set.apply_transaction(tx)
-            undos.append(undo)
-            fee = sum(output.amount for _, output in undo.spent) - tx.total_output()
+            outputs = utxo_set.apply_transaction(tx)
+            applied += 1
+            spent += outputs
+            fee = sum(output.amount for output in outputs) - tx.total_output()
             if fee < 0:
                 raise ValidationError(f"tx {tx.txid.short()} outputs exceed inputs")
             total_fees += fee
@@ -104,11 +111,11 @@ def _connect(
                 f"coinbase pays {coinbase.total_output()}, max is {max_coinbase}"
             )
         # Applied last, so no body transaction can spend it.
-        undos.insert(0, utxo_set.apply_transaction(coinbase))
+        utxo_set.apply_transaction(coinbase)
     except ValidationError:
-        revert_block(undos, utxo_set)
+        revert_block((body[:applied], tuple(spent)), utxo_set)
         raise
-    return undos, total_fees
+    return (txs, tuple(spent)), total_fees
 
 
 def validate_block_transactions(
@@ -121,23 +128,30 @@ def validate_block_transactions(
     subsidy + fees.  A dry run of the connect pass: ``utxo_set`` is
     reverted before this returns.
     """
-    undos, total_fees = _connect(block, utxo_set, params, ())
-    revert_block(undos, utxo_set)
+    undo, total_fees = _connect(block, utxo_set, params, ())
+    revert_block(undo, utxo_set)
     return total_fees
 
 
 def apply_block(
     block: Block, utxo_set: UTXOSet, params: ChainParams, verified: Container[TxId] = ()
-) -> List[UndoRecord]:
-    """Validate and apply a UTXO block; returns undo records, coinbase
-    first.  Signatures of txids in ``verified`` are not re-checked.
+) -> BlockUndo:
+    """Validate and apply a UTXO block; returns its undo.  Signatures of
+    txids in ``verified`` are not re-checked.
 
-    The undo list reverses the block during a reorg (Section IV-A).
+    The undo reverses the block during a reorg (Section IV-A), also
+    after pruning drops the stored body.
     """
     return _connect(block, utxo_set, params, verified)[0]
 
 
-def revert_block(undos: List[UndoRecord], utxo_set: UTXOSet) -> None:
-    """Reverse a previously applied block (reorg rollback path)."""
-    for undo in reversed(undos):
-        utxo_set.revert_transaction(undo)
+def revert_block(undo: BlockUndo, utxo_set: UTXOSet) -> None:
+    """Reverse a previously applied block (reorg rollback path): the
+    transactions last first, each taking back its own inputs' share from
+    the end of the spent tuple."""
+    txs, spent = undo
+    end = len(spent)
+    for tx in reversed(txs):
+        start = end if tx.is_coinbase else end - len(tx.inputs)
+        utxo_set.revert_transaction(tx, spent[start:end])
+        end = start

@@ -121,7 +121,7 @@ class NanoBlock:
             raise ValidationError("only send blocks have a destination")
         return Address(self.link[:20])
 
-    @property
+    @cached
     def source(self) -> Hash:
         """For open/receive blocks: the send block being settled."""
         if self.block_type not in (BlockType.OPEN, BlockType.RECEIVE):

@@ -189,6 +189,13 @@ class Lattice:
     def block_count(self) -> int:
         return len(self._blocks)
 
+    def blocks_in_arrival_order(self) -> List[NanoBlock]:
+        """Every stored block, oldest append first.  A block is appended
+        only after its predecessor and its source send, and a rollback
+        takes a block's dependents with it, so this is a dependency order
+        over whatever history this replica still holds."""
+        return list(self._blocks.values())
+
     def pending_for(self, destination: Address) -> List[PendingInfo]:
         """Unsettled sends addressed to ``destination`` (Figure 3)."""
         bucket = self._pending_by_dest.get(destination)

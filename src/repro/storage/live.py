@@ -7,8 +7,10 @@ bounds a replica's memory during a sustained-service soak: block bodies
 older than ``keep_depth`` are discarded while the run continues, and the
 lattice is trimmed to heads + unsettled sends.
 
-Undo data and headers are never touched, so consensus, reorgs, and the
-in-loop invariant audits behave exactly as on an unpruned node.
+Headers and each UTXO block's undo are never touched (the undo holds the
+block's own transaction tuple, not the stored body), so consensus,
+reorgs, and the in-loop invariant audits behave exactly as on an
+unpruned node.
 """
 
 from __future__ import annotations

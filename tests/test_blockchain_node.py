@@ -478,3 +478,55 @@ class TestPosNetwork:
             for vk in validator_keys
         }
         assert counts[validator_keys[2].address] > counts[validator_keys[0].address]
+
+
+class TestPrunedReorg:
+    """A UTXO replica reverts a block through its undo, not its stored
+    body: after ``prune_chain`` drops the bodies, a reorg past them must
+    leave the same UTXO set as on an unpruned twin."""
+
+    @staticmethod
+    def branch(genesis, keys, miner, payments):
+        """Blocks on ``genesis`` carrying one payment each: ``payments``
+        is [(sender index, recipient index, amount)]."""
+        producer = BlockchainNode("producer", BITCOIN, genesis)
+        blocks = []
+        for height, (sender, recipient, amount) in enumerate(payments, start=1):
+            key = keys[sender]
+            tx = build_transaction(key, producer.utxo.spendable(key.address),
+                                   keys[recipient].address, amount, fee=3)
+            assert producer.mempool.add(tx)
+            block = producer.create_block_template(float(height), miner.address)
+            assert producer.receive_block(block).extended_main
+            blocks.append(block)
+        return blocks
+
+    def test_reorg_below_pruned_bodies_matches_an_unpruned_twin(self):
+        from repro.storage.pruning import prune_chain
+
+        keys = [KeyPair.from_seed(bytes([40 + i]) * 32) for i in range(3)]
+        miner = KeyPair.from_seed(bytes([140]) * 32)
+        genesis = build_genesis_with_allocations({kp.address: 1_000_000 for kp in keys})
+        # Chained spends on the branch that loses; the winner, one block
+        # longer, spends the same genesis outputs to other recipients.
+        losing = self.branch(genesis, keys, miner, [(0, 1, 500), (1, 2, 700), (2, 0, 900)])
+        winning = self.branch(genesis, keys, miner,
+                              [(0, 2, 111), (1, 0, 222), (2, 1, 333), (0, 1, 444)])
+        pruned, twin = (BlockchainNode(nid, BITCOIN, genesis) for nid in ("pruned", "twin"))
+        for node in (pruned, twin):
+            for block in losing:
+                assert node.receive_block(block).extended_main
+        result = prune_chain(pruned.chain, keep_depth=1)
+        assert result.blocks_pruned == 3  # genesis, a1, a2
+        assert not pruned.chain.block_at_height(2).transactions
+
+        for node in (pruned, twin):
+            for block in winning:
+                node.receive_block(block)
+            assert node.head.block_id == winning[-1].block_id
+            assert node.stats.reorgs == 1
+        assert pruned.utxo._utxos.keys() == twin.utxo._utxos.keys()
+        assert pruned.utxo.total_value() == twin.utxo.total_value() == (
+            3_000_000 + 4 * BITCOIN.block_reward)
+        for address in [kp.address for kp in keys] + [miner.address]:
+            assert pruned.balance(address) == twin.balance(address)

@@ -201,3 +201,20 @@ class TestStateHistory:
         assert state.store_size_bytes() == store_before - freed
         assert state.balance(bob.address) == 10
         assert state.live_size_bytes() == state.store_size_bytes()
+
+    def test_prune_history_keeps_the_current_root_it_was_not_given(self, actors):
+        """Keeping only an older root used to drop the live version: the
+        next write and root read raised ``KeyError`` (trie node pruned)."""
+        alice, bob, _miner = actors
+        state = AccountState()
+        state.credit(alice.address, 5)
+        older = state.root_hash
+        state.credit(bob.address, 7)
+        current = state.root_hash
+        state.prune_history([older])
+        assert state.root_hash == current
+        state.credit(alice.address, 1)
+        assert state.root_hash != current
+        assert (state.balance(alice.address), state.balance(bob.address)) == (6, 7)
+        state.rollback_to(older)  # the kept root is still whole
+        assert (state.balance(alice.address), state.balance(bob.address)) == (5, 0)

@@ -4,7 +4,8 @@
 back to its trie only when the whole version is read.  This machine runs
 credits, signed transfers (valid, wrong nonce, underfunded, gas limit
 below intrinsic), root reads, rollbacks to a root read earlier and
-history pruning against a plain ``dict`` of address -> (balance, nonce),
+history pruning (keeping the current root, or naming only older ones)
+against a plain ``dict`` of address -> (balance, nonce),
 and checks every root against a trie built from scratch out of the
 model's records.
 """
@@ -125,9 +126,13 @@ class AccountStateMachine(RuleBasedStateMachine):
     def prune(self, data):
         older = sorted(self.roots, key=bytes)
         if older and data.draw(st.booleans(), label="keep older roots"):
-            current = self.state.root_hash
             kept = data.draw(st.lists(st.sampled_from(older), unique=True), label="kept")
-            self.state.prune_history([current] + kept)
+            if data.draw(st.booleans(), label="name the current root"):
+                current = self.state.root_hash
+                self.state.prune_history([current] + kept)
+            else:  # only older roots: the live version is kept anyway
+                self.state.prune_history(kept)
+                current = self.state.root_hash
         else:
             self.state.prune_history()  # reads the root itself
             current, kept = self.state.root_hash, []

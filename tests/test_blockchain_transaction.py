@@ -1,10 +1,12 @@
 """Tests for repro.blockchain.transaction."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.common.types import Address, Hash
-from repro.crypto.keys import KeyPair
+from repro.crypto.keys import KeyPair, clear_sigcache, sigcache_counters
 from repro.blockchain.transaction import (
     AccountTransaction,
     Transaction,
@@ -117,6 +119,55 @@ class TestBuildTransaction:
             Transaction(
                 inputs=(TxInput(Hash.zero(), 0xFFFFFFFF),), outputs=()
             )
+
+
+def spend_from(owners, recipient):
+    """One input per key in ``owners``, each signed by its owner: inputs
+    of one owner carry the same key and signature."""
+    funding = [make_coinbase(key.address, 100, nonce=n) for n, key in enumerate(owners)]
+    unsigned = Transaction(
+        inputs=tuple(TxInput(f.txid, 0, key.public_key) for f, key in zip(funding, owners)),
+        outputs=(TxOutput(amount=50 * len(owners), recipient=recipient),),
+    )
+    digest = bytes(unsigned.sighash())
+    return Transaction(
+        inputs=tuple(replace(i, signature=key.sign(digest))
+                     for i, key in zip(unsigned.inputs, owners)),
+        outputs=unsigned.outputs,
+    )
+
+
+def cold_check(tx):
+    """(verdict, sigcache misses, sigcache hits) of one check on a cold
+    cache (signing seeded it)."""
+    clear_sigcache()
+    ok = tx.verify_input_signatures()
+    counters = sigcache_counters()
+    return ok, counters["sigcache.misses"], counters["sigcache.hits"]
+
+
+class TestEachDistinctInputSignatureCheckedOnce:
+    """Every input signs the same sighash, so an input repeating the key
+    and signature of the input checked just before it is not re-checked."""
+
+    def test_single_owner_costs_one_check(self, keypairs):
+        alice, bob = keypairs[:2]
+        assert cold_check(spend_from([alice] * 3, bob.address)) == (True, 1, 0)
+
+    def test_two_owners_cost_two_checks(self, keypairs):
+        alice, bob, carol = keypairs[:3]
+        assert cold_check(spend_from([alice, alice, carol], bob.address)) == (True, 2, 0)
+        # Only a repeat of the input just before is skipped.
+        assert cold_check(spend_from([alice, carol, alice], bob.address)) == (True, 2, 1)
+
+    def test_tampered_later_input_still_fails(self, keypairs):
+        alice, bob = keypairs[:2]
+        tx = spend_from([alice] * 3, bob.address)
+        last = tx.inputs[-1]
+        forged = replace(last, signature=bytes([last.signature[0] ^ 1]) + last.signature[1:])
+        tampered = Transaction(inputs=tx.inputs[:-1] + (forged,), outputs=tx.outputs)
+        assert tampered.sighash() == tx.sighash()
+        assert cold_check(tampered) == (False, 2, 0)
 
 
 class TestAccountTransaction:

@@ -67,19 +67,19 @@ class TestRevert:
     def test_revert_restores_exact_state(self, funded):
         utxo, alice, bob, _ = funded
         tx = build_transaction(alice, utxo.spendable(alice.address), bob.address, 30)
-        undo = utxo.apply_transaction(tx)
-        utxo.revert_transaction(undo)
+        spent = utxo.apply_transaction(tx)
+        utxo.revert_transaction(tx, spent)
         assert utxo.balance(alice.address) == 100
         assert utxo.balance(bob.address) == 0
 
     def test_revert_chain_of_spends(self, funded):
         utxo, alice, bob, _ = funded
         tx1 = build_transaction(alice, utxo.spendable(alice.address), bob.address, 30)
-        undo1 = utxo.apply_transaction(tx1)
+        spent1 = utxo.apply_transaction(tx1)
         tx2 = build_transaction(bob, utxo.spendable(bob.address), alice.address, 10)
-        undo2 = utxo.apply_transaction(tx2)
-        utxo.revert_transaction(undo2)
-        utxo.revert_transaction(undo1)
+        spent2 = utxo.apply_transaction(tx2)
+        utxo.revert_transaction(tx2, spent2)
+        utxo.revert_transaction(tx1, spent1)
         assert utxo.balance(alice.address) == 100
         assert utxo.balance(bob.address) == 0
 
@@ -140,9 +140,9 @@ def test_apply_revert_round_trip_property(amounts):
     for amount in amounts:
         spendable = utxo.spendable(alice.address)
         tx = build_transaction(alice, spendable, bob.address, amount)
-        undos.append(utxo.apply_transaction(tx))
-    for undo in reversed(undos):
-        utxo.revert_transaction(undo)
+        undos.append((tx, utxo.apply_transaction(tx)))
+    for tx, spent in reversed(undos):
+        utxo.revert_transaction(tx, spent)
     assert utxo.balance(alice.address) == 10_000
     assert utxo.balance(bob.address) == 0
     assert utxo.total_value() == 10_000

@@ -15,7 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.common.errors import ValidationError
 from repro.common.types import Hash
-from repro.crypto.keys import KeyPair
+from repro.crypto.keys import KeyPair, verify_signature
 from repro.crypto.pow import MAX_TARGET
 from repro.blockchain.block import assemble_block, build_genesis_block
 from repro.blockchain.params import BITCOIN
@@ -51,7 +51,8 @@ def _outcome(connect):
 
 def sign(inputs, outputs, nonce, tamper):
     """A transaction spending ``inputs`` = [(outpoint, owner key)], each
-    input signed by its owner; ``tamper`` zeroes the first signature."""
+    input signed by its owner; ``tamper`` (an input index, or None)
+    zeroes that input's signature."""
     unsigned = Transaction(
         inputs=tuple(TxInput(op[0], op[1], key.public_key) for op, key in inputs),
         outputs=outputs, nonce=nonce,
@@ -59,8 +60,8 @@ def sign(inputs, outputs, nonce, tamper):
     digest = bytes(unsigned.sighash())
     signed = [TxInput(op[0], op[1], key.public_key, key.sign(digest))
               for op, key in inputs]
-    if tamper:
-        signed[0] = replace(signed[0], signature=bytes(64))
+    if tamper is not None:
+        signed[tamper] = replace(signed[tamper], signature=bytes(64))
     return Transaction(inputs=tuple(signed), outputs=outputs, nonce=nonce)
 
 
@@ -71,7 +72,9 @@ def expected_connect(model, block, verified):
     coinbase, *body = block.transactions
     fees = 0
     for tx in body:
-        if tx.txid not in verified and not tx.verify_input_signatures():
+        digest = bytes(tx.sighash())
+        if tx.txid not in verified and not all(
+                verify_signature(i.public_key, digest, i.signature) for i in tx.inputs):
             return None
         spent = 0
         for tx_input in tx.inputs:
@@ -158,8 +161,10 @@ class UtxoConnectMachine(RuleBasedStateMachine):
                     st.sampled_from(KEYS), label="recipient").address)
                 for amount in (split, value - fee - split)
             )
+            tamper = (data.draw(st.integers(0, len(outpoints) - 1), label="tampered input")
+                      if fault == "tamper" else None)
             tx = sign([(op, OWNER[known[op].recipient]) for op in outpoints], outputs,
-                      self._next_nonce(), tamper=fault == "tamper")
+                      self._next_nonce(), tamper=tamper)
             if data.draw(st.booleans(), label="verified"):
                 verified.add(tx.txid)
             body.append(tx)
@@ -198,8 +203,9 @@ class UtxoConnectMachine(RuleBasedStateMachine):
         assert want is not None
         after, fees = want
         coinbase, *body = block.transactions
-        assert [undo.txid for undo in undos] == [tx.txid for tx in block.transactions]
-        spent = sum(out.amount for undo in undos[1:] for _, out in undo.spent)
+        txs, spent_outputs = undos
+        assert [tx.txid for tx in txs] == [tx.txid for tx in block.transactions]
+        spent = sum(out.amount for out in spent_outputs)
         assert spent - sum(tx.total_output() for tx in body) == fees
         # Trust can only admit what the dry run refused for a signature.
         assert dry == fees or (dry is None and verified)

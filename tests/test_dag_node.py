@@ -1,5 +1,7 @@
 """Integration tests for repro.dag.node over the simulated network."""
 
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from repro.common.errors import GenesisMismatchError, ValidationError
 from repro.crypto.keys import KeyPair, clear_sigcache, sigcache_counters
 from repro.net.link import LinkParams
-from repro.dag.blocks import make_send
+from repro.dag.blocks import NanoBlock, make_send
 from repro.dag.bootstrap import build_nano_testbed, fund_accounts
 from repro.dag.node import NanoNode
 from repro.dag.params import NanoParams
@@ -204,6 +206,37 @@ class TestColdJoinChecksEachSignatureOnce:
         assert counters["sigcache.misses"] == installed
 
 
+    def test_one_check_per_block_adopted_or_head_installed(self, funded, monkeypatch):
+        """``NanoBlock.verify_signature`` has two join-time callers:
+        ``Lattice.process``, once per block a bootstrap adopts, and
+        ``Lattice.install_frontier``, once per head a state sync installs.
+        A state sync after a bootstrap of the same peer, with no cache
+        clear between them, finds every head's verdict cached: those are
+        the hits a lattice state sync reads in ``replica_join``."""
+        calls = Counter()
+        check = NanoBlock.verify_signature
+
+        def counted(block):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return check(block)
+
+        monkeypatch.setattr(NanoBlock, "verify_signature", counted)
+        tb, _users = funded
+        peer = tb.nodes[0]
+        replayed, synced = (NanoNode(name, peer.params) for name in ("replayed", "synced"))
+        replayed.lattice.install_genesis(
+            peer.lattice.chain(peer.lattice.genesis_account).blocks[0])
+        clear_sigcache()
+        calls.clear()
+        adopted = replayed.bootstrap_from(peer)
+        assert calls == {"process": adopted}
+        installed = synced.state_sync_from(peer)
+        assert calls == {"process": adopted, "install_frontier": installed}
+        counters = sigcache_counters()
+        assert counters["sigcache.misses"] == adopted
+        assert counters["sigcache.hits"] == installed
+
+
 class TestConfirmation:
     def test_votes_confirm_and_cement(self, funded):
         tb, users = funded
@@ -373,6 +406,77 @@ class TestElectionAdoptionRetriesUnchecked:
         assert winner.block_hash in replica.lattice
         assert receive.block_hash in replica.lattice
         assert replica.balance(u1.address) == 100_500
+
+
+class TestBootstrapFromAReshapedPeer:
+    """A peer's arrival order stays a dependency order after a rollback
+    and re-append, and on a checkpoint (state-synced) lattice, so a
+    joiner replaying it parks nothing."""
+
+    @staticmethod
+    def assert_joined(joiner, peer):
+        assert joiner.layer_counters()["intake.parked"] == 0
+        assert len(joiner.intake) == 0
+        assert ({c.account: c.head.block_hash for c in joiner.lattice.chains()}
+                == {c.account: c.head.block_hash for c in peer.lattice.chains()})
+        for account in peer.lattice.accounts():
+            assert joiner.balance(account) == peer.balance(account)
+        assert joiner.lattice.total_supply() == peer.lattice.total_supply()
+
+    def test_peer_that_lost_a_fork_election(self, funded):
+        from repro.dag.blocks import make_receive
+
+        tb, users = funded
+        u0, u1, u2 = users[0], users[1], users[2]
+        key = {u.address: tb.node_for(u.address).local_accounts[u.address]
+               for u in (u0, u1, u2)}
+        peer = next(n for n in tb.nodes
+                    if not set(key) & set(n.local_accounts))
+        peer.set_online(False)  # isolate: drive its ledger directly
+        head = peer.lattice.chain(u0.address).head
+        winner = make_send(key[u0.address], head, u1.address, 500, work_difficulty=1)
+        loser = make_send(key[u0.address], head, u2.address, 500, work_difficulty=1)
+        peer.ingest(loser)
+        peer.ingest(make_receive(key[u2.address], peer.lattice.chain(u2.address).head,
+                                 loser.block_hash, 500, work_difficulty=1))
+        peer._conflict_buffer[winner.block_hash] = winner
+        peer._settle_election(u0.address, head.block_hash, winner.block_hash)
+        assert loser.block_hash not in peer.lattice
+        # Re-append on both chains the rollback shortened.
+        peer.ingest(make_receive(key[u1.address], peer.lattice.chain(u1.address).head,
+                                 winner.block_hash, 500, work_difficulty=1))
+        peer.ingest(make_send(key[u2.address], peer.lattice.chain(u2.address).head,
+                              u0.address, 250, work_difficulty=1))
+        assert peer.stats.rollbacks == 2
+        assert peer.balance(u1.address) == 100_500
+        assert peer.balance(u2.address) == 99_750
+
+        joiner = NanoNode("joiner", peer.params)
+        joiner.lattice.install_genesis(
+            peer.lattice.chain(peer.lattice.genesis_account).blocks[0])
+        assert joiner.bootstrap_from(peer) == peer.lattice.block_count() - 1
+        self.assert_joined(joiner, peer)
+
+    def test_peer_that_state_synced_then_extended(self, funded):
+        tb, users = funded
+        source = tb.nodes[0]
+        peer, joiner = (NanoNode(name, source.params) for name in ("peer", "joiner"))
+        for node in (peer, joiner):
+            node.state_sync_from(source)
+        known = {b.block_hash for c in source.lattice.chains() for b in c.blocks}
+        u0, u1, u2 = users[0], users[1], users[2]
+        tb.node_for(u0.address).send_payment(u0.address, u1.address, 4_000)
+        tb.node_for(u1.address).send_payment(u1.address, u2.address, 1_000)
+        tb.simulator.run(until=tb.simulator.now + 10)
+        extension = [b for c in source.lattice.chains() for b in c.blocks
+                     if b.block_hash not in known]
+        assert len(extension) >= 4  # two sends, two receives
+        peer.ingest_batch(extension)
+        assert peer.lattice.block_count() == joiner.lattice.block_count() + len(extension)
+
+        assert joiner.bootstrap_from(peer) == len(extension)
+        self.assert_joined(joiner, peer)
+        assert joiner.balance(u2.address) == source.balance(u2.address)
 
 
 class TestBootstrapPastIntakeCapacity:
