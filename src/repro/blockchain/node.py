@@ -265,9 +265,15 @@ class BlockchainNode(ProtocolNode):
         """Roll back orphaned blocks, apply adopted ones, fix the mempool."""
         applied = result.applied
         error: Optional[ReproError] = None
+        # What each orphaned block carried: a UTXO block's undo keeps its
+        # transactions after ``prune_chain`` has emptied the stored body.
+        orphaned = {block.block_id: block.transactions for block in result.rolled_back}
         if self.utxo is not None:
             for block in reversed(result.rolled_back):
-                revert_block(self._undo.pop(block.block_id, ((), ())), self.utxo)
+                undo = self._undo.pop(block.block_id, None)
+                if undo is not None:
+                    revert_block(undo, self.utxo)
+                    orphaned[block.block_id] = undo[0]
         elif result.rolled_back:
             fork_parent = self.chain.block_at_height(applied[0].height - 1)
             self.state.rollback_to(self._state_roots[fork_parent.block_id])
@@ -288,10 +294,10 @@ class BlockchainNode(ProtocolNode):
                 error, applied = exc, applied[:index]
                 break
 
-        for block in result.rolled_back:
-            for tx in block.transactions:
+        for transactions in orphaned.values():
+            for tx in transactions:
                 self._tx_blocks.pop(tx.txid, None)
-            readmitted = self.mempool.readmit(block.transactions)
+            readmitted = self.mempool.readmit(transactions)
             self.stats.orphaned_transactions += readmitted
         for block in applied:
             for tx in block.transactions:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from repro.common.memo import cached
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.common.errors import ValidationError
 from repro.common.types import Address, Hash
@@ -121,7 +121,8 @@ class ElectionManager:
         self.reps = reps
         self.quorum_fraction = quorum_fraction
         self._elections: Dict[Tuple[Address, Hash], Election] = {}
-        self._confirmation_votes: Dict[Hash, Dict[Address, int]] = {}
+        self._confirmation_votes: Dict[
+            Hash, Union[Dict[Address, int], Tuple[Address, ...]]] = {}
         self._confirmed: Set[Hash] = set()
         self.elections_started = 0
         self.elections_concluded = 0
@@ -163,22 +164,30 @@ class ElectionManager:
     def record_observation_vote(self, vote: Vote) -> bool:
         """Count a first-sight vote toward a block's confirmation;
         returns True when the block just became confirmed."""
-        if vote.block_hash in self._confirmed:
+        block_hash = vote.block_hash
+        if block_hash in self._confirmed:
             return False
-        per_block = self._confirmation_votes.setdefault(vote.block_hash, {})
+        per_block = self._confirmation_votes.get(block_hash)
+        if per_block is None:
+            per_block = self._confirmation_votes[block_hash] = {}
         prev_seq = per_block.get(vote.representative)
         if prev_seq is not None and prev_seq >= vote.sequence:
             return False
         per_block[vote.representative] = vote.sequence
-        if self.confirmation_weight(vote.block_hash) > (
+        if self.confirmation_weight(block_hash) > (
             self.reps.online_weight() * self.quorum_fraction
         ):
-            self._confirmed.add(vote.block_hash)
+            self._confirmed.add(block_hash)
+            # Later votes for a confirmed block return above, so only
+            # the voters are read again: keep them as a tuple.
+            self._confirmation_votes[block_hash] = tuple(per_block)
             return True
         return False
 
     def confirmation_weight(self, block_hash: Hash) -> int:
-        per_block = self._confirmation_votes.get(block_hash, {})
+        """Current weight of the representatives that voted for the
+        block (a dict of their sequences, or once confirmed a tuple)."""
+        per_block = self._confirmation_votes.get(block_hash, ())
         return sum(self.reps.weight(rep) for rep in per_block)
 
     def confirmation_confidence(self, block_hash: Hash) -> float:

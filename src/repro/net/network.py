@@ -33,9 +33,9 @@ scheduling order.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.link import LinkParams
 from repro.net.message import Message
@@ -85,28 +85,56 @@ class SeenCache:
 
     Whether the node *has* seen a key is a bit in that key's
     :class:`FloodRecord`; this keeps only what bounding the memory
-    needs, so long runs do not grow without limit."""
+    needs, so long runs do not grow without limit: a deque of keys,
+    oldest first, and a count of *stale* slots per key.  Touching a key
+    the node still remembers appends a fresh slot and marks its earlier
+    one stale, so eviction pops from the left, skipping stale slots —
+    least recently touched first, and a remembered key costs one deque
+    slot instead of an ordered-dict entry."""
 
     def __init__(self, capacity: Optional[int] = 65536) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive (or None)")
         self.capacity = capacity
-        self._entries: "OrderedDict[object, None]" = OrderedDict()
+        self._order: Deque[object] = deque()
+        self._stale: Dict[object, int] = {}
+        self._live = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._live
 
-    def add(self, key: object) -> Optional[object]:
-        """Remember ``key`` as the newest; returns the key this pushed
-        out, whose seen bit the caller then clears."""
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
+    def add(self, key: object, known: int) -> Optional[object]:
+        """Remember ``key`` as the newest; ``known`` is whether the node
+        remembered it already.  Returns the key this pushed out, whose
+        seen bit the caller then clears."""
+        self._order.append(key)
+        if known:
+            stale = self._stale
+            stale[key] = stale.get(key, 0) + 1
+            if len(self._order) > 2 * self._live:
+                self._compact()
             return None
-        entries[key] = None
-        if self.capacity is not None and len(entries) > self.capacity:
-            return entries.popitem(last=False)[0]
-        return None
+        self._live += 1
+        if self.capacity is None or self._live <= self.capacity:
+            return None
+        while True:
+            oldest = self._order.popleft()
+            if not self._drop_stale(oldest):
+                self._live -= 1
+                return oldest
+
+    def _drop_stale(self, key: object) -> bool:
+        """Consume one stale slot of ``key``, if it has one.  A key's
+        stale slots all precede its live one."""
+        count = self._stale.pop(key, 0)
+        if count > 1:
+            self._stale[key] = count - 1
+        return count > 0
+
+    def _compact(self) -> None:
+        """Drop every stale slot once they outnumber the live ones, so
+        refreshes alone cannot grow the deque."""
+        self._order = deque(key for key in self._order if not self._drop_stale(key))
 
 
 class FloodRecord:
@@ -430,8 +458,9 @@ class Network:
         """``node_id`` has the message: set its seen bit, and clear the
         bit of the key its bounded memory forgot to make room."""
         bit = self._bit[node_id]
+        known = record.seen & bit
         record.seen |= bit
-        evicted = self._memory[node_id].add(record.key)
+        evicted = self._memory[node_id].add(record.key, known)
         if evicted is not None:
             forgotten = self._floods[evicted]
             forgotten.seen &= ~bit

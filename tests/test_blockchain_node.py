@@ -530,3 +530,36 @@ class TestPrunedReorg:
             3_000_000 + 4 * BITCOIN.block_reward)
         for address in [kp.address for kp in keys] + [miner.address]:
             assert pruned.balance(address) == twin.balance(address)
+
+    def test_reorg_below_pruned_bodies_readmits_what_the_undo_carried(self):
+        """The orphaned transactions come from each block's undo, not its
+        emptied body: the pruned replica readmits the same pool as its
+        twin, and no orphan stays indexed as on-chain."""
+        from repro.storage.pruning import prune_chain
+
+        keys = [KeyPair.from_seed(bytes([60 + i]) * 32) for i in range(4)]
+        miner = KeyPair.from_seed(bytes([160]) * 32)
+        genesis = build_genesis_with_allocations({kp.address: 1_000_000 for kp in keys})
+        # Key 3 pays only on the losing branch, so its payment survives
+        # the reorg; key 0's is a double spend the winner pushes out.
+        losing = self.branch(genesis, keys, miner, [(3, 1, 500), (0, 2, 700)])
+        winning = self.branch(genesis, keys, miner, [(0, 1, 111), (1, 0, 222), (2, 1, 333)])
+        pruned, twin = (BlockchainNode(nid, BITCOIN, genesis) for nid in ("pruned", "twin"))
+        for node in (pruned, twin):
+            for block in losing:
+                assert node.receive_block(block).extended_main
+        assert prune_chain(pruned.chain, keep_depth=1).blocks_pruned == 2
+        assert not pruned.chain.block_at_height(1).transactions
+
+        for node in (pruned, twin):
+            for block in winning:
+                node.receive_block(block)
+            assert node.stats.reorgs == 1
+        survivor, pushed_out = (block.transactions[1] for block in losing)
+        assert [tx.txid for tx in pruned.mempool.pending()] == [
+            tx.txid for tx in twin.mempool.pending()] == [survivor.txid]
+        assert pruned.stats.orphaned_transactions == twin.stats.orphaned_transactions
+        for node in (pruned, twin):
+            assert pushed_out.txid not in node.mempool
+            node.mempool.remove(survivor.txid)
+            assert node._admit_transaction(survivor)

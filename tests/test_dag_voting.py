@@ -170,6 +170,23 @@ class TestConfirmation:
         manager.record_observation_vote(make_vote(reps[0], BLOCK_A, sequence=1))
         assert manager.confirmation_weight(BLOCK_A) == 50
 
+    def test_confirmed_tally_keeps_only_its_voters(self, weighted_world):
+        """Once confirmed, a block's tally shrinks to a tuple of voters:
+        the weight is still the voters' current weight, and a later vote
+        neither counts nor touches it."""
+        ledger, reps = weighted_world
+        manager = ElectionManager(ledger, 0.5)
+        manager.record_observation_vote(make_vote(reps[1], BLOCK_A))
+        assert isinstance(manager._confirmation_votes[BLOCK_A], dict)
+        assert manager.record_observation_vote(make_vote(reps[0], BLOCK_A))
+        tally = manager._confirmation_votes[BLOCK_A]
+        assert tally == (reps[1].address, reps[0].address)
+        assert manager.confirmation_weight(BLOCK_A) == 80
+        assert manager.confirmation_confidence(BLOCK_A) == pytest.approx(0.8)
+        assert not manager.record_observation_vote(make_vote(reps[2], BLOCK_A, 2))
+        assert manager._confirmation_votes[BLOCK_A] is tally
+        assert manager.confirmation_weight(BLOCK_A) == 80
+
     def test_offline_weight_excluded_from_quorum_base(self, weighted_world):
         ledger, reps = weighted_world
         ledger.set_online(reps[0].address, online=False)  # 50 offline

@@ -10,7 +10,7 @@ counter and RNG draw must agree, on topologies wide enough that the
 masks pass 64 bits.
 """
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import networkx as nx
 import pytest
@@ -134,6 +134,19 @@ class CheckedNetwork(Network):
         super()._deliver_gossip(item)
 
 
+def remembered_keys(memory):
+    """The keys a :class:`SeenCache` still remembers: its order deque
+    with each key's stale copies taken out, which must leave exactly one
+    live slot per key and never a stale count for an absent key."""
+    slots = Counter(memory._order)
+    for key, stale in memory._stale.items():
+        assert slots[key] > stale, "stale count without a live slot"
+        slots[key] -= stale
+    assert set(slots.values()) <= {1}
+    assert len(slots) == len(memory)
+    return set(slots)
+
+
 def assert_flood_invariants(net):
     """A record is in the table exactly while some bit of it is set; a
     node's bounded memory and its seen bits name the same keys; a retry
@@ -144,7 +157,7 @@ def assert_flood_invariants(net):
     for node_id, bit in net._bit.items():
         seen_here = {key for key, record in net._floods.items()
                      if record.seen & bit}
-        assert seen_here == set(net._memory[node_id]._entries)
+        assert seen_here == remembered_keys(net._memory[node_id])
         if net._seen_cache_size is not None:
             assert net.remembered(node_id) <= net._seen_cache_size
     for (_src, dst, key), (_timer, _msg, record) in net._retry_timers.items():
@@ -351,3 +364,21 @@ def test_forward_survives_its_record_being_dropped_by_the_handler():
     _sim, net, log = real
     assert {dst for _t, _src, dst, msg in log if msg == pool[0].msg_id} >= {
         "n0", "n2", "n3"}
+
+
+def test_refreshing_a_remembered_key_spares_it_from_the_next_eviction():
+    """``seen_cache_size=2`` on two nodes: n0 originates keys 1 and 2,
+    then re-gossips 1, which it still remembers — a refresh, not a new
+    key.  When key 3 arrives n0 forgets 2, while n1, which never touched
+    1 again, forgets 1; the per-node model agrees at every step."""
+    pool, follow = make_pool(shared_dedup=False)
+    config = dict(topology="line", nodes=2, loss=0.0, seen_cache_size=2,
+                  max_attempts=1, seed=0, pool=pool, follow=follow)
+    ops = [("gossip", 0, 1), ("advance", 0, 0), ("gossip", 0, 2),
+           ("advance", 0, 0), ("gossip", 0, 1), ("advance", 0, 0),
+           ("gossip", 0, 3), ("advance", 0, 0)]
+    real, model = run_both(config, ops)
+    key = [message.gossip_key() for message in pool]
+    for (_sim, net, _log) in (real, model):
+        assert [k for k in key if net.has_seen("n0", k)] == [key[1], key[3]]
+        assert [k for k in key if net.has_seen("n1", k)] == [key[2], key[3]]

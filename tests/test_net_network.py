@@ -348,6 +348,71 @@ class TestPartitions:
         check()
 
 
+class TestSeenMemory:
+    """What remembering a gossip key costs the exact plane."""
+
+    def test_bookkeeping_bytes_per_remembered_key(self):
+        """An 8-node complete flood of 400 keys, no eviction: every node
+        remembers every key.  The bookkeeping is each node's
+        ``SeenCache`` (one 8-byte deque slot per key, in 64-slot blocks
+        of 528 B) plus one ``FloodRecord`` and table entry per key
+        (~90 B, shared by the 8 nodes) — about 20 B per (node, key).
+        The bound is 32 B; an ordered-dict entry alone was ~80 B."""
+        import inspect
+        import tracemalloc
+
+        import repro.net.network as network
+
+        class Sink(NetworkNode):
+            def handle_message(self, sender_id, message):
+                pass
+
+        nodes_n, keys_n = 8, 400
+        sim = Simulator(seed=1)
+        net = Network(sim)
+        nodes = complete_topology(net, nodes_n, Sink, FAST_LINK)
+        messages = [make_message(i) for i in range(keys_n)]
+        tracemalloc.start()
+        try:
+            for i, message in enumerate(messages):
+                nodes[i % nodes_n].broadcast(message)
+            sim.run()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        # Count only the allocation sites of the bookkeeping: CPython's
+        # tuple free list keeps spent hop tuples traced at their site.
+        lines = set()
+        for code in (network.SeenCache, network.Network._flood):
+            source, start = inspect.getsourcelines(code)
+            lines.update(range(start, start + len(source)))
+        held = sum(
+            stat.size for stat in snapshot.statistics("lineno")
+            if stat.traceback[0].filename == network.__file__
+            and stat.traceback[0].lineno in lines)
+        assert all(net.remembered(node.node_id) == keys_n for node in nodes)
+        assert len(net._floods) == keys_n
+        assert held / (nodes_n * keys_n) < 32, held
+
+    def test_refreshes_alone_do_not_grow_the_order(self):
+        """A key touched again and again while remembered keeps one live
+        slot; its stale slots are compacted away once they outnumber the
+        live ones, and the eviction order is still least recently
+        touched first."""
+        from repro.net.network import SeenCache
+
+        memory = SeenCache(capacity=3)
+        assert memory.add("a", known=0) is None
+        assert memory.add("b", known=0) is None
+        for _ in range(1000):
+            assert memory.add("a", known=1) is None
+            assert len(memory._order) <= 2 * len(memory)
+        assert len(memory) == 2
+        assert memory.add("c", known=0) is None
+        assert [memory.add(key, known=0) for key in "def"] == ["b", "a", "c"]
+        assert len(memory) == 3
+
+
 class TestReliableTransmit:
     def test_retries_until_delivered(self):
         sim = Simulator()
