@@ -214,9 +214,23 @@ class BlockchainNode(ProtocolNode):
             if not tx.verify_signature():
                 return False
         elif isinstance(tx, Transaction):
-            if tx.is_coinbase or not tx.verify_input_signatures():
+            if (tx.is_coinbase or self._spends_settled_output(tx)
+                    or not tx.verify_input_signatures()):
                 return False
         return self.mempool.add(tx)
+
+    def _spends_settled_output(self, tx: Transaction) -> bool:
+        """An input whose parent is on the chain but whose output is not
+        unspent there: the chain already settled that outpoint, so no
+        block can ever carry ``tx``."""
+        utxo = self.utxo
+        if utxo is None:
+            return False
+        for tx_input in tx.inputs:
+            if (tx_input.outpoint not in utxo
+                    and tx_input.prev_txid in self._tx_blocks):
+                return True
+        return False
 
     # ---------------------------------------------------------------- blocks
 

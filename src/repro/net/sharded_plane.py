@@ -16,8 +16,9 @@ The model is a hybrid:
   reference semantics over the replicas' direct links.
 * Every :meth:`gossip` call runs one **crowd propagation**: the message
   re-draws per-edge delays from a stream derived only from
-  ``(seed, message sequence)`` (see :meth:`ShardState.reset`), relaxes
-  first-arrival times across all shards, and the other replicas'
+  ``(seed, message sequence)`` (see :meth:`ShardedPropagation.reset`),
+  relaxes first-arrival times across all shards in joint sweeps over one
+  edge table held for the plane's lifetime, and the other replicas'
   arrival times become scheduled deliveries on the simulator.  The
   10^N - k crowd nodes are accounted as modeled deliveries, exactly
   like the aggregate tier's clusters.
@@ -59,7 +60,7 @@ class ShardedMessagePlane(Network):
     fault machinery stay exact over the replica links.
 
     The crowd's shape is validated here, when the plane is built; the
-    replica embedding and the shard states are built at the first
+    replica embedding and the crowd's edge table are built at the first
     gossip.
     """
 
@@ -115,7 +116,7 @@ class ShardedMessagePlane(Network):
         self._replica_order.append(node.node_id)
 
     def _ensure_crowd(self) -> None:
-        """Freeze the replica embedding and build the shard states."""
+        """Freeze the replica embedding and build the crowd's edge table."""
         if self._prop is not None:
             return
         replicas = len(self._replica_order)

@@ -545,7 +545,7 @@ _SHARDED_FLOOD_DIGESTS = {
 
 def _bench_sharded_flood(scale: float) -> Tuple[int, float]:
     """Crowd propagations the way the sharded message plane issues them:
-    labelled ``run_with`` floods over one set of held shard states."""
+    labelled ``run_with`` floods over one held propagation instance."""
     import hashlib
 
     from repro.net.link import WAN_LINK

@@ -4,22 +4,24 @@ The second scale track (ROADMAP open item #1b): instead of one event
 loop owning all 10^4-10^6 nodes, the topology is partitioned into
 contiguous shards, each shard relaxes its own first-arrival times with
 vectorized numpy passes, and shards exchange cross-shard arrivals only
-at epoch barriers.  :class:`ShardedPropagation` holds one
-:class:`ShardState` per shard and steps them in turn, in process; the
-results are a function of the seed alone:
+at epoch barriers.  :class:`ShardedPropagation` runs every shard in one
+process over one edge table; the results are a function of the seed
+alone:
 
-* the graph is built from the root seed (ring + random chords),
-  identically by every shard;
-* each shard draws its out-edge delays in one vectorized batch from a
-  ``fork_rng``-derived stream (label ``shard:<index>``), so the draws
-  depend only on (seed, shard index) — never on the stepping order;
-* barrier merges gather the shards' replies in shard order and route
-  them unsorted: arrivals are applied with a scatter-min, whose result
-  does not depend on the order of its operands, so no ordering of a
-  barrier batch can change an arrival time;
-* each shard stores its out-edges in CSR form (sorted by head, one
-  ``indptr`` row per owned node), so a relaxation sweep touches only
-  the out-edges of the frontier it holds, never the whole edge list.
+* the graph is built once from the root seed (ring + random chords) and
+  stored in CSR form sorted by (head, tail), so a shard's out-edges are
+  one contiguous slice and a relaxation sweep touches only the
+  out-edges of the frontier, never the whole edge list;
+* each shard draws its out-edge delays into its slice in one vectorized
+  batch from a ``fork_rng``-derived stream (label ``shard:<index>``),
+  so the draws depend only on (seed, shard index);
+* one sweep relaxes every shard's frontier together: internal edges are
+  applied at once, cross-shard candidates are only announced, and the
+  announcements, unsplit, are the next epoch's barrier batch.  Arrivals
+  are applied with a scatter-min, whose result does not depend on the
+  order of its operands, so no ordering of a batch can change an
+  arrival time, and the joint sweep k is the union of what each shard
+  would relax alone in its own sweep k.
 
 What runs here is the propagation kernel of the gossip fabric — a
 single-source first-arrival computation with per-edge delays sampled
@@ -43,7 +45,6 @@ from repro.common.rng import fork_rng, make_rng
 __all__ = [
     "ShardedConfig",
     "ShardedResult",
-    "ShardState",
     "ShardedPropagation",
     "build_edges",
 ]
@@ -114,8 +115,8 @@ class ShardedConfig:
 def build_edges(config: ShardedConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Directed edge arrays (heads, tails) of the overlay graph.
 
-    Derived from the root seed alone — every shard rebuilds the
-    identical graph and keeps only its own out-edges.
+    Derived from the root seed alone, so every run over one config
+    sees the identical graph.
     """
     n = config.total_nodes
     index = np.arange(n)
@@ -153,128 +154,6 @@ def _edge_delays(config: ShardedConfig, count: int,
     return delays
 
 
-class ShardState:
-    """One shard's slice of the propagation: owned nodes + out-edges.
-
-    Its only cross-shard interface is :meth:`step` (epoch barrier);
-    ``dist`` holds the owned nodes' first-arrival times.
-    """
-
-    def __init__(self, config: ShardedConfig, index: int) -> None:
-        self.config = config
-        self.index = index
-        bounds = config.shard_bounds()
-        self.lo = int(bounds[index])
-        self.hi = int(bounds[index + 1])
-        owned_nodes = self.hi - self.lo
-        heads, tails = build_edges(config)
-        owned = (heads >= self.lo) & (heads < self.hi)
-        # Deterministic edge order (head, then tail) so the shard's
-        # vectorized delay draw is independent of graph-build order.
-        order = np.lexsort((tails[owned], heads[owned]))
-        self.heads = heads[owned][order]
-        self.tails = tails[owned][order]
-        # CSR over that order: owned node v's out-edges are the slice
-        # indptr[v] : indptr[v + 1].
-        self.indptr = np.zeros(owned_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.heads - self.lo, minlength=owned_nodes),
-                  out=self.indptr[1:])
-        #: shard-local target row; meaningful for internal edges only
-        self.local_tails = self.tails - self.lo
-        self.external = (self.tails < self.lo) | (self.tails >= self.hi)
-        self.dist = np.empty(owned_nodes)
-        self.dirty = np.empty(owned_nodes, dtype=bool)
-        #: best arrival already announced per cross-shard edge (dedupe)
-        self.announced = np.empty(len(self.heads))
-        self.reset(None)
-
-    def step(self, times: np.ndarray, nodes: np.ndarray,
-             horizon: float) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Apply incoming arrivals, relax internally up to ``horizon``.
-
-        Returns ``(out_times, out_nodes, pending)`` where the out arrays
-        are cross-shard arrival candidates and ``pending`` counts owned
-        nodes still awaiting relaxation beyond the horizon.  The order
-        of the incoming batch is immaterial (scatter-min).
-        """
-        dist, dirty, indptr = self.dist, self.dirty, self.indptr
-        if len(nodes):
-            local = np.asarray(nodes, dtype=np.int64) - self.lo
-            # Scatter-min, not assignment: one barrier batch can carry
-            # several candidates for the same node (one per inbound
-            # cross-shard edge) and a plain fancy-index write would let
-            # the last — not the best — win.
-            before = dist[local]
-            np.minimum.at(dist, local, np.asarray(times, dtype=float))
-            dirty[local[dist[local] < before]] = True
-        out_times: List[np.ndarray] = []
-        out_nodes: List[np.ndarray] = []
-        while True:
-            active = np.flatnonzero(dirty & (dist < horizon))
-            if not len(active):
-                break
-            dirty[active] = False
-            # Gather the frontier's out-edges, ascending: for each active
-            # node the run indptr[v] .. indptr[v + 1].
-            starts = indptr[active]
-            counts = indptr[active + 1] - starts
-            ends = np.cumsum(counts)
-            if not ends[-1]:
-                continue
-            edges = np.arange(ends[-1]) + np.repeat(starts - ends + counts,
-                                                    counts)
-            candidate = np.repeat(dist[active], counts) + self.weights[edges]
-            external = self.external[edges]
-            # Internal scatter-min; improved nodes go back on the front.
-            internal = ~external
-            internal_t = self.local_tails[edges[internal]]
-            if len(internal_t):
-                before = dist[internal_t]
-                np.minimum.at(dist, internal_t, candidate[internal])
-                dirty[internal_t[dist[internal_t] < before]] = True
-            # Cross-shard: announce only candidates that beat what this
-            # edge already sent (re-announcements happen when an earlier
-            # path improves retroactively).
-            ext_edges = edges[external]
-            ext_c = candidate[external]
-            better = ext_c < self.announced[ext_edges]
-            if np.any(better):
-                ext_edges = ext_edges[better]
-                ext_c = ext_c[better]
-                self.announced[ext_edges] = ext_c
-                out_times.append(ext_c)
-                out_nodes.append(self.tails[ext_edges])
-        pending = int(np.count_nonzero(dirty & np.isfinite(dist)))
-        if out_times:
-            return (np.concatenate(out_times), np.concatenate(out_nodes),
-                    pending)
-        return np.zeros(0), np.zeros(0, dtype=np.int64), pending
-
-    def reset(self, label: Optional[str],
-              payload_bytes: Optional[int] = None) -> None:
-        """Rearm the shard for a fresh propagation labelled ``label``.
-
-        The message plane reuses one set of shards for every gossiped
-        message; each message re-draws its per-edge delays from a stream
-        derived only from ``(seed, label, shard index)``.  With no label
-        the stream is the constructor's, so an unlabelled run on used
-        shards equals the same run on fresh ones.  A ``payload_bytes``
-        override retimes the serialization term for the actual message
-        size.
-        """
-        config = self.config
-        if payload_bytes is not None and payload_bytes != config.payload_bytes:
-            config = dataclasses.replace(config, payload_bytes=payload_bytes)
-        stream = f"shard:{self.index}"
-        if label is not None:
-            stream = f"{label}:{stream}"
-        rng = np.random.default_rng(_np_seed(config.seed, stream))
-        self.weights = _edge_delays(config, len(self.heads), rng)
-        self.dist.fill(np.inf)
-        self.dirty.fill(False)
-        self.announced.fill(np.inf)
-
-
 @dataclass
 class ShardedResult:
     """Outcome of one sharded propagation run."""
@@ -306,38 +185,146 @@ class ShardedResult:
 
 
 class ShardedPropagation:
-    """Partitioned first-arrival propagations over held shard states."""
+    """Partitioned first-arrival propagations over one held edge table.
+
+    Every shard's out-edges sit in one CSR over the whole node range,
+    sorted by head then tail, so shard ``i``'s edges are the contiguous
+    slice ``indptr[b[i]] : indptr[b[i + 1]]`` of the bounds ``b`` and
+    one relaxation sweep advances every shard's frontier at once.
+    """
 
     def __init__(self, config: ShardedConfig) -> None:
         self.config = config
-        self._uppers = config.shard_bounds()[1:]
-        self._states = [ShardState(config, i) for i in range(config.shards)]
+        n = config.total_nodes
+        bounds = config.shard_bounds()
+        heads, tails = build_edges(config)
+        # Deterministic edge order (head, then tail), so each shard's
+        # vectorized delay draw is independent of graph-build order.
+        order = np.lexsort((tails, heads))
+        self.heads = heads[order]
+        self.tails = tails[order]
+        # CSR over that order: node v's out-edges are the slice
+        # indptr[v] : indptr[v + 1].
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.heads, minlength=n), out=self.indptr[1:])
+        #: ``shards + 1`` edge boundaries: shard i's out-edges are
+        #: [edge_bounds[i], edge_bounds[i + 1])
+        self.edge_bounds = self.indptr[bounds]
+        owner = np.repeat(np.arange(config.shards), np.diff(bounds))
+        #: the edge's tail lies in another shard than its head
+        self.external = owner[self.heads] != owner[self.tails]
+        self.weights = np.empty(len(self.heads))
+        self.dist = np.empty(n)
+        self.dirty = np.empty(n, dtype=bool)
+        #: best arrival already announced per cross-shard edge (dedupe)
+        self.announced = np.empty(len(self.heads))
+        self.reset(None)
 
-    def _owner(self, nodes: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._uppers, nodes, side="right")
+    def reset(self, label: Optional[str],
+              payload_bytes: Optional[int] = None) -> None:
+        """Rearm every shard for a fresh propagation labelled ``label``.
+
+        The message plane reuses one instance for every gossiped
+        message; each message re-draws shard i's per-edge delays into
+        its edge slice from a stream derived only from ``(seed, label,
+        i)``.  With no label the streams are the constructor's, so an
+        unlabelled run on a used instance equals the same run on a fresh
+        one.  A ``payload_bytes`` override retimes the serialization
+        term for the actual message size.
+        """
+        config = self.config
+        if payload_bytes is not None and payload_bytes != config.payload_bytes:
+            config = dataclasses.replace(config, payload_bytes=payload_bytes)
+        prefix = "" if label is None else f"{label}:"
+        bounds = self.edge_bounds.tolist()
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            rng = np.random.default_rng(
+                _np_seed(config.seed, f"{prefix}shard:{i}"))
+            self.weights[lo:hi] = _edge_delays(config, hi - lo, rng)
+        self.dist.fill(np.inf)
+        self.dirty.fill(False)
+        self.announced.fill(np.inf)
+
+    def step(self, times: np.ndarray, nodes: np.ndarray,
+             horizon: float) -> Tuple[np.ndarray, np.ndarray, int]:
+        """One epoch: apply a barrier batch, relax every shard to ``horizon``.
+
+        Returns ``(out_times, out_nodes, pending)``: the cross-shard
+        arrival candidates (the next epoch's batch) and the count of
+        reached nodes still awaiting relaxation beyond the horizon.
+        Shards exchange nothing inside an epoch — a candidate over an
+        external edge is only announced, never applied — so sweep k here
+        is the union of each shard's own sweep k.  The order of the
+        batch is immaterial (scatter-min).
+        """
+        dist, dirty, indptr = self.dist, self.dirty, self.indptr
+        self._lower(nodes, times)
+        out_times: List[np.ndarray] = []
+        out_nodes: List[np.ndarray] = []
+        while True:
+            active = np.flatnonzero(dirty & (dist < horizon))
+            if not len(active):
+                break
+            dirty[active] = False
+            # Gather the frontier's out-edges, ascending: for each active
+            # node the run indptr[v] .. indptr[v + 1].
+            starts = indptr[active]
+            counts = indptr[active + 1] - starts
+            ends = np.cumsum(counts)
+            if not ends[-1]:
+                continue
+            edges = np.arange(ends[-1]) + np.repeat(starts - ends + counts,
+                                                    counts)
+            candidate = np.repeat(dist[active], counts) + self.weights[edges]
+            external = self.external[edges]
+            # Internal scatter-min; improved nodes go back on the front.
+            internal = ~external
+            self._lower(self.tails[edges[internal]], candidate[internal])
+            # Cross-shard: announce only candidates that beat what this
+            # edge already sent (re-announcements happen when an earlier
+            # path improves retroactively).
+            ext_edges = edges[external]
+            ext_c = candidate[external]
+            better = ext_c < self.announced[ext_edges]
+            if np.any(better):
+                ext_edges = ext_edges[better]
+                ext_c = ext_c[better]
+                self.announced[ext_edges] = ext_c
+                out_times.append(ext_c)
+                out_nodes.append(self.tails[ext_edges])
+        pending = int(np.count_nonzero(dirty & np.isfinite(dist)))
+        if out_times:
+            return (np.concatenate(out_times), np.concatenate(out_nodes),
+                    pending)
+        return np.zeros(0), np.zeros(0, dtype=np.int64), pending
+
+    def _lower(self, nodes: np.ndarray, times: np.ndarray) -> None:
+        """Scatter-min ``times`` into ``dist``; improved nodes turn dirty.
+
+        Scatter-min, not assignment: one batch can carry several
+        candidates for the same node (one per inbound edge) and a plain
+        fancy-index write would let the last — not the best — win.
+        """
+        if len(nodes):
+            before = self.dist[nodes]
+            np.minimum.at(self.dist, nodes, times)
+            self.dirty[nodes[self.dist[nodes] < before]] = True
 
     def run_with(self, origin: int, *, label: Optional[str] = None,
                  payload_bytes: Optional[int] = None) -> ShardedResult:
         """One propagation from ``origin`` to completion.
 
-        Every shard is rearmed first (see :meth:`ShardState.reset`), so
-        one instance serves a whole sequence of propagations: with
-        ``label`` set the edge delays are re-drawn from the
-        ``(seed, label)``-derived stream, without it they are the
-        constructor's draw.
+        The instance is rearmed first (see :meth:`reset`), so one
+        instance serves a whole sequence of propagations: with ``label``
+        set the edge delays are re-drawn from the ``(seed, label)``-
+        derived streams, without it they are the constructor's draw.
         """
         config = self.config
         if not 0 <= origin < config.total_nodes:
             raise ValueError("origin out of range")
-        states = self._states
-        for state in states:
-            state.reset(label, payload_bytes)
-        shards = config.shards
-        inbox_times: List[np.ndarray] = [np.zeros(0)] * shards
-        inbox_nodes: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * shards
-        origin_shard = int(self._owner(origin))
-        inbox_times[origin_shard] = np.asarray([0.0])
-        inbox_nodes[origin_shard] = np.asarray([origin], dtype=np.int64)
+        self.reset(label, payload_bytes)
+        times = np.asarray([0.0])
+        nodes = np.asarray([origin], dtype=np.int64)
         horizon = config.epoch_s
         epochs = 0
         cross = 0
@@ -345,24 +332,13 @@ class ShardedPropagation:
             if epochs >= config.max_epochs:
                 raise RuntimeError(
                     f"no convergence after {epochs} epochs")
-            replies = [state.step(times, nodes, horizon)
-                       for state, times, nodes
-                       in zip(states, inbox_times, inbox_nodes)]
+            # The barrier: every shard's announcements, unsplit, are the
+            # next epoch's batch.
+            times, nodes, pending = self.step(times, nodes, horizon)
             epochs += 1
             horizon += config.epoch_s
-            # Barrier merge: shard-ordered gather, routed unsorted — the
-            # receiving scatter-min makes the batch order immaterial.
-            all_times = np.concatenate([r[0] for r in replies])
-            all_nodes = np.concatenate([r[1] for r in replies])
-            pending = sum(r[2] for r in replies)
-            cross += len(all_times)
-            if not len(all_times) and pending == 0:
+            cross += len(times)
+            if not len(times) and pending == 0:
                 break
-            owners = self._owner(all_nodes)
-            for i in range(shards):
-                mine = owners == i
-                inbox_times[i] = all_times[mine]
-                inbox_nodes[i] = all_nodes[mine]
-        arrivals = np.concatenate([state.dist for state in states])
-        return ShardedResult(arrivals=arrivals, epochs=epochs,
+        return ShardedResult(arrivals=self.dist.copy(), epochs=epochs,
                              cross_shard_messages=cross, config=config)

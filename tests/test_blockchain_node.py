@@ -563,3 +563,47 @@ class TestPrunedReorg:
             assert pushed_out.txid not in node.mempool
             node.mempool.remove(survivor.txid)
             assert node._admit_transaction(survivor)
+
+
+class TestSettledOutpointsAreRefused:
+    """A payment whose input the chain already spent can never be mined:
+    admission refuses it instead of pooling it for good."""
+
+    def test_the_orphan_a_reorg_double_spent_is_refused(self):
+        keys = [KeyPair.from_seed(bytes([60 + i]) * 32) for i in range(4)]
+        miner = KeyPair.from_seed(bytes([160]) * 32)
+        genesis = build_genesis_with_allocations({kp.address: 1_000_000 for kp in keys})
+        losing = TestPrunedReorg.branch(genesis, keys, miner, [(3, 1, 500), (0, 2, 700)])
+        winning = TestPrunedReorg.branch(genesis, keys, miner,
+                                         [(0, 1, 111), (1, 0, 222), (2, 1, 333)])
+        node = BlockchainNode("replica", BITCOIN, genesis)
+        for block in losing + winning:
+            node.receive_block(block)
+        assert node.head.block_id == winning[-1].block_id
+        survivor, pushed_out = (block.transactions[1] for block in losing)
+        assert not node._admit_transaction(pushed_out)
+        assert pushed_out.txid not in node.mempool
+        block = node.create_block_template(10.0, miner.address)
+        assert [tx.txid for tx in block.transactions[1:]] == [survivor.txid]
+        assert node.receive_block(block).extended_main
+        assert len(node.mempool) == 0
+
+    def test_a_late_rival_of_a_confirmed_spend_is_refused(self):
+        keys = [KeyPair.from_seed(bytes([70 + i]) * 32) for i in range(3)]
+        miner = KeyPair.from_seed(bytes([170]) * 32)
+        genesis = build_genesis_with_allocations({kp.address: 1_000_000 for kp in keys})
+        node = BlockchainNode("replica", BITCOIN, genesis)
+        at_genesis = node.utxo.spendable(keys[0].address)
+        (block,) = TestPrunedReorg.branch(genesis, keys, miner, [(0, 1, 500)])
+        assert node.receive_block(block).extended_main
+        rival = build_transaction(keys[0], at_genesis, keys[2].address, 400, fee=9)
+        assert not node._admit_transaction(rival)
+        assert rival.txid not in node.mempool
+        # A spend of a pooled, not yet mined output is still welcome.
+        pay = build_transaction(keys[1], node.utxo.spendable(keys[1].address),
+                                keys[2].address, 300, fee=3)
+        assert node._admit_transaction(pay)
+        change = [(pay.txid, 1, pay.outputs[1].amount)]
+        assert node._admit_transaction(
+            build_transaction(keys[1], change, keys[0].address, 100, fee=3))
+        assert len(node.mempool) == 2

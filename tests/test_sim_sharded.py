@@ -2,8 +2,9 @@
 
 The load-bearing properties are exactness (arrivals equal an
 independent Dijkstra oracle bit for bit), order independence of the
-barrier merge, and a parent-captured golden table that pins the
-relaxation schedule itself, on fresh and on reused shard states.
+barrier batch, an epoch that is the union of what each shard relaxes
+alone, and a parent-captured golden table that pins the relaxation
+schedule itself, on a fresh and on a reused instance.
 """
 
 import copy
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.sharded import (
-    ShardState,
     ShardedConfig,
     ShardedPropagation,
     build_edges,
@@ -63,11 +63,18 @@ class TestConfigAndGraph:
 
     def test_shards_partition_the_node_range(self):
         config = small_config(shards=7)
-        states = [ShardState(config, i) for i in range(7)]
+        bounds = config.shard_bounds().tolist()
         covered = []
-        for state in states:
-            covered.extend(range(state.lo, state.hi))
+        for lo, hi in zip(bounds, bounds[1:]):
+            covered.extend(range(lo, hi))
         assert covered == list(range(config.total_nodes))
+        # ... and their edge slices partition the edge table by head.
+        prop = ShardedPropagation(config)
+        edge_bounds = prop.edge_bounds.tolist()
+        assert edge_bounds[0] == 0 and edge_bounds[-1] == len(prop.heads)
+        for i, (lo, hi) in enumerate(zip(edge_bounds, edge_bounds[1:])):
+            heads = prop.heads[lo:hi]
+            assert ((heads >= bounds[i]) & (heads < bounds[i + 1])).all()
 
 
 class TestPropagation:
@@ -124,27 +131,24 @@ class TestPropagation:
             ShardedPropagation(small_config()).run_with(300)
 
 
-def armed_states(config, label=None, payload_bytes=None):
-    """Every shard of ``config``, armed the way ``run_with`` arms them."""
-    states = [ShardState(config, i) for i in range(config.shards)]
-    for state in states:
-        state.reset(label, payload_bytes)
-    return states
+def armed(config, label=None, payload_bytes=None):
+    """A fresh instance armed the way ``run_with`` arms it."""
+    prop = ShardedPropagation(config)
+    prop.reset(label, payload_bytes)
+    return prop
 
 
-def dijkstra_arrivals(states, origin, total_nodes):
-    """First-arrival times by networkx Dijkstra over the shards' edges."""
+def dijkstra_arrivals(prop, origin, total_nodes):
+    """First-arrival times by networkx Dijkstra over the instance's edges."""
     graph = nx.DiGraph()
     graph.add_nodes_from(range(total_nodes))
-    for state in states:
-        for head, tail, weight in zip(state.heads.tolist(),
-                                      state.tails.tolist(),
-                                      state.weights.tolist()):
-            # Parallel edges (ring and chord between the same pair)
-            # collapse to the faster one.
-            known = graph.get_edge_data(head, tail)
-            if known is None or weight < known["weight"]:
-                graph.add_edge(head, tail, weight=weight)
+    for head, tail, weight in zip(prop.heads.tolist(), prop.tails.tolist(),
+                                  prop.weights.tolist()):
+        # Parallel edges (ring and chord between the same pair)
+        # collapse to the faster one.
+        known = graph.get_edge_data(head, tail)
+        if known is None or weight < known["weight"]:
+            graph.add_edge(head, tail, weight=weight)
     lengths = nx.single_source_dijkstra_path_length(graph, origin)
     return np.asarray([lengths.get(v, np.inf) for v in range(total_nodes)])
 
@@ -175,54 +179,83 @@ class TestAgainstDijkstra:
         config, origin = drawn
         result = ShardedPropagation(config).run_with(
             origin, label=label, payload_bytes=payload)
-        expected = dijkstra_arrivals(armed_states(config, label, payload),
+        expected = dijkstra_arrivals(armed(config, label, payload),
                                      origin, config.total_nodes)
         assert result.reached == config.total_nodes
         assert np.array_equal(result.arrivals, expected)
 
 
+def owner_of(config, nodes):
+    """Shard index of each node, from the bounds alone."""
+    return np.searchsorted(config.shard_bounds()[1:], nodes, side="right")
+
+
+def announcements(times, nodes):
+    return sorted(zip(times.tolist(), nodes.tolist()))
+
+
 class TestBarrierOrderIndependence:
-    """What licenses routing a barrier batch unsorted: a shard's step is
-    a function of the *multiset* of arrivals it is handed."""
+    """What licenses handing a barrier batch over unsorted and unsplit:
+    an epoch is a function of the *multiset* of arrivals it is handed,
+    and it is the union of what each shard relaxes alone."""
 
     @settings(max_examples=40, deadline=None)
     @given(configs_and_origins(), st.integers(0, 2**32 - 1))
     def test_permuting_an_inbox_changes_nothing(self, drawn, shuffle_seed):
         config, origin = drawn
         shuffle = np.random.default_rng(shuffle_seed)
-        prop = ShardedPropagation(config)
-        states = armed_states(config)
-        inbox = [(np.zeros(0), np.zeros(0, dtype=np.int64))] * config.shards
-        inbox[int(prop._owner(origin))] = (np.asarray([0.0]),
-                                           np.asarray([origin]))
+        prop = armed(config)
+        times, nodes = np.asarray([0.0]), np.asarray([origin])
         horizon = config.epoch_s
         for _ in range(config.max_epochs):
-            replies = []
-            for state, (times, nodes) in zip(states, inbox):
-                twin = copy.deepcopy(state)
-                order = shuffle.permutation(len(nodes))
-                reply = state.step(times, nodes, horizon)
-                shuffled = twin.step(times[order], nodes[order], horizon)
-                assert np.array_equal(state.dist, twin.dist)
-                assert np.array_equal(state.dirty, twin.dirty)
-                assert reply[2] == shuffled[2]
-                assert sorted(zip(reply[0].tolist(), reply[1].tolist())) \
-                    == sorted(zip(shuffled[0].tolist(), shuffled[1].tolist()))
-                replies.append(reply)
-            times = np.concatenate([r[0] for r in replies])
-            nodes = np.concatenate([r[1] for r in replies])
-            if not len(nodes) and not sum(r[2] for r in replies):
-                break
-            owners = prop._owner(nodes)
-            # Route in a scrambled order too: the driver's gather order
-            # must matter as little as a shard's own.
+            twin = copy.deepcopy(prop)
             order = shuffle.permutation(len(nodes))
-            inbox = [(times[order][owners[order] == i],
-                      nodes[order][owners[order] == i])
-                     for i in range(config.shards)]
+            reply = prop.step(times, nodes, horizon)
+            shuffled = twin.step(times[order], nodes[order], horizon)
+            assert np.array_equal(prop.dist, twin.dist)
+            assert np.array_equal(prop.dirty, twin.dirty)
+            assert reply[2] == shuffled[2]
+            assert announcements(*reply[:2]) == announcements(*shuffled[:2])
+            times, nodes, pending = reply
+            if not len(nodes) and not pending:
+                break
             horizon += config.epoch_s
-        arrivals = np.concatenate([state.dist for state in states])
-        assert np.array_equal(arrivals, prop.run_with(origin).arrivals)
+        assert np.array_equal(prop.dist, ShardedPropagation(config)
+                              .run_with(origin).arrivals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(configs_and_origins())
+    def test_an_epoch_is_the_union_of_each_shards_own(self, drawn):
+        """Each shard handed only its own part of the batch, on its own
+        copy, ends with the same slice of ``dist`` and ``dirty``, and
+        together they announce the same multiset: shards exchange
+        nothing inside an epoch."""
+        config, origin = drawn
+        prop = armed(config)
+        bounds = config.shard_bounds().tolist()
+        times, nodes = np.asarray([0.0]), np.asarray([origin])
+        horizon = config.epoch_s
+        for _ in range(config.max_epochs):
+            owners = owner_of(config, nodes)
+            alone = []
+            for i in range(config.shards):
+                # Shard i alone: the other shards' frontiers are idle.
+                twin = copy.deepcopy(prop)
+                twin.dirty[:bounds[i]] = twin.dirty[bounds[i + 1]:] = False
+                mine = owners == i
+                alone.append((twin, twin.step(times[mine], nodes[mine],
+                                              horizon)))
+            times, nodes, pending = prop.step(times, nodes, horizon)
+            for i, (twin, _) in enumerate(alone):
+                own = slice(bounds[i], bounds[i + 1])
+                assert np.array_equal(prop.dist[own], twin.dist[own])
+                assert np.array_equal(prop.dirty[own], twin.dirty[own])
+            assert announcements(times, nodes) == announcements(
+                np.concatenate([reply[0] for _, reply in alone]),
+                np.concatenate([reply[1] for _, reply in alone]))
+            if not len(nodes) and not pending:
+                break
+            horizon += config.epoch_s
 
 
 #: (config, origin, label, payload_bytes) -> (fingerprint, epochs,
@@ -257,9 +290,9 @@ class TestGoldenSchedule:
         ids=[f"row{i}" for i in range(len(GOLDEN_RUNS))])
     def test_run_matches_parent_capture(self, fields, origin, label, payload,
                                         expected, nth_run):
-        """Run 1 is on fresh shard states; run 2 follows a different
-        flood on the same states, the way the message plane issues every
-        message — the golden must hold on both."""
+        """Run 1 is on a fresh instance; run 2 follows a different
+        flood on the same instance, the way the message plane issues
+        every message — the golden must hold on both."""
         config = ShardedConfig(**fields)
         prop = ShardedPropagation(config)
         if nth_run == 2:
@@ -272,7 +305,7 @@ class TestGoldenSchedule:
 
 class TestBackendReuse:
     def test_unlabelled_rerun_equals_a_fresh_run(self):
-        """Used shard states must not leak the previous flood's arrival
+        """A used instance must not leak the previous flood's arrival
         times, frontier or announcements into the next one."""
         config = ShardedConfig(total_nodes=400, shards=4, seed=3)
         fresh = ShardedPropagation(config).run_with(200)
@@ -287,15 +320,21 @@ class TestBackendReuse:
             assert np.array_equal(again.arrivals, fresh.arrivals)
 
     def test_reset_refills_in_place(self):
-        state = ShardState(small_config(), 1)
-        arrays = (state.dist, state.dirty, state.announced)
-        state.step(np.asarray([0.0]), np.asarray([state.lo]), 10.0)
-        assert np.isfinite(state.dist).all()
-        state.reset("msg:0")
-        assert state.dist is arrays[0] and state.dirty is arrays[1]
-        assert state.announced is arrays[2]
-        assert np.isinf(state.dist).all() and not state.dirty.any()
-        assert np.isinf(state.announced).all()
+        prop = ShardedPropagation(small_config())
+        arrays = (prop.dist, prop.dirty, prop.announced, prop.weights)
+        drawn = prop.weights.copy()
+        # Shard 1 owns nodes 100..199: its ring reaches all of them, and
+        # its cross-shard candidates are announced, not applied.
+        prop.step(np.asarray([0.0]), np.asarray([100]), 10.0)
+        assert np.isfinite(prop.dist[100:200]).all()
+        assert np.isinf(prop.dist[:100]).all()
+        assert np.isfinite(prop.announced).any()
+        prop.reset("msg:0")
+        assert all(now is before for now, before in zip(
+            (prop.dist, prop.dirty, prop.announced, prop.weights), arrays))
+        assert np.isinf(prop.dist).all() and not prop.dirty.any()
+        assert np.isinf(prop.announced).all()
+        assert not np.array_equal(prop.weights, drawn)
 
 
 class TestCsrEdgeCases:
@@ -303,50 +342,58 @@ class TestCsrEdgeCases:
         config = small_config(total_nodes=301, shards=7)
         bounds = config.shard_bounds()
         assert [int(b) for b in bounds] == [i * 301 // 7 for i in range(8)]
-        owners = ShardedPropagation(config)._owner(np.arange(301))
-        for i in range(7):
-            state = ShardState(config, i)
-            assert (state.lo, state.hi) == (bounds[i], bounds[i + 1])
-            assert (owners[state.lo:state.hi] == i).all()
+        prop = ShardedPropagation(config)
+        assert (prop.edge_bounds == prop.indptr[bounds]).all()
+        # An edge is external exactly when the bounds put its two ends
+        # in different shards.
+        assert np.array_equal(
+            prop.external,
+            owner_of(config, prop.heads) != owner_of(config, prop.tails))
 
     def test_indptr_slices_are_each_nodes_out_edges(self):
-        state = ShardState(small_config(chords=3), 1)
-        assert state.indptr[0] == 0 and state.indptr[-1] == len(state.heads)
-        for v in range(state.hi - state.lo):
-            run = slice(state.indptr[v], state.indptr[v + 1])
-            assert (state.heads[run] == v + state.lo).all()
+        config = small_config(chords=3)
+        prop = ShardedPropagation(config)
+        assert prop.indptr[0] == 0 and prop.indptr[-1] == len(prop.heads)
+        heads, tails = build_edges(config)
+        for v in range(config.total_nodes):
+            run = slice(prop.indptr[v], prop.indptr[v + 1])
+            assert (prop.heads[run] == v).all()
+            # Sorted by tail within the row, and exactly v's out-edges.
+            assert prop.tails[run].tolist() == sorted(tails[heads == v])
 
     def test_shard_whose_every_edge_is_external(self):
         """Two nodes, two shards, ring only: each shard owns one node
         whose out-edges all leave the shard."""
         config = ShardedConfig(total_nodes=2, shards=2, chords=0, seed=1)
-        state = ShardState(config, 0)
-        assert state.external.all()
-        times, nodes, pending = state.step(
+        prop = ShardedPropagation(config)
+        assert prop.external.all()
+        times, nodes, pending = prop.step(
             np.asarray([0.0]), np.asarray([0]), 10.0)
-        assert (nodes == 1).all() and len(times) == len(state.heads)
+        assert (nodes == 1).all() and len(times) == prop.indptr[1]
         assert pending == 0
+        # Announced for the next epoch, never applied inside this one.
+        assert np.isinf(prop.dist[1])
         assert ShardedPropagation(config).run_with(0).reached == 2
 
     def test_empty_frontier_sweep_is_a_no_op(self):
-        state = ShardState(small_config(), 0)
-        times, nodes, pending = state.step(
+        prop = ShardedPropagation(small_config())
+        times, nodes, pending = prop.step(
             np.zeros(0), np.zeros(0, dtype=np.int64), 5.0)
         assert len(times) == len(nodes) == pending == 0
-        assert np.isinf(state.dist).all()
+        assert np.isinf(prop.dist).all()
         # An arrival beyond the horizon waits: pending, nothing relaxed.
-        times, nodes, pending = state.step(
-            np.asarray([9.0]), np.asarray([state.lo + 3]), 5.0)
+        times, nodes, pending = prop.step(
+            np.asarray([9.0]), np.asarray([3]), 5.0)
         assert len(times) == 0 and pending == 1
-        assert np.count_nonzero(np.isfinite(state.dist)) == 1
+        assert np.count_nonzero(np.isfinite(prop.dist)) == 1
 
     def test_frontier_node_without_out_edges(self):
         """The gather must cope with a frontier whose CSR rows are all
         empty (cannot arise from build_edges' ring, so carve it here)."""
-        state = ShardState(small_config(), 0)
-        state.indptr[:] = 0
-        times, nodes, pending = state.step(
-            np.asarray([0.0]), np.asarray([state.lo]), 5.0)
+        prop = ShardedPropagation(small_config())
+        prop.indptr[:] = 0
+        times, nodes, pending = prop.step(
+            np.asarray([0.0]), np.asarray([0]), 5.0)
         assert len(times) == 0 and pending == 0
-        assert state.dist[0] == 0.0
-        assert np.count_nonzero(np.isfinite(state.dist)) == 1
+        assert prop.dist[0] == 0.0
+        assert np.count_nonzero(np.isfinite(prop.dist)) == 1
