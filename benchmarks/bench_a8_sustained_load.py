@@ -40,7 +40,7 @@ def _mini_chain_params():
 
 
 def _blockchain_deployment(seed, limits=None, prune_interval_s=None,
-                           keep_depth=8, topology_scale=None):
+                           keep_depth=8):
     return build_deployment(
         "blockchain",
         chain_params=_mini_chain_params(),
@@ -50,12 +50,10 @@ def _blockchain_deployment(seed, limits=None, prune_interval_s=None,
         mempool_limits=limits,
         prune_interval_s=prune_interval_s,
         prune_keep_depth=keep_depth,
-        topology_scale=topology_scale,
     )
 
 
-def _dag_deployment(seed, processing_tps, prune_interval_s=None,
-                    topology_scale=None):
+def _dag_deployment(seed, processing_tps, prune_interval_s=None):
     return build_deployment(
         "dag",
         node_count=6,
@@ -63,7 +61,6 @@ def _dag_deployment(seed, processing_tps, prune_interval_s=None,
         seed=seed,
         processing_tps=processing_tps,
         prune_interval_s=prune_interval_s,
-        topology_scale=topology_scale,
     )
 
 
@@ -128,28 +125,6 @@ def sweep(paradigm, loads, p, seed):
             measure_load(deployment, p["accounts"], float(offered),
                          p["duration_s"], p["settle_s"])
         )
-    return points
-
-
-def scale_curve(paradigm, p, seed):
-    """Loaded latency vs modeled population: the same offered load is
-    replayed while ``topology_scale`` walks 10^2 -> 10^5 total nodes on
-    the aggregate plane.  Returns one ``(total_nodes, LoadPoint,
-    scale_stats)`` triple per decade."""
-    rate = float(p["scale_blockchain_tps"] if paradigm == "blockchain"
-                 else p["scale_dag_tps"])
-    points = []
-    for total in p["topology_scales"]:
-        total = int(total)
-        if paradigm == "blockchain":
-            deployment = _blockchain_deployment(seed, topology_scale=total)
-        else:
-            deployment = _dag_deployment(
-                seed, processing_tps=p["dag_processing_tps"],
-                topology_scale=total)
-        point = measure_load(deployment, p["accounts"], rate,
-                             p["scale_duration_s"], p["scale_settle_s"])
-        points.append((total, point, deployment.scale_stats()))
     return points
 
 
@@ -218,15 +193,6 @@ def run(params: dict, seed: int) -> dict:
         metrics.update(point.as_metrics("bc"))
     for point in dag_points:
         metrics.update(point.as_metrics("dag"))
-    for paradigm in ("blockchain", "dag"):
-        short = "bc" if paradigm == "blockchain" else "dag"
-        for total, point, stats in scale_curve(paradigm, p, seed):
-            tag = f"{short}_scale{total}"
-            metrics[f"{tag}_achieved_tps"] = point.achieved_tps
-            metrics[f"{tag}_p50_s"] = point.p50_s
-            metrics[f"{tag}_p99_s"] = point.p99_s
-            metrics[f"{tag}_prop_max_s"] = stats["propagation_max_s"]
-            metrics[f"{tag}_modeled_nodes"] = stats["modeled_nodes"]
 
     return make_result("A8", p, seed, metrics, started=started)
 
@@ -246,9 +212,6 @@ def test_a8_sustained_service(benchmark):
         "soak_rate_tps": 2.0,
         "soak_prune_interval_s": 50.0,
         "soak_keep_depth": 6,
-        "topology_scales": (100, 10_000),
-        "scale_duration_s": 60.0,
-        "scale_settle_s": 60.0,
     }
     result = benchmark.pedantic(run, args=(p, 3), rounds=1, iterations=1)
     m = result["metrics"]
@@ -258,12 +221,6 @@ def test_a8_sustained_service(benchmark):
         assert m[f"{prefix}_confirmed"] > 0
         # Pruned replica stays well under the linearly growing control.
         assert m[f"{prefix}_growth_ratio"] > 1.5
-    # The loaded-latency curve stays live as the modeled population
-    # deepens two decades, and the gossip tail stretches with it.
-    for short in ("bc", "dag"):
-        assert m[f"{short}_scale10000_achieved_tps"] > 0
-        assert m[f"{short}_scale10000_prop_max_s"] > \
-            m[f"{short}_scale100_prop_max_s"]
 
     rows = []
     for load in p["blockchain_loads"]:
@@ -276,13 +233,6 @@ def test_a8_sustained_service(benchmark):
         rows.append([f"dag @ {load:g} TPS",
                      f"{m[tag + '_achieved_tps']:.3f}",
                      f"{m[tag + '_p50_s']:.1f}", f"{m[tag + '_p99_s']:.1f}"])
-    for short, label in (("bc", "blockchain"), ("dag", "dag")):
-        for total in p["topology_scales"]:
-            tag = f"{short}_scale{total}"
-            rows.append([f"{label} @ {total} nodes (scaled)",
-                         f"{m[tag + '_achieved_tps']:.3f}",
-                         f"{m[tag + '_p50_s']:.1f}",
-                         f"{m[tag + '_p99_s']:.1f}"])
     rows.append(["blockchain knee", f"{m['blockchain_knee_tps']:g} TPS", "", ""])
     rows.append(["dag knee", f"{m['dag_knee_tps']:g} TPS", "", ""])
     for prefix, label in (("soak", "blockchain"), ("dag_soak", "dag")):

@@ -311,12 +311,20 @@ class BlockchainNode(ProtocolNode):
         for transactions in orphaned.values():
             for tx in transactions:
                 self._tx_blocks.pop(tx.txid, None)
-            readmitted = self.mempool.readmit(transactions)
-            self.stats.orphaned_transactions += readmitted
         for block in applied:
             for tx in block.transactions:
                 self._tx_blocks[tx.txid] = block.block_id
+        # Only what the new chain can still carry goes back: not a
+        # transaction it holds, nor one spending an output it settled.
+        # Readmitting before ``remove_included`` lets its conflict sweep
+        # drop an account orphan whose nonce the new chain used.
+        survivors = [tx for transactions in orphaned.values() for tx in transactions
+                     if tx.txid not in self._tx_blocks
+                     and not self._spends_settled_output(tx)]
+        self.mempool.readmit(survivors)
+        for block in applied:
             self.mempool.remove_included(block.transactions)
+        self.stats.orphaned_transactions += sum(tx.txid in self.mempool for tx in survivors)
 
         if error is not None:
             rejected = result.applied[len(applied)]

@@ -288,9 +288,9 @@ def _parse_grid(pairs: List[str]):
 
 
 def _undeclared_params(keys, experiment_ids: List[str]) -> Optional[str]:
-    """The error for ``--param`` keys (and ``--topology-scale``'s
-    ``total_nodes``) that no selected experiment declares in its
-    ``default_params``, or None when every key is declared by one."""
+    """The error for ``--param`` keys that no selected experiment
+    declares in its ``default_params``, or None when every key is
+    declared by one."""
     declared = set().union(
         *(EXPERIMENTS[e].default_params for e in experiment_ids))
     unknown = sorted(set(keys) - declared)
@@ -314,8 +314,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     overrides = {key: values[0] for key, values in grid.items()}
-    if args.topology_scale is not None:
-        overrides["total_nodes"] = args.topology_scale
     error = _undeclared_params(overrides, [experiment.experiment_id])
     if error:
         print(f"error: {error}", file=sys.stderr)
@@ -383,10 +381,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.topology_scale:
-        grid["total_nodes"] = [
-            int(v) for v in args.topology_scale.split(",") if v.strip()
-        ]
     error = _undeclared_params(grid, experiment_ids)
     if error:
         print(f"error: {error}", file=sys.stderr)
@@ -591,10 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a default parameter (repeatable)")
-    bench.add_argument("--topology-scale", type=int, default=None,
-                       metavar="N",
-                       help="total node population for scale-aware "
-                            "benches (sets the total_nodes param)")
     bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(func=_cmd_bench)
 
@@ -609,10 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--param", action="append", default=[],
                        metavar="KEY=V1[,V2,...]",
                        help="grid axis: comma-separated values (repeatable)")
-    sweep.add_argument("--topology-scale", default=None,
-                       metavar="N1[,N2,...]",
-                       help="total-node-population grid axis for "
-                            "scale-aware benches (total_nodes param)")
     sweep.add_argument("--seeds", default=None,
                        help="comma-separated seed list (default: 0..trials-1)")
     sweep.add_argument("--trials", type=int, default=4,

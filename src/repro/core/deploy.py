@@ -222,13 +222,8 @@ def build_deployment(
         scale = topology_scale
 
         def plane_factory(simulator):
-            return ShardedMessagePlane(
-                simulator,
-                total_nodes=scale.total_nodes,
-                shards=scale.shards,
-                chords=scale.chords,
-                link=scale.cluster_link,
-            )
+            return ShardedMessagePlane(simulator, total_nodes=scale.total_nodes,
+                                       shards=scale.shards)
 
     knobs = _given(
         chain_params=chain_params, mempool_limits=mempool_limits,

@@ -285,13 +285,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                             "soak_duration_s": 600.0,
                             "soak_rate_tps": 1.0,
                             "soak_prune_interval_s": 60.0,
-                            "soak_keep_depth": 8,
-                            "topology_scales": (100, 1_000, 10_000,
-                                                100_000),
-                            "scale_duration_s": 90.0,
-                            "scale_settle_s": 90.0,
-                            "scale_blockchain_tps": 1.0,
-                            "scale_dag_tps": 8.0},
+                            "soak_keep_depth": 8},
         ),
         Experiment(
             "A9", "§III, §IV (extension)",

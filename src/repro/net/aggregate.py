@@ -29,7 +29,7 @@ tolerance lives in ``tests/test_net_aggregate.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -178,26 +178,17 @@ class AggregateCluster(NetworkNode):
     of cluster count or attach order.
     """
 
-    def __init__(
-        self,
-        node_id: str,
-        size: int,
-        *,
-        degree: int = 8,
-        link: LinkParams = WAN_LINK,
-        tick_s: float = 0.25,
-        seed: Optional[int] = None,
-    ) -> None:
+    #: The interior every cluster models: a random-regular graph of this
+    #: degree over WAN links, its infection count advanced every tick.
+    degree = 8
+    link = WAN_LINK
+    tick_s = 0.25
+
+    def __init__(self, node_id: str, size: int) -> None:
         super().__init__(node_id)
         if size <= 0:
             raise ValueError("cluster size must be positive")
-        if tick_s <= 0:
-            raise ValueError("tick_s must be positive")
         self.size = size
-        self.degree = degree
-        self.link = link
-        self.tick_s = tick_s
-        self._seed = seed
         self._rng: Optional[np.random.Generator] = None
         #: active timelines: key -> (arrival_s, sorted times, delivered idx)
         self._active: Dict[object, list] = {}
@@ -212,14 +203,8 @@ class AggregateCluster(NetworkNode):
 
     def _generator(self) -> np.random.Generator:
         if self._rng is None:
-            seed = self._seed
-            if seed is None:
-                if self.network is None:
-                    raise RuntimeError(
-                        f"cluster {self.node_id} is not attached to a network")
-                seed = self.network.simulator.fork_rng(
-                    f"aggregate:{self.node_id}").getrandbits(64)
-            self._rng = np.random.default_rng(seed)
+            self._rng = np.random.default_rng(self.network.simulator.fork_rng(
+                f"aggregate:{self.node_id}").getrandbits(64))
         return self._rng
 
     # ------------------------------------------------------------- delivery
@@ -309,8 +294,11 @@ class TopologyScale:
         :class:`repro.net.sharded_plane.ShardedMessagePlane` — every
         gossiped protocol message is timed by an epoch-barrier crowd
         propagation over all ``total_nodes``.  Serves 10^4-10^6 with
-        *real* protocol traffic (``shards`` / ``chords`` configure the
-        crowd).
+        *real* protocol traffic (``shards`` splits the crowd).
+
+    Both planes carry the surplus over WAN links; the cluster interior
+    is fixed by :class:`AggregateCluster`, the crowd graph by
+    :class:`~repro.sim.sharded.ShardedConfig`'s defaults.
 
     ``jobs`` accepts only ``1`` and is read nowhere: the crowd's shards
     always step in process.  It stays only while
@@ -318,27 +306,17 @@ class TopologyScale:
     """
 
     total_nodes: int
-    cluster_degree: int = 8
-    tick_s: float = 0.25
-    cluster_link: LinkParams = field(default_factory=lambda: WAN_LINK)
     plane: str = "aggregate"
     shards: int = 4
-    chords: int = 2
     jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.total_nodes < 1:
             raise ValueError("total_nodes must be positive")
-        if self.cluster_degree < 2:
-            raise ValueError("cluster_degree must be >= 2")
-        if self.tick_s <= 0:
-            raise ValueError("tick_s must be positive")
         if self.plane not in ("aggregate", "sharded"):
             raise ValueError("plane must be 'aggregate' or 'sharded'")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.chords < 0:
-            raise ValueError("chords must be non-negative")
         if self.jobs != 1:
             raise ValueError("jobs must be 1 (the shards step in process)")
 
@@ -348,7 +326,7 @@ def attach_clusters(network, scale: TopologyScale) -> List[AggregateCluster]:
 
     The surplus of ``scale.total_nodes`` over the boundary ring is split
     as evenly as possible; each cluster hangs off one boundary node over
-    ``scale.cluster_link``.  Returns the clusters (possibly empty when
+    its interior's link.  Returns the clusters (possibly empty when
     the boundary alone already covers ``total_nodes``).
     """
     boundary = network.node_ids()
@@ -363,14 +341,9 @@ def attach_clusters(network, scale: TopologyScale) -> List[AggregateCluster]:
         size = base + (1 if index < remainder else 0)
         if size <= 0:
             continue
-        cluster = AggregateCluster(
-            f"agg:{boundary_id}", size,
-            degree=scale.cluster_degree,
-            link=scale.cluster_link,
-            tick_s=scale.tick_s,
-        )
+        cluster = AggregateCluster(f"agg:{boundary_id}", size)
         network.add_node(cluster)
-        network.connect(boundary_id, cluster.node_id, scale.cluster_link)
+        network.connect(boundary_id, cluster.node_id, cluster.link)
         clusters.append(cluster)
     return clusters
 

@@ -55,7 +55,8 @@ class ShardedMessagePlane(Network):
     ``total_nodes`` is the full population; the replicas attached via
     :meth:`add_node` are embedded at evenly spaced crowd positions and
     every flood between them is timed by the crowd graph (ring +
-    ``chords`` random matchings, per-edge delays following ``link``).
+    :class:`~repro.sim.sharded.ShardedConfig`'s default chords, per-edge
+    delays following ``link``).
     Direct sends (:meth:`transmit` / :meth:`transmit_reliable`) and all
     fault machinery stay exact over the replica links.
 
@@ -70,7 +71,6 @@ class ShardedMessagePlane(Network):
         *,
         total_nodes: int,
         shards: int = 4,
-        chords: int = 2,
         link: Optional[LinkParams] = None,
         seed: Optional[int] = None,
     ) -> None:
@@ -86,7 +86,6 @@ class ShardedMessagePlane(Network):
             self.crowd_link,
             total_nodes=total_nodes,
             shards=shards,
-            chords=chords,
             seed=seed,
         )
         self._replica_order: List[str] = []

@@ -581,12 +581,53 @@ class TestSettledOutpointsAreRefused:
             node.receive_block(block)
         assert node.head.block_id == winning[-1].block_id
         survivor, pushed_out = (block.transactions[1] for block in losing)
+        # The reorg pooled and counted only the survivor: the orphan the
+        # winner double-spent was not readmitted just to be dropped.
+        assert [tx.txid for tx in node.mempool.pending()] == [survivor.txid]
+        assert node.stats.orphaned_transactions == 1
+        assert node.mempool.total_dropped == 0
         assert not node._admit_transaction(pushed_out)
         assert pushed_out.txid not in node.mempool
         block = node.create_block_template(10.0, miner.address)
         assert [tx.txid for tx in block.transactions[1:]] == [survivor.txid]
         assert node.receive_block(block).extended_main
         assert len(node.mempool) == 0
+
+    def test_an_account_reorg_counts_only_the_orphans_it_pools(self):
+        """An account orphan whose nonce the winner used is swept out by
+        ``remove_included`` and not counted; the other one survives."""
+        keys = [KeyPair.from_seed(bytes([80 + i]) * 32) for i in range(4)]
+        miner = KeyPair.from_seed(bytes([180]) * 32)
+        allocations = {kp.address: 1_000_000 for kp in keys}
+        genesis = build_genesis_with_allocations(allocations)
+
+        def branch(payments):
+            """One block per nonce-0 payment (sender, recipient, amount)."""
+            producer = BlockchainNode("producer", ETHEREUM, genesis,
+                                      genesis_allocations=allocations)
+            blocks, txs = [], []
+            for height, (sender, recipient, amount) in enumerate(payments, start=1):
+                tx = sign_account_transaction(
+                    keys[sender], 0, keys[recipient].address, amount, gas_price=1)
+                assert producer.mempool.add(tx)
+                block = producer.create_block_template(float(height), miner.address)
+                assert producer.receive_block(block).extended_main
+                blocks.append(block)
+                txs.append(tx)
+            return blocks, txs
+
+        # Key 2 pays only on the losing branch; key 0's nonce 0 goes to a
+        # different payment on the winner.
+        losing, (survivor, stale) = branch([(2, 1, 500), (0, 1, 700)])
+        winning, _ = branch([(0, 2, 111), (1, 2, 222), (3, 0, 333)])
+        node = BlockchainNode("replica", ETHEREUM, genesis, genesis_allocations=allocations)
+        for block in losing + winning:
+            node.receive_block(block)
+        assert node.head.block_id == winning[-1].block_id
+        assert node.stats.reorgs == 1
+        assert [tx.txid for tx in node.mempool.pending()] == [survivor.txid]
+        assert stale.txid not in node.mempool
+        assert node.stats.orphaned_transactions == 1
 
     def test_a_late_rival_of_a_confirmed_spend_is_refused(self):
         keys = [KeyPair.from_seed(bytes([70 + i]) * 32) for i in range(3)]

@@ -241,6 +241,34 @@ class TestPinnedFingerprints:
         assert result.fingerprint == PINNED_FINGERPRINTS[profile, paradigm]
 
 
+#: Run fingerprints of ``repro fuzz --seeds 2 --topology-scale 2000``:
+#: the baseline profile with 2 000 nodes, the surplus on the aggregate
+#: plane.  Recorded before the cluster's degree, link and tick became
+#: fixed values.  No replica reads a cluster's interior (another tick,
+#: degree or link leaves these equal), so what they pin is that a scaled
+#: deployment still attaches its clusters and runs its replicas as before
+#: (a deployment that attaches none fails them).
+PINNED_SCALED_FINGERPRINTS = {
+    (0, "blockchain"):
+        "c4b509a5fed08a15bc61d30b3024b205e3c973ad9dc16977f0cac38a6d9c0ea3",
+    (0, "dag"):
+        "c09a752bb89df5b5e1f180a19cec9e30d169a18d552849583c51d5a378c20ee6",
+    (1, "blockchain"):
+        "fcc9a41e7a08b5121f640c91be356f97fe11b43da7487d9feade1e56db911e79",
+    (1, "dag"):
+        "c66ca0be3c3f0c8d7301a06134fd8ffa800fe469784caabd22903d5c68616f21",
+}
+
+
+class TestPinnedScaledFingerprints:
+    @pytest.mark.parametrize("seed,paradigm", sorted(PINNED_SCALED_FINGERPRINTS))
+    def test_scaled_fingerprint(self, seed, paradigm):
+        profile = profile_named("baseline", topology_scale=2_000)
+        result = run_schedule(generate_schedule(seed, profile), paradigm)
+        assert result.violation is None
+        assert result.fingerprint == PINNED_SCALED_FINGERPRINTS[seed, paradigm]
+
+
 class TestShrink:
     def test_minimizes_seeded_violation_to_corrupt_op(self):
         schedule = generate_schedule(1, PROFILES["seeded-violation"])

@@ -94,8 +94,8 @@ class TestCommands:
         assert main(["bench", "ZZZ"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
-    def test_bench_topology_scale_sets_total_nodes(self, capsys):
-        code = main(["bench", "A10", "--topology-scale", "200",
+    def test_bench_total_nodes_param_sets_the_population(self, capsys):
+        code = main(["bench", "A10", "--param", "total_nodes=200",
                      "--param", "duration_s=10", "--param",
                      "sharded_shards=2", "--seed", "1"])
         assert code == 0
@@ -104,9 +104,21 @@ class TestCommands:
         assert "metric: fingerprint" in out
         assert "metric: sharded_reached" in out
 
-    def test_bench_invalid_topology_scale_exits_two(self, capsys):
-        assert main(["bench", "A10", "--topology-scale", "2"]) == 2
+    def test_bench_invalid_total_nodes_exits_two(self, capsys):
+        assert main(["bench", "A10", "--param", "total_nodes=2"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "A10", "--topology-scale", "200"],
+        ["sweep", "-e", "A10", "--topology-scale", "200,400"],
+    ], ids=["bench", "sweep"])
+    def test_topology_scale_alias_is_gone(self, argv, capsys):
+        # --param total_nodes= is the one spelling; only fuzz keeps the
+        # flag, because there it sets the profile, not a param.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--topology-scale" in capsys.readouterr().err
 
     def test_bench_a7_runs_the_small_networks_faults_ran(self, capsys):
         # Below five nodes the scenario uses a clique, as the deleted
@@ -122,8 +134,8 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "dpeth" in err and "valid: attacker_share, depth, risk" in err
 
-    def test_bench_topology_scale_needs_a_declaring_experiment(self, capsys):
-        assert main(["bench", "E4", "--topology-scale", "100"]) == 2
+    def test_bench_total_nodes_needs_a_declaring_experiment(self, capsys):
+        assert main(["bench", "E4", "--param", "total_nodes=100"]) == 2
         assert "total_nodes" in capsys.readouterr().err
 
     def test_sweep_rejects_an_undeclared_param(self, tmp_path, capsys):

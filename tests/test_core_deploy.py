@@ -196,7 +196,7 @@ def test_topology_scale_attaches_clusters_at_setup():
     assert stats["boundary_nodes"] == 4.0
     assert stats["modeled_nodes"] == 100.0
     # A TopologyScale instance passes through unchanged.
-    scale = TopologyScale(total_nodes=50, cluster_degree=4)
+    scale = TopologyScale(total_nodes=50)
     assert build_deployment("blockchain", node_count=3,
                             topology_scale=scale).topology_scale is scale
 

@@ -192,12 +192,11 @@ class TestAggregateVsExactValidation:
 
 
 class TestAggregateCluster:
-    def build(self, size=50, tick_s=0.25, **kwargs):
+    def build(self, size=50):
         sim = Simulator(seed=1)
         net = Network(sim)
         nodes = complete_topology(net, 3, Recorder, FAST_LINK)
-        cluster = AggregateCluster("agg:n0", size, tick_s=tick_s,
-                                   link=FAST_LINK, **kwargs)
+        cluster = AggregateCluster("agg:n0", size)
         net.add_node(cluster)
         net.connect("n0", "agg:n0", FAST_LINK)
         return sim, net, nodes, cluster
@@ -228,7 +227,7 @@ class TestAggregateCluster:
         assert cluster.messages_completed == 2
 
     def test_infection_advances_incrementally(self):
-        sim, net, nodes, cluster = self.build(size=400, tick_s=0.01)
+        sim, net, nodes, cluster = self.build(size=400)
         slow = LinkParams(latency_s=0.5, jitter_s=0.2, bandwidth_bps=1e9)
         cluster.link = slow
         message = make_message("slow")
@@ -252,8 +251,6 @@ class TestAggregateCluster:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             AggregateCluster("c", 0)
-        with pytest.raises(ValueError):
-            AggregateCluster("c", 10, tick_s=0.0)
 
 
 class TestAttachClusters:
@@ -282,8 +279,7 @@ class TestAttachClusters:
         sim = Simulator(seed=0)
         net = Network(sim)
         nodes = complete_topology(net, 4, Recorder, FAST_LINK)
-        clusters = attach_clusters(net, TopologyScale(
-            total_nodes=204, cluster_link=FAST_LINK))
+        clusters = attach_clusters(net, TopologyScale(total_nodes=204))
         nodes[0].broadcast(make_message("wide"))
         sim.run()
         for cluster in clusters:
@@ -295,10 +291,6 @@ class TestAttachClusters:
     def test_scale_validates(self):
         with pytest.raises(ValueError):
             TopologyScale(total_nodes=0)
-        with pytest.raises(ValueError):
-            TopologyScale(total_nodes=10, cluster_degree=1)
-        with pytest.raises(ValueError):
-            TopologyScale(total_nodes=10, tick_s=0.0)
 
 
 class TestNestedAggregate:
@@ -313,8 +305,7 @@ class TestNestedAggregate:
             sim = Simulator(seed=3)
             net = Network(sim)
             nodes = complete_topology(net, 3, Recorder, FAST_LINK)
-            cluster = AggregateCluster("agg:n0", size, tick_s=0.25,
-                                       link=FAST_LINK)
+            cluster = AggregateCluster("agg:n0", size)
             net.add_node(cluster)
             net.connect("n0", "agg:n0", FAST_LINK)
             nodes[1].broadcast(make_message("deep"))
@@ -338,6 +329,14 @@ class TestNestedAggregate:
             AggregateCluster("agg:n0", 30_000, fanout=6)
         with pytest.raises(TypeError):
             AggregateCluster("agg:n0", 30_000, boundary_link=FAST_LINK)
+        # Only one value of these was ever set: the cluster's interior
+        # and the crowd's graph fix them.
+        for field in ("cluster_degree", "tick_s", "cluster_link", "chords"):
+            with pytest.raises(TypeError):
+                TopologyScale(total_nodes=10, **{field: 2})
+        for keyword in ("degree", "link", "tick_s", "seed"):
+            with pytest.raises(TypeError):
+                AggregateCluster("agg:n0", 100, **{keyword: 2})
 
     def test_scale_validates_plane_fields(self):
         with pytest.raises(ValueError):

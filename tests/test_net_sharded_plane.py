@@ -148,6 +148,9 @@ class TestDeploymentIntegration:
             ShardedMessagePlane(Simulator(seed=0), total_nodes=4, shards=5)
         with pytest.raises(ValueError, match="total_nodes must be >= 2"):
             ShardedMessagePlane(Simulator(seed=0), total_nodes=1)
+        # The crowd graph's chord count is ShardedConfig's, not the plane's.
+        with pytest.raises(TypeError):
+            ShardedMessagePlane(Simulator(seed=0), total_nodes=100, chords=3)
 
     def test_bad_crowd_shape_fails_at_setup_not_mid_run(self):
         """More shards than crowd nodes used to pass setup and raise from
