@@ -29,7 +29,7 @@ LINK = LinkParams(latency_s=0.02, jitter_s=0.01, bandwidth_bps=1e9)
 
 def drive_load(offered_tps, processing_tps=None, duration=30.0, seed=6):
     """Offered load = evenly spaced sends; returns settled TPS."""
-    params = NanoParams(work_difficulty=1, node_processing_tps=400.0)
+    params = NanoParams(work_difficulty=1)
     # Nothing below reads the trace, so take the untraced fast path.
     tb = build_nano_testbed(
         node_count=4, representative_count=2, seed=seed,

@@ -58,7 +58,6 @@ class ChainStore:
         self._entries: Dict[Hash, _BlockEntry] = {}
         self._children: Dict[Hash, List[Hash]] = {}
         self._main_chain: List[Hash] = []  # index = height
-        self._orphan_pool: Dict[Hash, List[Block]] = {}  # parent_id -> blocks
         self._arrivals = 0
         self._cemented_height = -1
         self.reorg_count = 0
@@ -122,9 +121,6 @@ class ChainStore:
             if e.block.block_id not in with_children
         ]
 
-    def orphan_pool_size(self) -> int:
-        return sum(len(blocks) for blocks in self._orphan_pool.values())
-
     def headers(self) -> Iterable[Block]:
         return (e.block for e in self._entries.values())
 
@@ -133,25 +129,36 @@ class ChainStore:
     def add_block(self, block: Block) -> ReorgResult:
         """Insert ``block``; returns what happened to the main chain.
 
-        Blocks whose parent is unknown are parked in the orphan pool and
-        connected automatically when the parent arrives.
+        A block whose parent is not stored raises
+        :class:`UnknownParentError` and stores nothing: the node's intake
+        layer holds such a block until its parent connects.
         """
         if block.block_id in self._entries:
             return ReorgResult(block_accepted=False)
-        if block.parent_id not in self._entries:
-            self._orphan_pool.setdefault(block.parent_id, []).append(block)
-            return ReorgResult(block_accepted=False)
+        parent_entry = self._entries.get(block.parent_id)
+        if parent_entry is None:
+            raise UnknownParentError(
+                f"block {block.block_id.short()} has unknown parent "
+                f"{block.parent_id.short()}"
+            )
+        if block.height != parent_entry.block.height + 1:
+            raise ValidationError(
+                f"block {block.block_id.short()} height {block.height} does not "
+                f"follow parent height {parent_entry.block.height}"
+            )
+        cumulative = parent_entry.cumulative_work + block.header.work
+        self._insert(block, cumulative)
 
-        result = self._connect(block)
-        # Connecting may unlock parked descendants.
-        queue = [block.block_id]
-        while queue:
-            parent_id = queue.pop()
-            for orphan in self._orphan_pool.pop(parent_id, []):
-                child_result = self._connect(orphan)
-                result = _merge_results(result, child_result)
-                queue.append(orphan.block_id)
-        return result
+        head_entry = self._entries[self._main_chain[-1]]
+        if cumulative <= head_entry.cumulative_work:
+            return ReorgResult(block_accepted=True, extended_main=False)
+
+        if block.parent_id == self._main_chain[-1]:
+            # Fast path: plain extension of the main chain.
+            self._main_chain.append(block.block_id)
+            return ReorgResult(block_accepted=True, extended_main=True, applied=[block])
+
+        return self._reorganize(block)
 
     def cement(self, height: int) -> None:
         """Mark the main chain final up to ``height``: any reorg that
@@ -205,27 +212,6 @@ class ChainStore:
         if not block.parent_id.is_zero():
             self._children.setdefault(block.parent_id, []).append(block.block_id)
 
-    def _connect(self, block: Block) -> ReorgResult:
-        parent_entry = self._entries[block.parent_id]
-        if block.height != parent_entry.block.height + 1:
-            raise ValidationError(
-                f"block {block.block_id.short()} height {block.height} does not "
-                f"follow parent height {parent_entry.block.height}"
-            )
-        cumulative = parent_entry.cumulative_work + block.header.work
-        self._insert(block, cumulative)
-
-        head_entry = self._entries[self._main_chain[-1]]
-        if cumulative <= head_entry.cumulative_work:
-            return ReorgResult(block_accepted=True, extended_main=False)
-
-        if block.parent_id == self._main_chain[-1]:
-            # Fast path: plain extension of the main chain.
-            self._main_chain.append(block.block_id)
-            return ReorgResult(block_accepted=True, extended_main=True, applied=[block])
-
-        return self._reorganize(block)
-
     def _reorganize(self, new_head: Block) -> ReorgResult:
         """Switch the main chain to the branch ending at ``new_head``."""
         new_branch: List[Block] = []
@@ -278,29 +264,3 @@ class ChainStore:
     def total_size_bytes(self) -> int:
         """Serialized size of all stored blocks (main chain + side branches)."""
         return sum(e.block.size_bytes for e in self._entries.values())
-
-
-def _merge_results(first: ReorgResult, second: ReorgResult) -> ReorgResult:
-    """Combine results from connecting a block and its parked descendants."""
-    if not second.extended_main:
-        return first
-    if not first.extended_main:
-        return ReorgResult(
-            block_accepted=first.block_accepted or second.block_accepted,
-            extended_main=True,
-            rolled_back=second.rolled_back,
-            applied=second.applied,
-        )
-    # Both advanced the chain: net effect = first's rollbacks plus all
-    # applied blocks that were not subsequently rolled back by second.
-    rolled_ids = {b.block_id for b in second.rolled_back}
-    surviving_applied = [b for b in first.applied if b.block_id not in rolled_ids]
-    new_rolled = first.rolled_back + [
-        b for b in second.rolled_back if b not in first.applied
-    ]
-    return ReorgResult(
-        block_accepted=True,
-        extended_main=True,
-        rolled_back=new_rolled,
-        applied=surviving_applied + second.applied,
-    )

@@ -18,9 +18,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.common.errors import GenesisMismatchError, ReproError, ValidationError
+from repro.common.errors import (
+    DoubleSpendError,
+    GenesisMismatchError,
+    ReproError,
+    ValidationError,
+)
 from repro.common.types import Address, Hash, TxId
 from repro.crypto.pow import MAX_TARGET
 from repro.net.message import Message
@@ -35,6 +40,7 @@ from repro.blockchain.state import AccountState
 from repro.blockchain.transaction import (
     AccountTransaction,
     Transaction,
+    TxOutput,
     make_coinbase,
 )
 from repro.blockchain.utxo import UTXOSet
@@ -68,10 +74,10 @@ class ChainConsensus(ConsensusEngine):
     """Heaviest-chain fork choice over a block tree (Section III-A).
 
     A block whose parent has not arrived parks in the intake layer under
-    the parent id (previously the :class:`ChainStore` orphan pool did
-    this below the node).  Duplicate detection is left to
-    ``ChainStore.add_block`` so repeated gossip stays a silent
-    not-accepted, exactly as before the stack.
+    the parent id; :meth:`ChainStore.add_block` refuses an unknown
+    parent rather than holding the block itself.  Duplicate detection
+    is left to ``ChainStore.add_block`` so repeated gossip stays a
+    silent not-accepted.
     """
 
     paradigm = "blockchain"
@@ -200,7 +206,9 @@ class BlockchainNode(ProtocolNode):
         if message.kind == MSG_TX:
             self._admit_transaction(message.payload)
         elif message.kind == MSG_BLOCK:
-            self.receive_block(message.payload)
+            # A peer's invalid block is counted in ``blocks_rejected``
+            # and dropped; it must not stop this replica.
+            self.ingest_quietly(message.payload)
             if self.selfish_mining and self._private_blocks:
                 # A competitor published: the selfish miner answers with
                 # its private chain (Eyal & Sirer's race).
@@ -214,7 +222,8 @@ class BlockchainNode(ProtocolNode):
             if not tx.verify_signature():
                 return False
         elif isinstance(tx, Transaction):
-            if (tx.is_coinbase or self._spends_settled_output(tx)
+            if (tx.is_coinbase or self._repeats_an_input(tx)
+                    or self._spends_settled_output(tx)
                     or not tx.verify_input_signatures()):
                 return False
         return self.mempool.add(tx)
@@ -231,6 +240,12 @@ class BlockchainNode(ProtocolNode):
                     and tx_input.prev_txid in self._tx_blocks):
                 return True
         return False
+
+    @staticmethod
+    def _repeats_an_input(tx: Transaction) -> bool:
+        """An outpoint listed twice: no UTXO set spends it twice, so no
+        block can carry ``tx`` (Bitcoin Core's ``bad-txns-inputs-duplicate``)."""
+        return len({tx_input.outpoint for tx_input in tx.inputs}) != len(tx.inputs)
 
     # ---------------------------------------------------------------- blocks
 
@@ -507,37 +522,33 @@ class BlockchainNode(ProtocolNode):
     def _create_utxo_template(
         self, timestamp: float, proposer: Address, target: int
     ) -> Block:
-        assert self.utxo is not None
+        utxo = self.utxo
+        assert utxo is not None
         budget = (self.params.max_block_size_bytes or 10**9) - 200  # coinbase room
-        candidates = self.mempool.select_by_size(budget)
+        # Connect each candidate on the live set, as a block connect does:
+        # the set spends each input or refuses the transaction.  The
+        # chosen ones are reverted, last first, before this returns.
         chosen: List[Transaction] = []
-        spent: Set[Tuple[TxId, int]] = set()
-        created: Dict[Tuple[TxId, int], int] = {}
+        undo: List[Tuple[TxOutput, ...]] = []
         fees = 0
-        for tx in candidates:
-            if not isinstance(tx, Transaction):
-                continue
-            outpoints = [i.outpoint for i in tx.inputs]
-            if any(op in spent for op in outpoints):
-                continue  # conflicts with an already chosen tx
-            input_value = 0
-            ok = True
-            for op in outpoints:
-                out = self.utxo.get(op)
-                if out is not None:
-                    input_value += out.amount
-                elif op in created:
-                    input_value += created[op]
-                else:
-                    ok = False
-                    break
-            if not ok or input_value < tx.total_output():
-                continue
-            chosen.append(tx)
-            spent.update(outpoints)
-            for index, output in enumerate(tx.outputs):
-                created[(tx.txid, index)] = output.amount
-            fees += input_value - tx.total_output()
+        try:
+            for tx in self.mempool.select_by_size(budget):
+                if not isinstance(tx, Transaction):
+                    continue
+                try:
+                    spent = utxo.apply_transaction(tx)
+                except DoubleSpendError:
+                    continue  # an input is unknown or already spent
+                fee = sum(output.amount for output in spent) - tx.total_output()
+                if fee < 0:
+                    utxo.revert_transaction(tx, spent)
+                    continue
+                chosen.append(tx)
+                undo.append(spent)
+                fees += fee
+        finally:
+            for tx, spent in zip(reversed(chosen), reversed(undo)):
+                utxo.revert_transaction(tx, spent)
         coinbase = make_coinbase(
             proposer, self.params.block_reward + fees, nonce=self.head.height + 1
         )

@@ -126,14 +126,6 @@ class ByteballDag:
         self.genesis_hash = genesis.unit_hash
         return genesis
 
-    def install_genesis(self, genesis: Unit) -> None:
-        if self.genesis_hash is not None:
-            raise ValidationError("dag already has a genesis")
-        if not genesis.is_genesis or not genesis.verify_signature():
-            raise ValidationError("invalid genesis unit")
-        self._insert(genesis)
-        self.genesis_hash = genesis.unit_hash
-
     # ---------------------------------------------------------------- access
 
     def __contains__(self, unit_hash: Hash) -> bool:

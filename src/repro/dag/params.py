@@ -14,20 +14,12 @@ class NanoParams:
     ``work_difficulty`` is the hashcash anti-spam threshold per block
     (Section III-B).  ``quorum_fraction`` is the share of online voting
     weight required to confirm a block (Section IV-B: "majority vote").
-    ``cement_after_s`` models the planned block-cementing delay
-    ("transactions ... prevented from being rolled back after a certain
-    period of time").
+    ``name`` labels the preset.
     """
 
     name: str = "nano"
     work_difficulty: float = DEFAULT_ANTISPAM_DIFFICULTY
     quorum_fraction: float = 0.5
-    vote_rebroadcast: bool = True
-    cement_after_s: float = 10.0
-    #: Per-node processing capacity, transactions/second — the Section
-    #: VI-B point that Nano's limit "is currently determined by the
-    #: quality of consumer grade hardware and network conditions".
-    node_processing_tps: float = 400.0
 
     def __post_init__(self) -> None:
         if not 0 < self.quorum_fraction <= 1:

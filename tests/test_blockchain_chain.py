@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.common.errors import CementedBlockError, ValidationError
+from repro.common.errors import CementedBlockError, UnknownParentError, ValidationError
 from repro.crypto.pow import MAX_TARGET
 from repro.blockchain.block import assemble_block, build_genesis_block
 from repro.blockchain.chain import ChainStore
+from repro.blockchain.node import BlockchainNode
+from repro.blockchain.params import BITCOIN
 from repro.blockchain.transaction import make_coinbase
 
 
@@ -19,6 +21,15 @@ def extend(chain_store, parent_block, keypair, nonce, target=MAX_TARGET, timesta
     )
     result = chain_store.add_block(block)
     return block, result
+
+
+def parent_and_child(genesis, keypair):
+    """Two blocks above ``genesis``, the second on the first."""
+    a = assemble_block(
+        genesis.header, [make_coinbase(keypair.address, 1, nonce=1)], 1.0, MAX_TARGET
+    )
+    b = assemble_block(a.header, [make_coinbase(keypair.address, 1, nonce=2)], 2.0, MAX_TARGET)
+    return a, b
 
 
 @pytest.fixture
@@ -114,20 +125,31 @@ class TestForksAndReorgs:
         assert store.head == first
 
     def test_orphan_pool_connects_out_of_order(self, chain, keypair):
-        store, genesis = chain
-        a = assemble_block(
-            genesis.header, [make_coinbase(keypair.address, 1, nonce=1)], 1.0, MAX_TARGET
-        )
-        b = assemble_block(
-            a.header, [make_coinbase(keypair.address, 1, nonce=2)], 2.0, MAX_TARGET
-        )
-        result_b = store.add_block(b)  # parent unknown: parked
+        """A child that arrives before its parent waits in the node's
+        intake layer and connects when the parent does."""
+        _, genesis = chain
+        node = BlockchainNode("replica", BITCOIN, genesis)
+        a, b = parent_and_child(genesis, keypair)
+        result_b = node.receive_block(b)  # parent unknown: parked
         assert not result_b.block_accepted
-        assert store.orphan_pool_size() == 1
-        result_a = store.add_block(a)  # unlocks b
+        assert len(node.intake) == 1
+        result_a = node.receive_block(a)  # unlocks b
         assert result_a.extended_main
-        assert store.head.block_id == b.block_id
-        assert store.orphan_pool_size() == 0
+        assert node.chain.head.block_id == b.block_id
+        assert len(node.intake) == 0
+
+    def test_unknown_parent_raises_and_stores_nothing(self, chain, keypair):
+        store, genesis = chain
+        a, b = parent_and_child(genesis, keypair)
+        with pytest.raises(UnknownParentError):
+            store.add_block(b)
+        assert b.block_id not in store
+        assert len(store) == 1
+        assert store.tips() == [genesis]
+        # The parent still connects, and the child after it.
+        assert store.add_block(a).extended_main
+        assert store.add_block(b).extended_main
+        assert store.head == b
 
     def test_deep_reorg(self, chain, keypair):
         store, genesis = chain

@@ -648,3 +648,74 @@ class TestSettledOutpointsAreRefused:
         assert node._admit_transaction(
             build_transaction(keys[1], change, keys[0].address, 100, fee=3))
         assert len(node.mempool) == 2
+
+
+class TestRepeatedInput:
+    """A transaction that lists one outpoint twice reads a doubled input
+    value, so its fee looks fine; no UTXO set can spend it, though."""
+
+    def test_admission_refuses_it_and_the_run_goes_on(self):
+        params = replace(BITCOIN, target_block_interval_s=15.0)
+        keys = [KeyPair.from_seed(bytes([i + 1]) * 32) for i in range(4)]
+        genesis = build_genesis_with_allocations({k.address: 1000 for k in keys})
+        sim = Simulator(seed=1)
+        net = Network(sim)
+        nodes = list(complete_topology(
+            net, 3, lambda nid: BlockchainNode(nid, params, genesis), FAST_LINK))
+        for i, node in enumerate(nodes):
+            node.start_pow_mining(1 / 3, KeyPair.from_seed(bytes([100 + i]) * 32).address)
+        sim.run(until=60)
+        (entry,) = nodes[0].utxo.spendable(keys[0].address)
+        tx = build_transaction(keys[0], [entry, entry], keys[1].address, 1990, fee=10)
+        assert nodes[0].utxo.fee(tx) == 10  # the doubled input pays the fee
+        assert not nodes[0].submit_transaction(tx)
+        sim.run(until=600)  # a template that picked it used to raise here
+        assert nodes[0].chain.height > 20
+        assert all(tx.txid not in node.mempool for node in nodes)
+        assert all(node.balance(keys[0].address) == 1000 for node in nodes)
+
+    def test_template_skips_what_does_not_connect(self):
+        keys = [KeyPair.from_seed(bytes([90 + i]) * 32) for i in range(3)]
+        miner = KeyPair.from_seed(bytes([190]) * 32)
+        genesis = build_genesis_with_allocations({k.address: 1000 for k in keys})
+        node = BlockchainNode("miner", BITCOIN, genesis)
+        (entry,) = node.utxo.spendable(keys[0].address)
+        pay = build_transaction(keys[0], [entry], keys[1].address, 600, fee=10)
+        child = build_transaction(keys[0], [(pay.txid, 1, 390)], keys[2].address, 380, fee=7)
+        doubled = build_transaction(keys[1], node.utxo.spendable(keys[1].address) * 2,
+                                    keys[2].address, 1990, fee=10)
+        (txid, index, _) = node.utxo.spendable(keys[2].address)[0]
+        inflating = build_transaction(keys[2], [(txid, index, 5000)], keys[0].address, 4000)
+        unknown = build_transaction(keys[2], [(Hash(bytes([7]) * 32), 0, 100)],
+                                    keys[0].address, 50)
+        for tx in (pay, child, doubled, inflating, unknown):
+            assert node.mempool.add(tx)  # past admission: only the template decides
+        before = dict(node.utxo._utxos)
+        block = node.create_block_template(1.0, miner.address)
+        assert node.utxo._utxos == before  # every trial connect reverted
+        assert [tx.txid for tx in block.transactions[1:]] == [pay.txid, child.txid]
+        assert block.transactions[0].total_output() == BITCOIN.block_reward + 10 + 7
+        assert node.receive_block(block).extended_main
+
+
+class TestInvalidPeerBlock:
+    def test_a_peer_block_that_fails_validation_is_dropped(self):
+        from repro.blockchain.block import Block
+        from repro.blockchain.node import MSG_BLOCK
+        from repro.core.deploy import build_deployment
+
+        dep = build_deployment("blockchain", node_count=3, seed=1)
+        dep.setup(accounts=4, initial_balance=1000)
+        dep.ledger.advance(30.0)
+        sender = dep.nodes[1]
+        template = sender.create_block_template(dep.simulator.now, sender.miner.coinbase_address)
+        # The template's header over a different coinbase body.
+        body = (make_coinbase(sender.miner.coinbase_address, 1, nonce=999),)
+        bad = Block(header=template.header, transactions=body)
+        heads = [node.head for node in dep.nodes]
+        sender.broadcast(Message(kind=MSG_BLOCK, payload=bad,
+                                 size_bytes=bad.size_bytes, dedup_key=bad.block_id))
+        dep.ledger.advance(1.0)  # used to raise "Merkle root does not match"
+        assert [node.stats.blocks_rejected for node in dep.nodes] == [1, 0, 1]
+        assert [node.head for node in dep.nodes] == heads
+        assert all(bad.block_id not in node.chain for node in dep.nodes)

@@ -15,6 +15,8 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.pow import MAX_TARGET
 from repro.blockchain.block import assemble_block, build_genesis_block
 from repro.blockchain.chain import ChainStore
+from repro.blockchain.node import BlockchainNode
+from repro.blockchain.params import BITCOIN
 from repro.blockchain.transaction import make_coinbase
 
 
@@ -48,12 +50,21 @@ def build_block_tree(seed, depth=6, fork_probability=0.45):
     return genesis, blocks
 
 
+def replica_fed(genesis, blocks):
+    """A validating node that received ``blocks`` in this order by gossip
+    (a child ahead of its parent waits in the intake layer)."""
+    node = BlockchainNode("replica", BITCOIN, genesis)
+    for block in blocks:
+        node.receive_block(block)
+    return node
+
+
 class TestArrivalOrderIndependence:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000), shuffle=st.randoms())
     def test_same_height_any_order(self, seed, shuffle):
         """Property: whatever order blocks arrive in (parents eventually
-        before children via the orphan pool), the final main-chain
+        before children via the intake layer), the final main-chain
         *height* is the depth of the tree — fork choice found the longest
         branch."""
         genesis, blocks = build_block_tree(seed)
@@ -61,12 +72,10 @@ class TestArrivalOrderIndependence:
 
         arrival = list(blocks)
         shuffle.shuffle(arrival)
-        store = ChainStore(genesis)
-        for block in arrival:
-            store.add_block(block)
-        assert store.height == expected_height
-        assert store.orphan_pool_size() == 0
-        assert len(store) == len(blocks) + 1
+        node = replica_fed(genesis, arrival)
+        assert node.chain.height == expected_height
+        assert len(node.intake) == 0
+        assert len(node.chain) == len(blocks) + 1
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -92,11 +101,8 @@ class TestArrivalOrderIndependence:
         genesis, blocks = build_block_tree(seed)
         order_a = data.draw(st.permutations(blocks))
         order_b = data.draw(st.permutations(blocks))
-        replica_a, replica_b = ChainStore(genesis), ChainStore(genesis)
-        for block in order_a:
-            replica_a.add_block(block)
-        for block in order_b:
-            replica_b.add_block(block)
+        replica_a = replica_fed(genesis, order_a).chain
+        replica_b = replica_fed(genesis, order_b).chain
         assert replica_a.height == replica_b.height
         # Agreement holds wherever a height has a unique heaviest block;
         # equal-work ties at the same height may legitimately differ

@@ -36,7 +36,6 @@ from repro.sim.simulator import Simulator
 from repro.blockchain.block import build_genesis_with_allocations
 from repro.blockchain.node import MSG_BLOCK, BlockchainNode
 from repro.blockchain.params import BITCOIN
-from repro.dag.byteball_node import ByteballNode
 from repro.dag.node import NanoNode
 from repro.dag.params import NanoParams
 from repro.dag.tangle_node import TangleNode
@@ -159,25 +158,6 @@ def build_tangle(seed, plane=None):
     return sim, net, nodes, emit, state
 
 
-def build_byteball(seed, plane=None):
-    sim = Simulator(seed=seed)
-    net = plane(sim) if plane is not None else Network(sim)
-    witness = KeyPair.from_seed(bytes([4]) * 32)
-    factory = lambda nid: ByteballNode(nid, [witness.address])  # noqa: E731
-    nodes = protocol_nodes(complete_topology(net, NODE_COUNT, factory, FAST_LINK))
-    genesis = nodes[0].seed_genesis(witness)
-    for node in nodes[1:]:
-        node.install_genesis(genesis)
-
-    def emit(i):
-        nodes[0].issue(witness, f"u{i}".encode())
-
-    def state(node):
-        return frozenset(node.dag._units)  # noqa: SLF001
-
-    return sim, net, nodes, emit, state
-
-
 def build_bft(seed, plane=None):
     sim = Simulator(seed=seed)
     net = plane(sim) if plane is not None else Network(sim)
@@ -210,7 +190,6 @@ PARADIGMS = {
     "blockchain": build_blockchain,
     "nano": build_nano,
     "tangle": build_tangle,
-    "byteball": build_byteball,
     "bft": build_bft,
 }
 
@@ -239,7 +218,7 @@ def test_eventual_delivery(paradigm, scenario):
 
 #: Gossip paradigms only: BFT quorum traffic is point-to-point, which
 #: the crowd plane deliberately rejects (see build_deployment).
-GOSSIP_PARADIGMS = ("blockchain", "byteball", "nano", "tangle")
+GOSSIP_PARADIGMS = ("blockchain", "nano", "tangle")
 
 
 def _sharded_plane(sim):

@@ -22,7 +22,6 @@ from repro.blockchain.block import build_genesis_with_allocations
 from repro.blockchain.node import MSG_BLOCK, BlockchainNode
 from repro.blockchain.params import BITCOIN
 from repro.blockchain.transaction import build_transaction
-from repro.dag.byteball_node import ByteballNode
 from repro.dag.tangle import issue_transaction
 from repro.dag.tangle_node import MSG_TANGLE_TX, TangleNode
 from repro.workloads.generators import PaymentEvent
@@ -238,18 +237,6 @@ def build_tangle_network(node_count=3, seed=0, **node_kwargs):
     return sim, net, nodes, key
 
 
-def build_byteball_network(node_count=3, seed=0):
-    sim = Simulator(seed=seed)
-    net = Network(sim)
-    witness = KeyPair.from_seed(bytes([7]) * 32)
-    factory = lambda nid: ByteballNode(nid, [witness.address])  # noqa: E731
-    nodes = protocol_nodes(complete_topology(net, node_count, factory, FAST_LINK))
-    genesis = nodes[0].seed_genesis(witness)
-    for node in nodes[1:]:
-        node.install_genesis(genesis)
-    return sim, net, nodes, witness
-
-
 class TestRepublishOnReconnect:
     def test_blockchain_transaction_created_offline_republishes(self):
         sim, net, nodes, keys = build_chain_network()
@@ -296,17 +283,6 @@ class TestRepublishOnReconnect:
         issuer.set_online(True)
         sim.run(until=sim.now + 10)
         assert all(tx.tx_hash in n.tangle for n in nodes)
-
-    def test_byteball_unit_issued_offline_republishes(self):
-        sim, net, nodes, witness = build_byteball_network()
-        issuer = nodes[0]
-        issuer.set_online(False)
-        unit = issuer.issue(witness, b"made-offline")
-        sim.run(until=sim.now + 10)
-        assert all(unit.unit_hash not in n.dag for n in nodes[1:])
-        issuer.set_online(True)
-        sim.run(until=sim.now + 10)
-        assert all(unit.unit_hash in n.dag for n in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -385,47 +361,6 @@ class TestBoundedIntake:
         assert child.tx_hash in target.tangle
         assert len(target.intake) == 0
         assert target.intake.counters.revived == 1
-
-
-# ---------------------------------------------------------------------------
-# ByteballNode basics (the fourth paradigm on the stack)
-# ---------------------------------------------------------------------------
-
-
-class TestByteballNode:
-    def test_issued_units_reach_all_replicas_in_total_order(self):
-        sim, net, nodes, witness = build_byteball_network(node_count=4)
-        for i in range(8):
-            nodes[i % len(nodes)].issue(witness, f"u{i}".encode())
-            sim.run(until=sim.now + 1)
-        sim.run(until=sim.now + 10)
-        assert {len(n.dag) for n in nodes} == {9}  # genesis + 8
-        orders = {tuple(n.dag.total_order()) for n in nodes}
-        assert len(orders) == 1
-
-    def test_out_of_order_units_park_and_recover(self):
-        sim, net, nodes, witness = build_byteball_network()
-        issuer, target = nodes[0], nodes[-1]
-        parent = issuer.issue(witness, b"parent")
-        from repro.dag.byteball import make_unit
-
-        child = make_unit(witness, [parent.unit_hash], b"child", 50.0)
-        target.handle_message("test", target._unit_message(child))
-        assert child.unit_hash not in target.dag
-        assert target.stats.parked == 1
-        sim.run(until=sim.now + 5)  # parent arrives by gossip, retries child
-        target.handle_message("test", target._unit_message(child))
-        sim.run(until=sim.now + 5)
-        assert child.unit_hash in target.dag
-
-    def test_units_stabilize_under_witness_majority(self):
-        sim, net, nodes, witness = build_byteball_network()
-        first = nodes[0].issue(witness, b"first")
-        for i in range(10):
-            nodes[0].issue(witness, f"w{i}".encode())
-            sim.run(until=sim.now + 1)
-        sim.run(until=sim.now + 5)
-        assert all(n.is_stable(first.unit_hash) for n in nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,6 @@ class TestBoundedMempoolKeepsConfirming:
         confirmed = ledger.stats().entries_confirmed
         assert confirmed > 1000
         # Not yet ==: a transaction *evicted* after admission still
-        # strands its children (ROADMAP item 4 (a)).
+        # strands its children (ROADMAP item 8 (a)).
         assert confirmed >= report.submitted - 1
         assert [len(node.mempool) for node in ledger.nodes] == [0, 0, 0]
