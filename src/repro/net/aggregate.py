@@ -5,8 +5,9 @@ runs at a few hundred nodes.  The paper's claims, however, are about
 behavior at 10^4-10^6 nodes (Section VI's Visa comparator).  This module
 models a *dense cluster* of N nodes as a single :class:`AggregateCluster`
 leaf process: when a gossiped message reaches the cluster's ingress, the
-full per-node infection timeline is drawn in one numpy batch, and the
-cluster's infection count is then advanced per event-loop tick.  A ring
+per-node infection delays are drawn in one numpy batch and the flood is
+settled there and then: all N deliveries are credited and the slowest
+delay is recorded, with no timeline held and no event scheduled.  A ring
 of fully-simulated boundary nodes keeps protocol fidelity where it
 matters; the cluster only models propagation load.
 
@@ -30,7 +31,7 @@ tolerance lives in ``tests/test_net_aggregate.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -112,15 +113,60 @@ def _retransmit_extra(rng: np.random.Generator, n: int,
     Failures per hop are geometric in the link's loss probability; each
     failure adds one backoff step (deterministic schedule, one shared
     +/-25% jitter factor per hop — a cheap stand-in for the per-attempt
-    jitter of :class:`~repro.net.network.RetransmitPolicy`).
+    jitter of :class:`~repro.net.network.RetransmitPolicy`).  Only a
+    lossy link (``loss > 0``) draws it.
     """
-    if loss <= 0.0:
-        return np.zeros(n)
     # rng.geometric counts trials to first success; failures = trials - 1,
     # clipped at the retry budget.
     failures = np.minimum(rng.geometric(1.0 - loss, size=n) - 1,
                           len(_BACKOFF_S) - 1)
     return _BACKOFF_S[failures] * rng.uniform(0.75, 1.25, size=n)
+
+
+def _flood_delays(
+    layers: Sequence[int],
+    degree: int,
+    link: LinkParams,
+    wire_size: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-node infection delays of one flood, unsorted, layer by layer.
+
+    ``layers`` is ``hop_layers(count, degree)``; a cluster computes it
+    once.  Each layer is written into its slice of one output array, and
+    a node's earliest candidate parent is found one candidate column at
+    a time, so no ``(size, fanout)`` float temporary is built.  Per layer
+    the generator is asked for the jitter, then the losses, then the
+    parent picks, and a delay is ``min(parents) + ((base + jitter) +
+    retransmit)``; the golden draw digests pin both orders.
+    """
+    delays = np.empty(sum(layers))
+    base = link.latency_s + (wire_size * 8.0) / link.bandwidth_bps
+    parents = np.zeros(1)  # layer 0: the ingress, at t = 0
+    start = 0
+    for size in layers:
+        if link.jitter_s:
+            hop = rng.uniform(0.0, link.jitter_s, size=size)
+            hop += base
+        else:
+            hop = np.full(size, base)
+        if link.loss_probability > 0.0:
+            hop += _retransmit_extra(rng, size, link.loss_probability)
+        # Each new node is claimed by its earliest-infected neighbor in
+        # the previous layer.  While the flood still grows every edge
+        # claims a distinct node (one candidate parent); once the front
+        # saturates, several edges race for each node and the earliest
+        # wins.
+        fanout = max(1, (len(parents) * (degree - 1)) // size)
+        picks = rng.integers(0, len(parents), size=(size, fanout))
+        layer = delays[start:start + size]
+        np.take(parents, picks[:, 0], out=layer)
+        for column in range(1, fanout):
+            np.minimum(layer, parents[picks[:, column]], out=layer)
+        layer += hop
+        parents = layer
+        start += size
+    return delays
 
 
 def sample_flood_times(
@@ -137,28 +183,10 @@ def sample_flood_times(
     cluster ingress at which the ``i+1``-th interior node has the
     message.
     """
-    if count <= 0:
-        return np.zeros(0)
-    transmission = (wire_size * 8.0) / link.bandwidth_bps
-    times = np.zeros(0)
-    parents = np.zeros(1)  # layer 0: the ingress, at t = 0
-    for size in hop_layers(count, degree):
-        hop = np.full(size, link.latency_s + transmission)
-        if link.jitter_s:
-            hop += rng.uniform(0.0, link.jitter_s, size=size)
-        hop += _retransmit_extra(rng, size, link.loss_probability)
-        # Each new node is claimed by its earliest-infected neighbor in
-        # the previous layer.  While the flood still grows every edge
-        # claims a distinct node (one candidate parent); once the front
-        # saturates, several edges race for each node and the earliest
-        # wins.
-        fanout = max(1, (len(parents) * (degree - 1)) // size)
-        picks = rng.integers(0, len(parents), size=(size, fanout))
-        layer = parents[picks].min(axis=1) + hop
-        times = np.concatenate([times, layer])
-        parents = layer
-    times.sort()
-    return times
+    delays = _flood_delays(hop_layers(count, degree), degree, link,
+                           wire_size, rng)
+    delays.sort()
+    return delays
 
 
 # --------------------------------------------------------------------------
@@ -170,33 +198,30 @@ class AggregateCluster(NetworkNode):
     """A dense cluster of ``size`` nodes modeled as one leaf process.
 
     Attach it to a fully-simulated boundary node: gossip flooding
-    terminates at leaves, so the cluster receives each message exactly
-    once, draws the interior infection timeline in one vectorized batch,
-    and advances its infection counter per event-loop tick.  Sampling
-    uses a numpy generator seeded from the simulator's forked stream
-    (label ``aggregate:<node_id>``), so runs are seed-stable regardless
-    of cluster count or attach order.
+    terminates at leaves, so the cluster receives each message once.
+    It settles the flood on arrival: one vectorized draw of the interior
+    delays credits all ``size`` deliveries and records the propagation
+    time, and nothing is held or scheduled afterwards.  Sampling uses a
+    numpy generator seeded from the simulator's forked stream (label
+    ``aggregate:<node_id>``), so runs are seed-stable regardless of
+    cluster count or attach order.
     """
 
     #: The interior every cluster models: a random-regular graph of this
-    #: degree over WAN links, its infection count advanced every tick.
+    #: degree over WAN links.
     degree = 8
     link = WAN_LINK
-    tick_s = 0.25
 
     def __init__(self, node_id: str, size: int) -> None:
         super().__init__(node_id)
         if size <= 0:
             raise ValueError("cluster size must be positive")
         self.size = size
+        self._layers = hop_layers(size, self.degree)
         self._rng: Optional[np.random.Generator] = None
-        #: active timelines: key -> (arrival_s, sorted times, delivered idx)
-        self._active: Dict[object, list] = {}
-        self._tick_task = None
+        self._modeled: Set[object] = set()
         self.messages_modeled = 0
-        self.messages_completed = 0
         self.modeled_deliveries = 0
-        self.ticks = 0
         self.propagation_times: List[float] = []
 
     # ------------------------------------------------------------- plumbing
@@ -211,59 +236,26 @@ class AggregateCluster(NetworkNode):
 
     def handle_message(self, sender_id: str, message: Message) -> None:
         key = message.gossip_key()
-        if key in self._active:
+        if key in self._modeled:
             return
-        simulator = self.network.simulator
-        arrival = simulator.now
-        times = arrival + sample_flood_times(
-            self.size, self.degree, self.link, message.wire_size,
-            self._generator(),
-        )
-        self._active[key] = [arrival, times, 0]
+        self._modeled.add(key)
+        arrival = self.network.simulator.now
+        latest = _flood_delays(self._layers, self.degree, self.link,
+                               message.wire_size, self._generator()).max()
         self.messages_modeled += 1
-        if self._tick_task is None:
-            self._tick_task = simulator.schedule_periodic(
-                self.tick_s, self._tick)
-
-    def _tick(self) -> None:
-        now = self.network.simulator.now
-        self.ticks += 1
-        done = []
-        for key, state in self._active.items():
-            arrival, times, delivered = state
-            reached = int(np.searchsorted(times, now, side="right"))
-            if reached > delivered:
-                self.modeled_deliveries += reached - delivered
-                state[2] = reached
-            if reached >= len(times):
-                done.append(key)
-                self.messages_completed += 1
-                self.propagation_times.append(float(times[-1]) - arrival)
-        for key in done:
-            del self._active[key]
-        if not self._active and self._tick_task is not None:
-            # Detach until the next message arrives — a permanently
-            # ticking cluster would keep sim.run() from ever draining.
-            self._tick_task.cancel()
-            self._tick_task = None
+        self.modeled_deliveries += self.size
+        # Differenced from the absolute time: the scale_stats() golden
+        # pins the rounding this gives.
+        self.propagation_times.append(float(arrival + latest) - arrival)
 
     # --------------------------------------------------------------- stats
-
-    def infected(self, message: Message) -> int:
-        """Interior nodes holding ``message`` as of the last tick."""
-        state = self._active.get(message.gossip_key())
-        if state is None:
-            return 0
-        return state[2]
 
     def stats(self) -> dict:
         propagation = self.propagation_times
         return {
             "size": self.size,
             "messages_modeled": self.messages_modeled,
-            "messages_completed": self.messages_completed,
             "modeled_deliveries": self.modeled_deliveries,
-            "ticks": self.ticks,
             "propagation_p50_s": (
                 float(np.median(propagation)) if propagation else 0.0),
             "propagation_max_s": (

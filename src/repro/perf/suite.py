@@ -570,6 +570,40 @@ def _bench_sharded_flood(scale: float) -> Tuple[int, float]:
     return reached, wall
 
 
+#: Digest over the ``aggregate_flood`` draws per draw count, captured on
+#: the commit before the column-wise kernel: the bench asserts it, so a
+#: faster kernel that draws different delays fails instead of scoring.
+_AGGREGATE_FLOOD_DIGESTS = {
+    120: "040ce596102c2af3",
+    60: "f63f7446d9210c70",
+    12: "35f984b72b1be65f",
+}
+
+
+def _bench_aggregate_flood(scale: float) -> Tuple[int, float]:
+    """Interior draws the way a ``crowd_aggregate`` cluster takes them:
+    one seeded generator, 16 666 nodes over WAN links, 340 B messages."""
+    import hashlib
+
+    import numpy as np
+
+    from repro.net.aggregate import sample_flood_times
+    from repro.net.link import WAN_LINK
+
+    nodes = 16_666
+    draws = max(12, int(120 * scale))
+    rng = np.random.default_rng(1)
+    digest = hashlib.sha256()
+    start = perf_counter()
+    for _ in range(draws):
+        # Each draw is dropped once digested, as a cluster drops it.
+        digest.update(sample_flood_times(nodes, 8, WAN_LINK, 340, rng))
+    wall = perf_counter() - start
+    expected = _AGGREGATE_FLOOD_DIGESTS.get(draws)
+    assert expected is None or digest.hexdigest()[:16] == expected
+    return draws * nodes, wall
+
+
 # --------------------------------------------------------------------------
 # Cold start
 # --------------------------------------------------------------------------
@@ -624,6 +658,8 @@ BENCHES: Dict[str, Bench] = {
               _bench_intake_park_revive, repeats=2, paradigms=("dag",)),
         Bench("sharded_flood", "labelled crowd floods over one shard backend",
               _bench_sharded_flood),
+        Bench("aggregate_flood", "mean-field cluster draws at 16 666 nodes",
+              _bench_aggregate_flood),
         Bench("utxo_block_connect", "8 replicas admit payments, connect blocks",
               _bench_utxo_block_connect, paradigms=("blockchain",)),
         Bench("cold_start", "fresh interpreter: import + 3-node deployment",

@@ -15,6 +15,7 @@ import pytest
 from repro.net.aggregate import (
     AggregateCluster,
     TopologyScale,
+    _flood_delays,
     aggregate_flood_times,
     attach_clusters,
     cumulative_backoff,
@@ -125,6 +126,33 @@ class TestSampleFloodTimes:
                                    np.random.default_rng(seed))
         assert hashlib.sha256(times.tobytes()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize(
+        "count,degree,link,wire_size,seed,digest", GOLDEN,
+        ids=[f"n{row[0]}-seed{row[4]}" for row in GOLDEN])
+    def test_unsorted_kernel_draws_the_golden_bytes(
+            self, count, degree, link, wire_size, seed, digest):
+        delays = _flood_delays(hop_layers(count, degree), degree, link,
+                               wire_size, np.random.default_rng(seed))
+        assert len(delays) == count
+        times = np.sort(delays)
+        assert hashlib.sha256(times.tobytes()).hexdigest()[:16] == digest
+
+    def test_one_draw_builds_no_fanout_wide_gather(self):
+        """At 16 666 nodes the last layer races 18 candidate parents per
+        node.  The parent picks themselves (553 KB of int64) are part of
+        the draw; a ``(size, fanout)`` float gather of them would add as
+        much again (about 1.35 MB at peak)."""
+        layers = hop_layers(16_666, 8)
+        rng = np.random.default_rng(1)
+        _flood_delays(layers, 8, WAN_LINK, 340, rng)
+        tracemalloc.start()
+        try:
+            _flood_delays(layers, 8, WAN_LINK, 340, rng)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 1_000_000, peak_bytes
+
 
 class _NoJitter:
     """Stands in for the retransmit RNG: every jitter factor is 1."""
@@ -207,37 +235,61 @@ class TestAggregateCluster:
         nodes[2].broadcast(make_message("b"))
         sim.run()
         assert cluster.messages_modeled == 2
-        assert cluster.messages_completed == 2
         assert cluster.modeled_deliveries == 2 * cluster.size
         assert len(cluster.propagation_times) == 2
         assert all(t > 0 for t in cluster.propagation_times)
 
-    def test_tick_task_detaches_when_idle(self):
-        """A permanently ticking cluster would keep sim.run() alive
-        forever; the tick loop must cancel itself once all timelines
-        complete (sim.run() terminating at all proves it)."""
+    def test_delivery_schedules_nothing(self):
+        """The flood is settled at ingress: once the boundary node's
+        delivery is handled, the cluster has left no event behind, so
+        sim.run() drains as soon as the exact plane does."""
         sim, net, nodes, cluster = self.build()
         nodes[1].broadcast(make_message("a"))
         sim.run()
-        assert cluster._tick_task is None
-        assert cluster.ticks > 0
-        # And it restarts for a later message.
-        nodes[1].broadcast(make_message("c"))
-        sim.run()
-        assert cluster.messages_completed == 2
+        assert cluster.messages_modeled == 1
+        pushed = sim.queue_stats()["pushed"]
+        cluster.handle_message("n0", make_message("c"))
+        assert cluster.messages_modeled == 2
+        assert sim.queue_stats()["pushed"] == pushed
+        assert sim.queue_stats()["pending"] == 0
 
-    def test_infection_advances_incrementally(self):
+    def test_slow_link_flood_is_credited_at_ingress(self):
         sim, net, nodes, cluster = self.build(size=400)
         slow = LinkParams(latency_s=0.5, jitter_s=0.2, bandwidth_bps=1e9)
         cluster.link = slow
-        message = make_message("slow")
-        nodes[1].broadcast(message)
+        nodes[1].broadcast(make_message("slow"))
         sim.run(until=1.0)
-        partial = cluster.infected(message)
-        assert 0 < partial < cluster.size or cluster.messages_completed == 1
-        sim.run()
-        assert cluster.messages_completed == 1
-        assert cluster.stats()["propagation_max_s"] > 0
+        # Credited in full at ingress, though the slow interior needs
+        # several hops of at least the link latency, past the horizon.
+        assert cluster.modeled_deliveries == cluster.size
+        assert cluster.stats()["propagation_max_s"] > slow.latency_s
+        assert cluster.stats()["propagation_max_s"] > 1.0
+
+    def test_same_message_twice_is_modeled_once(self):
+        sim, net, nodes, cluster = self.build()
+        message = make_message("twice")
+        cluster.handle_message("n0", message)
+        cluster.handle_message("n0", message)
+        assert cluster.messages_modeled == 1
+        assert cluster.modeled_deliveries == cluster.size
+        assert len(cluster.propagation_times) == 1
+
+    def test_holds_no_per_flood_array(self):
+        """50 floods of 16 666 nodes: each draw is 133 KB of delays, and
+        none of them may outlive its ``handle_message``."""
+        sim, net, nodes, cluster = self.build(size=16_666)
+        messages = [make_message(f"m{i}") for i in range(51)]
+        cluster.handle_message("n0", messages[0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for message in messages[1:]:
+                cluster.handle_message("n0", message)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cluster.messages_modeled == 51
+        assert held < 64_000, held
 
     def test_seed_stable_across_runs(self):
         def fingerprint():
@@ -284,7 +336,7 @@ class TestAttachClusters:
         sim.run()
         for cluster in clusters:
             assert cluster.messages_modeled == 1
-            assert cluster.messages_completed == 1
+            assert len(cluster.propagation_times) == 1
         total = sum(c.modeled_deliveries for c in clusters)
         assert total == 200
 
@@ -315,7 +367,7 @@ class TestNestedAggregate:
                 peak_bytes = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert cluster.messages_completed == 1
+            assert len(cluster.propagation_times) == 1
             assert cluster.modeled_deliveries == size
             assert cluster.stats()["propagation_max_s"] > 0
             assert peak_bytes < 40e6, peak_bytes
