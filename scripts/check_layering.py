@@ -16,6 +16,10 @@ The dependency contract that keeps ``repro.protocol`` paradigm-agnostic:
   :class:`MessagePlane` seam the fabric implements.  The interface module
   is the *only* protocol surface the fabric may see; reaching any other
   ``repro.protocol`` submodule from below is still a violation;
+* ``repro.sim`` sits below ``repro.net`` (the network runs on the
+  simulator) and may import only its two leaf modules,
+  ``repro.net.link`` (the hop law the sharded crowd draws from) and
+  ``repro.net.message`` (the wire framing);
 * ``numpy`` and ``networkx`` load only with the scale tier and the
   random topologies: the four scale-tier modules in ``SCALE_TIER`` may
   import them at module level, and every other module only inside the
@@ -60,6 +64,7 @@ FORBIDDEN = {
         "repro.consensus",
     ),
     "repro/sim": (
+        "repro.net",
         "repro.protocol",
         "repro.blockchain",
         "repro.dag",
@@ -68,10 +73,16 @@ FORBIDDEN = {
 }
 
 #: package -> exact module names exempt from FORBIDDEN: the fabric may
-#: import the MessagePlane contract (and nothing else) from the stack.
+#: import the MessagePlane contract (and nothing else) from the stack,
+#: and the simulator may import the two leaf modules of the network
+#: (the link law and the message framing) and nothing else from it.
 ALLOWED = {
     "repro/net": ("repro.protocol.interfaces",),
-    "repro/sim": ("repro.protocol.interfaces",),
+    "repro/sim": (
+        "repro.protocol.interfaces",
+        "repro.net.link",
+        "repro.net.message",
+    ),
 }
 
 

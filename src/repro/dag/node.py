@@ -450,15 +450,9 @@ class NanoNode(ProtocolNode):
         winning_block = self._conflict_buffer.get(winner)
         if winning_block is None:
             return
-        incumbent = self._applied_successor(
-            winning_block.account, winning_block.previous
-        )
-        if incumbent is not None:
-            try:
-                removed = self.lattice.rollback(incumbent.block_hash)
-            except ReproError:
-                return
-            self.stats.rollbacks += len(removed)
+        if not self._roll_back_successor(winning_block.account,
+                                         winning_block.previous):
+            return
         # Adopt through the normal intake path, not lattice.process
         # directly: blocks parked in the unchecked buffer waiting on the
         # winner (a recipient's receive gossiped while we still held the
@@ -492,18 +486,30 @@ class NanoNode(ProtocolNode):
         """Adopt the winning block, rolling back a losing one if applied."""
         if winner in self.lattice:
             return  # our chain already holds the winner
-        incumbent = self._applied_successor(account, contested_previous)
-        if incumbent is not None:
-            try:
-                removed = self.lattice.rollback(incumbent.block_hash)
-            except ReproError:
-                return  # cemented: this replica keeps its version
-            self.stats.rollbacks += len(removed)
+        if not self._roll_back_successor(account, contested_previous):
+            return  # cemented: this replica keeps its version
         winning_block = self._conflict_buffer.get(winner)
         if winning_block is not None:
             # Same intake path as gossip (see _adopt_confirmed): retries
             # unchecked dependents of the winner and settles auto-receives.
             self.ingest_quietly(winning_block)
+
+    def _roll_back_successor(
+        self, account: Address, contested_previous: Hash
+    ) -> bool:
+        """Roll back the block this replica applied on
+        ``contested_previous``, if any, with everything built on it.
+
+        Returns False, rolling back nothing, when that block is cemented.
+        """
+        incumbent = self._applied_successor(account, contested_previous)
+        if incumbent is not None:
+            try:
+                removed = self.lattice.rollback(incumbent.block_hash)
+            except ReproError:
+                return False
+            self.stats.rollbacks += len(removed)
+        return True
 
     def _applied_successor(
         self, account: Address, contested_previous: Hash

@@ -154,8 +154,9 @@ class ElectionManager:
         if election is None:
             raise ValidationError("no election for this conflict")
         election.record(vote)
+        undecided = election.winner is None
         winner = election.try_conclude(self.reps, self.quorum_fraction)
-        if winner is not None and election.winner == winner:
+        if undecided and winner is not None:
             self.elections_concluded += 1
         return winner
 

@@ -21,10 +21,12 @@ virtual random-regular interior we therefore draw
 
     t(child) = min(candidate parents' t) + hop_delay
 
-with hop delays sampled from the same law as
-:meth:`~repro.net.link.LinkParams.delivery_delay`.  The
-``validate_aggregate_model`` harness floods an exact small-N network and
-compares propagation-time distributions by KS statistic; the pinned
+with each layer's hop delays drawn by
+:meth:`~repro.net.link.LinkParams.flood_delays`, the batch form of the
+exact plane's :meth:`~repro.net.link.LinkParams.delivery_delay` that the
+sharded crowd (:mod:`repro.sim.sharded`) draws its edge delays from too.
+The ``validate_aggregate_model`` harness floods an exact small-N network
+and compares propagation-time distributions by KS statistic; the pinned
 tolerance lives in ``tests/test_net_aggregate.py``.
 """
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from repro.net.link import LinkParams, WAN_LINK
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
-from repro.net.network import Network, RetransmitPolicy
+from repro.net.network import Network
 from repro.net.node import NetworkNode
 
 __all__ = [
@@ -85,44 +87,6 @@ def hop_layers(count: int, degree: int) -> List[int]:
     return layers
 
 
-def cumulative_backoff(policy: RetransmitPolicy) -> np.ndarray:
-    """Un-jittered delay accumulated over a hop's lost attempts.
-
-    Entry ``k`` is the sum of ``policy``'s first ``k`` backoff steps,
-    ``k = 0 .. max_attempts - 1`` (the retry budget; beyond it the exact
-    network parks the transmission until a heal, which the aggregate
-    tier does not model).
-    """
-    steps = np.minimum(
-        policy.base_delay_s
-        * policy.multiplier ** np.arange(policy.max_attempts - 1),
-        policy.max_delay_s,
-    )
-    return np.concatenate(([0.0], np.cumsum(steps)))
-
-
-#: The schedule of the policy every :class:`Network` runs by default —
-#: the one the exact floods this law is validated against retransmit on.
-_BACKOFF_S = cumulative_backoff(RetransmitPolicy())
-
-
-def _retransmit_extra(rng: np.random.Generator, n: int,
-                      loss: float) -> np.ndarray:
-    """Vectorized extra delay from lost attempts + exponential backoff.
-
-    Failures per hop are geometric in the link's loss probability; each
-    failure adds one backoff step (deterministic schedule, one shared
-    +/-25% jitter factor per hop — a cheap stand-in for the per-attempt
-    jitter of :class:`~repro.net.network.RetransmitPolicy`).  Only a
-    lossy link (``loss > 0``) draws it.
-    """
-    # rng.geometric counts trials to first success; failures = trials - 1,
-    # clipped at the retry budget.
-    failures = np.minimum(rng.geometric(1.0 - loss, size=n) - 1,
-                          len(_BACKOFF_S) - 1)
-    return _BACKOFF_S[failures] * rng.uniform(0.75, 1.25, size=n)
-
-
 def _flood_delays(
     layers: Sequence[int],
     degree: int,
@@ -136,22 +100,16 @@ def _flood_delays(
     once.  Each layer is written into its slice of one output array, and
     a node's earliest candidate parent is found one candidate column at
     a time, so no ``(size, fanout)`` float temporary is built.  Per layer
-    the generator is asked for the jitter, then the losses, then the
-    parent picks, and a delay is ``min(parents) + ((base + jitter) +
-    retransmit)``; the golden draw digests pin both orders.
+    the generator is asked for the layer's hop delays
+    (:meth:`~repro.net.link.LinkParams.flood_delays`), then the parent
+    picks, and a delay is ``min(parents) + hop``; the golden draw
+    digests pin both orders.
     """
     delays = np.empty(sum(layers))
-    base = link.latency_s + (wire_size * 8.0) / link.bandwidth_bps
     parents = np.zeros(1)  # layer 0: the ingress, at t = 0
     start = 0
     for size in layers:
-        if link.jitter_s:
-            hop = rng.uniform(0.0, link.jitter_s, size=size)
-            hop += base
-        else:
-            hop = np.full(size, base)
-        if link.loss_probability > 0.0:
-            hop += _retransmit_extra(rng, size, link.loss_probability)
+        hop = link.flood_delays(size, wire_size, rng)
         # Each new node is claimed by its earliest-infected neighbor in
         # the previous layer.  While the flood still grows every edge
         # claims a distinct node (one candidate parent); once the front

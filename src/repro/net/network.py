@@ -32,12 +32,10 @@ scheduling order.
 
 from __future__ import annotations
 
-import random
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.net.link import LinkParams
+from repro.net.link import LinkParams, RetransmitPolicy
 from repro.net.message import Message
 from repro.net.node import NetworkNode
 from repro.sim.simulator import Simulator
@@ -47,37 +45,6 @@ from repro.trace import (
     REASON_PARTITION,
     Tracer,
 )
-
-
-@dataclass(frozen=True)
-class RetransmitPolicy:
-    """Exponential backoff for lost gossip transmissions.
-
-    ``max_attempts`` counts the initial attempt; after it is exhausted
-    the transmission is parked until the next :meth:`Network.heal` /
-    :meth:`Network.kick_retries`, so a long partition does not burn an
-    unbounded event budget yet still recovers.
-    """
-
-    base_delay_s: float = 0.5
-    multiplier: float = 2.0
-    max_delay_s: float = 30.0
-    max_attempts: int = 6
-
-    def __post_init__(self) -> None:
-        if self.base_delay_s <= 0 or self.max_delay_s <= 0:
-            raise ValueError("backoff delays must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        """Delay before retry number ``attempt`` (1-based), jittered
-        +/-25% so parked senders do not retry in lockstep."""
-        delay = min(self.base_delay_s * self.multiplier ** (attempt - 1),
-                    self.max_delay_s)
-        return delay * rng.uniform(0.75, 1.25)
 
 
 class SeenCache:

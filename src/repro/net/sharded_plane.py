@@ -71,22 +71,21 @@ class ShardedMessagePlane(Network):
         *,
         total_nodes: int,
         shards: int = 4,
-        link: Optional[LinkParams] = None,
+        link: LinkParams = WAN_LINK,
         seed: Optional[int] = None,
     ) -> None:
         super().__init__(simulator)
-        self.crowd_link = link if link is not None else WAN_LINK
         if seed is None:
             # Derived through the simulator's fork discipline so two
             # planes in one experiment (control vs treatment) decorrelate,
             # yet the crowd stays a pure function of (simulator seed,
             # construction order) — never of wall clock.
             seed = simulator.fork_rng("sharded-plane").getrandbits(48)
-        self.crowd_config = ShardedConfig.with_link(
-            self.crowd_link,
+        self.crowd_config = ShardedConfig(
             total_nodes=total_nodes,
             shards=shards,
             seed=seed,
+            link=link,
         )
         self._replica_order: List[str] = []
         self._crowd_index: Dict[str, int] = {}
@@ -138,7 +137,7 @@ class ShardedMessagePlane(Network):
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 if (a, b) not in self._links:
-                    self.connect(a, b, self.crowd_link)
+                    self.connect(a, b, self.crowd_config.link)
         self._prop = ShardedPropagation(self.crowd_config)
 
     # --------------------------------------------------------------- gossip

@@ -268,49 +268,15 @@ def _bench_lattice_settle(scale: float) -> Tuple[int, float]:
     rounds of send/receive pairs — every block is encoded, hashed, signed,
     verified, and appended."""
     from repro.common.types import Hash
-    from repro.crypto.keys import KeyPair
-    from repro.dag.blocks import make_open, make_receive, make_send
-    from repro.dag.lattice import Lattice
-    from repro.dag.params import NanoParams
-
-    accounts_n = 8
-    rounds = max(4, int(1500 * scale))
-    difficulty = 1.0
 
     start = perf_counter()
-    lattice = Lattice(NanoParams(work_difficulty=difficulty))
-    genesis_key = KeyPair.from_seed(b"\x21" * 32)
-    lattice.create_genesis(genesis_key, supply=10**15)
-    keys = [KeyPair.from_seed(bytes([0x30 + i]) * 32) for i in range(accounts_n)]
-    heads = {}
-    genesis_head = lattice.chain(genesis_key.address).head
-    processed = 0
-    for key in keys:
-        send = make_send(genesis_key, genesis_head, key.address, 10**9,
-                         work_difficulty=difficulty)
-        lattice.process(send)
-        genesis_head = send
-        opened = make_open(key, send.block_hash, 10**9, key.address,
-                           work_difficulty=difficulty)
-        lattice.process(opened)
-        heads[key.address] = opened
-        processed += 2
-    for i in range(rounds):
-        src = keys[i % accounts_n]
-        dst = keys[(i + 1) % accounts_n]
-        send = make_send(src, heads[src.address], dst.address, 1000,
-                         work_difficulty=difficulty)
-        lattice.process(send)
-        heads[src.address] = send
-        receive = make_receive(dst, heads[dst.address], send.block_hash, 1000,
-                               work_difficulty=difficulty)
-        lattice.process(receive)
-        heads[dst.address] = receive
-        processed += 2
+    _params, lattice, _genesis, ordered = _build_source_lattice(
+        accounts_n=8, rounds=max(4, int(1500 * scale)))
     wall = perf_counter() - start
     assert lattice.pending_count() == 0
-    assert not Hash.zero() in (b.block_hash for b in heads.values())
-    return processed, wall
+    assert Hash.zero() not in (chain.head.block_hash
+                               for chain in lattice.chains())
+    return len(ordered), wall
 
 
 # --------------------------------------------------------------------------
@@ -553,8 +519,8 @@ def _bench_sharded_flood(scale: float) -> Tuple[int, float]:
 
     nodes = max(1000, int(10_000 * scale))
     floods = 12
-    prop = ShardedPropagation(ShardedConfig.with_link(
-        WAN_LINK, total_nodes=nodes, shards=4, seed=1))
+    prop = ShardedPropagation(ShardedConfig(
+        total_nodes=nodes, shards=4, seed=1, link=WAN_LINK))
     digest = hashlib.sha256()
     reached = 0
     start = perf_counter()

@@ -24,16 +24,17 @@ alone:
   would relax alone in its own sweep k.
 
 What runs here is the propagation kernel of the gossip fabric — a
-single-source first-arrival computation with per-edge delays sampled
-from the same law as :meth:`repro.net.link.LinkParams.delivery_delay`
-(duck-typed so ``repro.sim`` stays below ``repro.net`` in the layering).
-The scale bench uses it to measure how propagation times and cross-shard
-traffic grow with network size.
+single-source first-arrival computation whose per-edge delays are drawn
+by :meth:`repro.net.link.LinkParams.flood_delays`, the one batch hop law
+the aggregate tier draws from too.  ``repro.sim`` reaches into
+``repro.net`` for that law and the message framing only: the link and
+message modules are leaves, and the layering lint refuses the rest of
+``repro.net``.  The scale bench uses the kernel to measure how
+propagation times and cross-shard traffic grow with network size.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -41,6 +42,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.common.rng import fork_rng, make_rng
+from repro.net.link import LinkParams, WAN_LINK
+from repro.net.message import MESSAGE_OVERHEAD_BYTES
 
 __all__ = [
     "ShardedConfig",
@@ -48,9 +51,6 @@ __all__ = [
     "ShardedPropagation",
     "build_edges",
 ]
-
-#: Mirrors Message.wire_size framing (repro.net.message).
-_WIRE_OVERHEAD_BYTES = 24
 
 
 def _np_seed(seed: int, label: str) -> int:
@@ -64,8 +64,8 @@ class ShardedConfig:
 
     The topology is a ring (guaranteed connectivity) plus ``chords``
     random matchings per node — degree ``2 + 2 * chords`` in
-    expectation, the usual unstructured-overlay shape.  Link fields
-    follow :class:`repro.net.link.LinkParams` semantics.
+    expectation, the usual unstructured-overlay shape.  Every edge is a
+    ``link``.
     """
 
     total_nodes: int
@@ -73,10 +73,7 @@ class ShardedConfig:
     chords: int = 2
     epoch_s: float = 0.5
     seed: int = 0
-    latency_s: float = 0.1
-    jitter_s: float = 0.05
-    bandwidth_bps: float = 50_000_000.0
-    loss_probability: float = 0.0
+    link: LinkParams = WAN_LINK
     payload_bytes: int = 256
     max_epochs: int = 100_000
 
@@ -89,27 +86,16 @@ class ShardedConfig:
             raise ValueError("chords must be non-negative")
         if self.epoch_s <= 0:
             raise ValueError("epoch_s must be positive")
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
+        if self.link.loss_probability >= 1.0:
+            # A geometric retransmit count cannot model a link that
+            # drops everything.
+            raise ValueError("link loss probability must be below 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
 
     def shard_bounds(self) -> np.ndarray:
         """``shards + 1`` node boundaries: shard i owns [b[i], b[i+1])."""
         return np.arange(self.shards + 1) * self.total_nodes // self.shards
-
-    @classmethod
-    def with_link(cls, link, **kwargs) -> "ShardedConfig":
-        """Build from anything exposing LinkParams' four link fields."""
-        return cls(
-            latency_s=link.latency_s,
-            jitter_s=link.jitter_s,
-            bandwidth_bps=link.bandwidth_bps,
-            loss_probability=link.loss_probability,
-            **kwargs,
-        )
 
 
 def build_edges(config: ShardedConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -129,29 +115,6 @@ def build_edges(config: ShardedConfig) -> Tuple[np.ndarray, np.ndarray]:
         heads.extend([index[keep], partner[keep]])
         tails.extend([partner[keep], index[keep]])
     return np.concatenate(heads), np.concatenate(tails)
-
-
-def _edge_delays(config: ShardedConfig, count: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Per-edge delivery delays following the LinkParams law.
-
-    Loss is folded in as retransmit extension (geometric failures, the
-    default :class:`repro.net.network.RetransmitPolicy` backoff
-    schedule) rather than rerouting — matching how the exact network's
-    ownership model behaves on a lossy link.
-    """
-    wire = config.payload_bytes + _WIRE_OVERHEAD_BYTES
-    delays = np.full(count,
-                     config.latency_s + (wire * 8.0) / config.bandwidth_bps)
-    if config.jitter_s:
-        delays += rng.uniform(0.0, config.jitter_s, size=count)
-    loss = config.loss_probability
-    if loss > 0.0:
-        failures = np.minimum(rng.geometric(1.0 - loss, size=count) - 1, 5)
-        steps = np.minimum(0.5 * 2.0 ** np.arange(5), 30.0)
-        cumulative = np.concatenate(([0.0], np.cumsum(steps)))
-        delays += cumulative[failures] * rng.uniform(0.75, 1.25, size=count)
-    return delays
 
 
 @dataclass
@@ -233,14 +196,16 @@ class ShardedPropagation:
         term for the actual message size.
         """
         config = self.config
-        if payload_bytes is not None and payload_bytes != config.payload_bytes:
-            config = dataclasses.replace(config, payload_bytes=payload_bytes)
+        if payload_bytes is None:
+            payload_bytes = config.payload_bytes
+        wire_size = payload_bytes + MESSAGE_OVERHEAD_BYTES
         prefix = "" if label is None else f"{label}:"
         bounds = self.edge_bounds.tolist()
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             rng = np.random.default_rng(
                 _np_seed(config.seed, f"{prefix}shard:{i}"))
-            self.weights[lo:hi] = _edge_delays(config, hi - lo, rng)
+            self.weights[lo:hi] = config.link.flood_delays(hi - lo,
+                                                           wire_size, rng)
         self.dist.fill(np.inf)
         self.dirty.fill(False)
         self.announced.fill(np.inf)

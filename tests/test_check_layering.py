@@ -55,7 +55,7 @@ CLEAN = {path: dedent(text).lstrip() for path, text in {
 def run_lint(tmp_path, monkeypatch, capsys, changes=()):
     files = dict(CLEAN)
     for path, edit in changes:
-        files[path] = edit(files[path])
+        files[path] = edit(files.get(path, ""))
     for path, text in files.items():
         target = tmp_path / path
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -102,3 +102,17 @@ def test_module_level_scale_import_fails(tmp_path, monkeypatch, capsys,
         ("repro/core/deploy.py", lambda text: planted + text)])
     assert code == 1
     assert f"{tmp_path.name}/repro/core/deploy.py:{line}:" in out
+
+
+def test_simulator_may_import_only_the_networks_leaf_modules(
+        tmp_path, monkeypatch, capsys):
+    planted = ("from repro.net.link import LinkParams\n"
+               "from repro.net.message import Message\n"
+               "from repro.net.network import Network\n")
+    code, out = run_lint(tmp_path, monkeypatch, capsys, changes=[
+        ("repro/sim/sharded.py", lambda text: text + planted)])
+    assert code == 1
+    assert (f"{tmp_path.name}/repro/sim/sharded.py:3: "
+            "repro.sim must not import repro.net.network") in out
+    assert "repro.net.link" not in out
+    assert "repro.net.message" not in out

@@ -126,6 +126,11 @@ class TestElectionManager:
         winner = manager.record_conflict_vote(account, root, make_vote(reps[0], BLOCK_B))
         assert winner == BLOCK_B  # 80 > 50% of 100
         assert manager.elections_concluded == 1
+        # Later votes return the stored winner; the election concluded once.
+        for vote in (make_vote(reps[2], BLOCK_A),
+                     make_vote(reps[1], BLOCK_B, sequence=2)):
+            assert manager.record_conflict_vote(account, root, vote) == BLOCK_B
+            assert manager.elections_concluded == 1
 
     def test_election_reuse_and_extension(self, weighted_world, rng):
         ledger, reps = weighted_world

@@ -18,7 +18,6 @@ from repro.net.aggregate import (
     _flood_delays,
     aggregate_flood_times,
     attach_clusters,
-    cumulative_backoff,
     exact_flood_times,
     hop_layers,
     ks_statistic,
@@ -27,7 +26,7 @@ from repro.net.aggregate import (
 )
 from repro.net.link import FAST_LINK, WAN_LINK, LinkParams
 from repro.net.message import Message
-from repro.net.network import Network, RetransmitPolicy
+from repro.net.network import Network
 from repro.net.node import NetworkNode
 from repro.net.topology import complete_topology
 from repro.sim.simulator import Simulator
@@ -152,32 +151,6 @@ class TestSampleFloodTimes:
         finally:
             tracemalloc.stop()
         assert peak_bytes < 1_000_000, peak_bytes
-
-
-class _NoJitter:
-    """Stands in for the retransmit RNG: every jitter factor is 1."""
-
-    def uniform(self, low, high):
-        return 1.0
-
-
-class TestRetransmitSchedule:
-    """The aggregate law reads its backoff from the policy object the
-    exact plane retransmits on, so the two cannot drift apart."""
-
-    @pytest.mark.parametrize("policy", [
-        RetransmitPolicy(),
-        RetransmitPolicy(base_delay_s=0.2, multiplier=3.0, max_delay_s=4.0,
-                         max_attempts=8),
-    ], ids=["default", "capped"])
-    def test_cumulative_schedule_is_the_policys_backoff(self, policy):
-        schedule = cumulative_backoff(policy)
-        assert len(schedule) == policy.max_attempts
-        total = 0.0
-        assert schedule[0] == 0.0
-        for attempt in range(1, policy.max_attempts):
-            total += policy.backoff(attempt, _NoJitter())
-            assert schedule[attempt] == total
 
 
 class TestKsStatistic:

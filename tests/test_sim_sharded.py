@@ -8,17 +8,22 @@ schedule itself, on a fresh and on a reused instance.
 """
 
 import copy
+import dataclasses
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net.link import SLOW_LINK, WAN_LINK, LinkParams
 from repro.sim.sharded import (
     ShardedConfig,
     ShardedPropagation,
     build_edges,
 )
+
+#: The default link with a fifth of its attempts lost.
+LOSSY_WAN = dataclasses.replace(WAN_LINK, loss_probability=0.2)
 
 
 def small_config(**overrides):
@@ -36,16 +41,12 @@ class TestConfigAndGraph:
         with pytest.raises(ValueError):
             ShardedConfig(total_nodes=10, epoch_s=0.0)
         with pytest.raises(ValueError):
-            ShardedConfig(total_nodes=10, loss_probability=1.0)
+            ShardedConfig(total_nodes=10,
+                          link=LinkParams(loss_probability=1.0))
 
-    def test_with_link_copies_the_four_link_fields(self):
-        from repro.net.link import SLOW_LINK
-
-        config = ShardedConfig.with_link(SLOW_LINK, total_nodes=50)
-        assert config.latency_s == SLOW_LINK.latency_s
-        assert config.jitter_s == SLOW_LINK.jitter_s
-        assert config.bandwidth_bps == SLOW_LINK.bandwidth_bps
-        assert config.loss_probability == SLOW_LINK.loss_probability
+    def test_config_holds_the_link_it_was_given(self):
+        assert ShardedConfig(total_nodes=50).link is WAN_LINK
+        assert ShardedConfig(total_nodes=50, link=SLOW_LINK).link is SLOW_LINK
 
     def test_graph_is_seed_deterministic(self):
         a = build_edges(small_config())
@@ -114,7 +115,8 @@ class TestPropagation:
     def test_lossy_links_slow_propagation(self):
         clean = ShardedPropagation(small_config()).run_with(0)
         lossy = ShardedPropagation(
-            small_config(loss_probability=0.3)).run_with(0)
+            small_config(link=dataclasses.replace(
+                WAN_LINK, loss_probability=0.3))).run_with(0)
         assert lossy.reached == 300
         assert lossy.percentile(95) > clean.percentile(95)
 
@@ -161,7 +163,7 @@ def configs_and_origins(draw):
         shards=draw(st.integers(1, min(6, total))),
         chords=draw(st.integers(0, 3)),
         epoch_s=draw(st.sampled_from([0.05, 0.3, 0.5, 2.0])),
-        loss_probability=draw(st.sampled_from([0.0, 0.2])),
+        link=draw(st.sampled_from([WAN_LINK, LOSSY_WAN])),
         seed=draw(st.integers(0, 2**16)),
     )
     return config, draw(st.integers(0, total - 1))
@@ -269,7 +271,7 @@ GOLDEN_RUNS = [
      ("91dbd1b5840ea447", 7, 1843)),
     (dict(total_nodes=600, shards=4, seed=5, chords=3, epoch_s=0.25),
      599, "msg:7", 1024, ("2ad3637a5d68d25d", 7, 5100)),
-    (dict(total_nodes=500, shards=5, seed=2, loss_probability=0.2),
+    (dict(total_nodes=500, shards=5, seed=2, link=LOSSY_WAN),
      123, "msg:1", None, ("1fda424a4b224954", 7, 3875)),
     (dict(total_nodes=400, shards=1, seed=9), 17, None, None,
      ("b9e4c5af05f081fe", 2, 0)),
@@ -278,7 +280,7 @@ GOLDEN_RUNS = [
     (dict(total_nodes=2, shards=2, seed=1, chords=0), 1, None, None,
      ("9c8bfd5400e94b7b", 3, 4)),
     (dict(total_nodes=2000, shards=6, seed=21, chords=1, epoch_s=0.1,
-          loss_probability=0.2), 1000, "msg:12", 4096,
+          link=LOSSY_WAN), 1000, "msg:12", 4096,
      ("e45ac4ff15383757", 17, 3342)),
 ]
 
