@@ -43,8 +43,8 @@ def run_weighted_election(weights=(55, 25, 20), seed=0):
     manager.open_election(account, root, [block_a, block_b])
     # Minority (25+20) backs B; majority (55) backs A.
     manager.record_conflict_vote(account, root, make_vote(reps[1], block_b))
-    manager.record_conflict_vote(account, root, make_vote(reps[2], block_b))
-    winner_after_minority = manager.election_for(account, root).winner
+    winner_after_minority = manager.record_conflict_vote(
+        account, root, make_vote(reps[2], block_b))
     winner = manager.record_conflict_vote(account, root, make_vote(reps[0], block_a))
     return winner_after_minority, winner, block_a, block_b, manager
 

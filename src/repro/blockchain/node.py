@@ -500,14 +500,7 @@ class BlockchainNode(ProtocolNode):
         on the other side of a healed partition adopt the heavier branch.
         """
         for block in self.chain.main_chain()[1:]:
-            self.broadcast(
-                Message(
-                    kind=MSG_BLOCK,
-                    payload=block,
-                    size_bytes=block.size_bytes,
-                    dedup_key=block.block_id,
-                )
-            )
+            self.broadcast(self._block_message(block))
 
     # ------------------------------------------------------------ production
 
@@ -744,14 +737,6 @@ class PosSlotDriver:
                 timestamp=simulator.now, proposer=proposer
             )
             node.receive_block(block)
-            node.transport.publish(
-                block,
-                Message(
-                    kind=MSG_BLOCK,
-                    payload=block,
-                    size_bytes=block.size_bytes,
-                    dedup_key=block.block_id,
-                ),
-            )
+            node.transport.publish(block, node._block_message(block))
 
         simulator.schedule_periodic(self.slot_interval_s, slot, until=until)

@@ -26,7 +26,6 @@ from repro.common.errors import ReproError, ValidationError
 from repro.common.types import Hash, TxId
 from repro.crypto.keys import KeyPair
 from repro.net.link import LinkParams
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.topology import complete_topology
 from repro.protocol import protocol_nodes
@@ -46,7 +45,7 @@ from repro.blockchain.wallet import AccountWallet, UtxoWallet
 from repro.dag.blocks import make_send
 from repro.dag.bootstrap import NanoTestbed, build_nano_testbed, fund_accounts
 from repro.dag.lattice import PendingInfo
-from repro.dag.node import MSG_NANO_BLOCK, NanoNode
+from repro.dag.node import NanoNode
 from repro.dag.params import NanoParams
 from repro.consensus.hotstuff import BftNode, BftPayment
 from repro.core.invariants import (
@@ -438,12 +437,7 @@ class DagLedger(Ledger):
             ))
         for i, block in enumerate(blocks):
             node = origins[(event.sender_index + i) % len(origins)]
-            message = Message(
-                kind=MSG_NANO_BLOCK,
-                payload=block,
-                size_bytes=block.size_bytes,
-                dedup_key=block.block_hash,
-            )
+            message = node.block_message(block)
             # Ingest at the victim replica, then flood from it so the
             # rest of the network (and its representatives) see the
             # conflict and an election resolves it.

@@ -38,20 +38,6 @@ MSG_NANO_BLOCK = "nano_block"
 MSG_NANO_VOTE = "nano_vote"
 
 
-@dataclass(frozen=True)
-class VotePayload:
-    """A vote on the wire, optionally bound to a conflict election."""
-
-    vote: Vote
-    #: For conflict votes: the contested (account, previous) root.
-    conflict_account: Optional[Address] = None
-    conflict_previous: Optional[Hash] = None
-
-    @property
-    def is_conflict_vote(self) -> bool:
-        return self.conflict_account is not None
-
-
 @dataclass
 class NanoNodeStats:
     blocks_processed: int = 0
@@ -251,9 +237,9 @@ class NanoNode(ProtocolNode):
         # sends) — without that, the rest of the network can never learn
         # the block and per-account heads diverge forever.
         self.ingest(block)
-        self.transport.publish(block, self._block_message(block))
+        self.transport.publish(block, self.block_message(block))
 
-    def _block_message(self, block: NanoBlock) -> Message:
+    def block_message(self, block: NanoBlock) -> Message:
         return Message(
             kind=MSG_NANO_BLOCK,
             payload=block,
@@ -299,7 +285,8 @@ class NanoNode(ProtocolNode):
         by the unchecked buffer.  Returns the number of blocks adopted.
         Raises :class:`GenesisMismatchError` when this replica's genesis
         is not the peer's (a node that never ran ``install_genesis``
-        would park every block forever).
+        would park every block forever).  The replica counts the peer's
+        online representatives as online, its quorum base for votes.
         """
         genesis = self.lattice.genesis_account
         if genesis is None or genesis != peer.lattice.genesis_account:
@@ -313,6 +300,7 @@ class NanoNode(ProtocolNode):
         # buffer's capacity never bounds what a replica can join.  The
         # skip guard re-checks membership at each block's turn — an
         # auto-receive minted mid-burst can collide with the peer's copy.
+        self.lattice.reps.adopt_online(peer.lattice.reps)
         before = self.stats.blocks_processed
         self.ingest_batch(peer.lattice.blocks_in_arrival_order(),
                           skip=lambda b: b.block_hash in self.lattice)
@@ -327,7 +315,8 @@ class NanoNode(ProtocolNode):
         account and the unsettled sends.  Returns chains installed.
         A replica with no genesis adopts the peer's; one whose genesis
         differs raises :class:`GenesisMismatchError` before anything is
-        installed.
+        installed.  Like ``bootstrap_from``, it adopts the peer's online
+        representatives.
         """
         genesis = self.lattice.genesis_account
         if genesis is not None and genesis != peer.lattice.genesis_account:
@@ -339,6 +328,7 @@ class NanoNode(ProtocolNode):
             info for info in peer.lattice._pending.values()  # noqa: SLF001
         ]
         installed = self.lattice.install_frontier(heads, pending)
+        self.lattice.reps.adopt_online(peer.lattice.reps)
         if genesis is None:
             self.lattice.genesis_account = peer.lattice.genesis_account
         wire_bytes = sum(h.size_bytes for h in heads)
@@ -351,14 +341,9 @@ class NanoNode(ProtocolNode):
     # ---------------------------------------------------------------- forks
 
     def _handle_fork(self, challenger: NanoBlock) -> None:
-        """Open an election between the applied successor and the
+        """Contest the root between the applied successor and the
         challenger (Section III-B: representatives resolve the conflict)."""
         self._conflict_buffer[challenger.block_hash] = challenger
-        if self.elections.is_confirmed(challenger.block_hash):
-            # Votes outran the block: the network already reached quorum
-            # on the challenger, so adopt it instead of electing.
-            self._adopt_confirmed(challenger.block_hash)
-            return
         incumbent = self._applied_successor(
             challenger.account, challenger.previous)
         candidates = [challenger.block_hash]
@@ -368,17 +353,21 @@ class NanoNode(ProtocolNode):
         self.elections.open_election(
             challenger.account, challenger.previous, candidates
         )
+        if self.elections.is_confirmed(challenger.block_hash):
+            # Votes outran the block: the network already reached quorum
+            # on the challenger, so adopt it now that it is in hand.
+            self._adopt_confirmed(challenger.block_hash)
+            return
         # A representative votes for the version it saw first — the one
         # already on its chain.
         if self.representative_key is not None and incumbent is not None:
             vote = self._make_vote(incumbent.block_hash)
-            payload = VotePayload(
-                vote=vote,
-                conflict_account=challenger.account,
-                conflict_previous=challenger.previous,
-            )
-            self._record_conflict_vote(payload)
-            self._broadcast_vote(payload)
+            confirmed = self.elections.is_confirmed(incumbent.block_hash)
+            winner = self.elections.record_conflict_vote(
+                challenger.account, challenger.previous, vote)
+            if not confirmed and winner == incumbent.block_hash:
+                self._on_confirmed(incumbent.block_hash)  # this vote did it
+            self._broadcast_vote(vote)
 
     # ---------------------------------------------------------------- votes
 
@@ -408,45 +397,45 @@ class NanoNode(ProtocolNode):
         if self.representative_key is None:
             return
         vote = self._make_vote(block.block_hash)
-        payload = VotePayload(vote=vote)
-        self._record_observation_vote(payload)
-        self._broadcast_vote(payload)
+        self._record_vote(vote)
+        self._broadcast_vote(vote)
 
-    def _broadcast_vote(self, payload: VotePayload) -> None:
+    def _broadcast_vote(self, vote: Vote) -> None:
         if self.network is None:
             return
         self.broadcast(
             Message(
                 kind=MSG_NANO_VOTE,
-                payload=payload,
-                size_bytes=payload.vote.size_bytes,
+                payload=vote,
+                size_bytes=vote.size_bytes,
                 dedup_key=None,
             )
         )
 
-    def _receive_vote(self, payload: VotePayload) -> None:
+    def _receive_vote(self, vote: Vote) -> None:
         self.stats.votes_heard += 1
-        if not payload.vote.verify():
-            return
-        if payload.is_conflict_vote:
-            self._record_conflict_vote(payload)
-        else:
-            self._record_observation_vote(payload)
+        if vote.verify():
+            self._record_vote(vote)
 
-    def _record_observation_vote(self, payload: VotePayload) -> None:
-        newly_confirmed = self.elections.record_observation_vote(payload.vote)
-        if newly_confirmed:
-            block_hash = payload.vote.block_hash
-            if self.network is not None:
-                self.confirmation_times[block_hash] = self.network.simulator.now
-            if block_hash not in self.lattice:
-                # Quorum confirmed a block we rejected as conflicting:
-                # the network chose the other fork branch — adopt it.
-                self._adopt_confirmed(block_hash)
-            if block_hash in self.lattice:
-                self.lattice.cement(block_hash)
+    def _record_vote(self, vote: Vote) -> None:
+        if self.elections.record_observation_vote(vote):
+            self._on_confirmed(vote.block_hash)
+
+    def _on_confirmed(self, block_hash: Hash) -> None:
+        """Cement a block that just reached quorum, or adopt it when it is
+        off this replica's chain."""
+        if self.network is not None:
+            self.confirmation_times[block_hash] = self.network.simulator.now
+        if block_hash in self.lattice:
+            self.lattice.cement(block_hash)
+        else:
+            # Quorum confirmed a block we rejected as conflicting (or have
+            # not seen yet): the network chose the other fork branch.
+            self._adopt_confirmed(block_hash)
 
     def _adopt_confirmed(self, winner: Hash) -> None:
+        """Adopt a confirmed block that is in hand, rolling back the block
+        this replica holds on its root; without the block, keep ours."""
         winning_block = self._conflict_buffer.get(winner)
         if winning_block is None:
             return
@@ -458,41 +447,8 @@ class NanoNode(ProtocolNode):
         # winner (a recipient's receive gossiped while we still held the
         # losing branch) must be retried, and auto-receive must fire.
         self.ingest_quietly(winning_block)
-
-    def _record_conflict_vote(self, payload: VotePayload) -> None:
-        assert payload.conflict_account is not None
-        assert payload.conflict_previous is not None
-        election = self.elections.election_for(
-            payload.conflict_account, payload.conflict_previous
-        )
-        if election is None:
-            election = self.elections.open_election(
-                payload.conflict_account,
-                payload.conflict_previous,
-                [payload.vote.block_hash],
-            )
-        election.add_candidate(payload.vote.block_hash)
-        winner = self.elections.record_conflict_vote(
-            payload.conflict_account, payload.conflict_previous, payload.vote
-        )
-        if winner is not None:
-            self._settle_election(
-                payload.conflict_account, payload.conflict_previous, winner
-            )
-
-    def _settle_election(
-        self, account: Address, contested_previous: Hash, winner: Hash
-    ) -> None:
-        """Adopt the winning block, rolling back a losing one if applied."""
         if winner in self.lattice:
-            return  # our chain already holds the winner
-        if not self._roll_back_successor(account, contested_previous):
-            return  # cemented: this replica keeps its version
-        winning_block = self._conflict_buffer.get(winner)
-        if winning_block is not None:
-            # Same intake path as gossip (see _adopt_confirmed): retries
-            # unchecked dependents of the winner and settles auto-receives.
-            self.ingest_quietly(winning_block)
+            self.lattice.cement(winner)
 
     def _roll_back_successor(
         self, account: Address, contested_previous: Hash

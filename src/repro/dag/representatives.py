@@ -66,6 +66,12 @@ class RepresentativeLedger:
             self._online.discard(representative)
             self._online_weight -= self._weights.get(representative, 0)
 
+    def adopt_online(self, peer: "RepresentativeLedger") -> None:
+        """Mark online every representative the peer counts online: a
+        replica that joins from a peer takes the peer's quorum base."""
+        for representative in peer._online:
+            self.set_online(representative)
+
     def is_online(self, representative: Address) -> bool:
         return representative in self._online
 

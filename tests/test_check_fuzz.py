@@ -216,8 +216,13 @@ PINNED_FINGERPRINTS = {
         "28972c3f1d9e2bb2caa7c30619bf574d87b5b4ed92417490329d11a8918f37ed",
     ("byzantine", "blockchain"):
         "9ae05337e7ee3fc16992f6d33b40bf7309bfa11332aebe4a7425525074f24427",
+    # Re-recorded when conflict votes joined the one vote tally: a
+    # replica that hears quorum for a tip it does not hold keeps its own
+    # tip until the winner arrives (it used to roll back at once and take
+    # a third tip meanwhile), and a conflict vote counts toward
+    # confirmation.  Audit clean; one tip per contested root everywhere.
     ("byzantine", "dag"):
-        "42801e8285d0db97d8e8fdc6e5aeb46656df6e97d2416fc44118dc156e70c6e5",
+        "593505188a160d30ca5485400679bbb09b6eb4a1c2e9eee4ee82594e78215a11",
     ("byzantine", "bft"):
         "e54a0cbe744631e50a3d42355e7676bcc82ec38f5169682a71f5bc4b03a10121",
     ("byzantine-violation", "blockchain"):

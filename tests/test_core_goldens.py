@@ -99,11 +99,15 @@ GOLDENS = {
         forks=12, reorgs=0, latencies="e53abf06b995e42e",
         size=5800, balances=[998761, 999521, 1000353, 1001365],
     ),
+    # Re-recorded when conflict votes joined the one vote tally: a
+    # representative's vote in a contested root now counts toward its
+    # candidate's confirmation, so replicas confirm (and adopt) the
+    # winner a few ms earlier; the state and balances are unchanged.
     "nano-spam-pruned": dict(
         state_digest="9b43e29877990c7788da9359d83354ae189d3813fbdfc64bf3a9992074ba3e84",
-        trace="ffe773547b5065a18fb8021e983e2ab70f2bce1d36aa3abb17b77d69c213b23c",
+        trace="d65fac0af467ee48b4dfe3831c71a03f9a87d609ff4be75d1523aa06abf86f88",
         conflicts=[2, 3], created=8, confirmed=8,
-        forks=12, reorgs=0, latencies="17ec980edaea87db",
+        forks=12, reorgs=0, latencies="e52f3c58312281f7",
         size=1160, balances=[998761, 999444, 1000353, 1001442],
     ),
     "hotstuff-equivocator": dict(

@@ -11,11 +11,28 @@ from repro.crypto.keys import KeyPair, clear_sigcache, sigcache_counters
 from repro.net.link import LinkParams
 from repro.dag.blocks import NanoBlock, make_send
 from repro.dag.bootstrap import build_nano_testbed, fund_accounts
-from repro.dag.node import NanoNode
+from repro.dag.node import MSG_NANO_VOTE, NanoNode
 from repro.dag.params import NanoParams
+from repro.dag.voting import Vote
+from repro.net.message import Message
 
 
 LINK = LinkParams(latency_s=0.05, jitter_s=0.02)
+
+
+def vote_message(rep, block_hash, sequence=1):
+    """A representative's signed vote for ``block_hash`` on the wire."""
+    unsigned = Vote(rep.address, block_hash, sequence, rep.public_key)
+    vote = replace(unsigned, signature=rep.sign(unsigned.signed_payload()))
+    return Message(kind=MSG_NANO_VOTE, payload=vote,
+                   size_bytes=vote.size_bytes, dedup_key=None)
+
+
+def hear_quorum(tb, node, block_hash):
+    """Deliver every testbed representative's vote for ``block_hash``."""
+    for rep in tb.representatives:
+        node.handle_message("voter", vote_message(rep, block_hash))
+    assert node.is_confirmed(block_hash)
 
 
 @pytest.fixture
@@ -373,10 +390,10 @@ class TestOfflineRepublish:
 
 
 class TestElectionAdoptionRetriesUnchecked:
-    def test_settle_election_drains_parked_dependents(self, funded):
+    def test_adoption_drains_parked_dependents(self, funded):
         """A receive gossiped while this replica still held the losing
         fork branch parks in the unchecked buffer keyed on the winning
-        send.  Settling the election must route the winner through the
+        send.  Adopting the confirmed winner must route it through the
         normal intake path so the parked receive is retried — adopting
         via lattice.process directly left it parked forever (found by
         `repro fuzz`, conflict profile)."""
@@ -401,11 +418,73 @@ class TestElectionAdoptionRetriesUnchecked:
         replica.ingest(receive)  # source missing -> parked
         assert receive.block_hash not in replica.lattice
 
-        replica._conflict_buffer[winner.block_hash] = winner
-        replica._settle_election(u0.address, head.block_hash, winner.block_hash)
+        hear_quorum(tb, replica, winner.block_hash)
+        replica.ingest(winner)  # the fork: adopted, being confirmed
         assert winner.block_hash in replica.lattice
         assert receive.block_hash in replica.lattice
         assert replica.balance(u1.address) == 100_500
+
+
+class TestVotesOutrunTheWinningBlock:
+    def test_incumbent_stays_until_the_winner_arrives(self, funded):
+        """A replica holding A hears quorum for B before block B: with
+        nothing to adopt it keeps A; when B arrives it rolls A back,
+        adopts B and cements it."""
+        tb, users = funded
+        u0, u1, u2 = users[0], users[1], users[2]
+        wallet = tb.node_for(u0.address)
+        u0_key = wallet.local_accounts[u0.address]
+        head = wallet.lattice.chain(u0.address).head
+        block_a = make_send(u0_key, head, u1.address, 700, work_difficulty=1)
+        block_b = make_send(u0_key, head, u2.address, 700, work_difficulty=1)
+
+        # A replica holding none of the three keys: no auto-receive
+        # builds on A, so A is the only block the adoption rolls back.
+        replica = next(n for n in tb.nodes if not {
+            u0.address, u1.address, u2.address} & set(n.local_accounts))
+        replica.set_online(False)  # isolate: drive its ledger directly
+        replica.ingest(block_a)
+        hear_quorum(tb, replica, block_b.block_hash)
+        assert block_a.block_hash in replica.lattice
+        assert block_b.block_hash not in replica.lattice
+        assert replica.stats.rollbacks == 0
+
+        replica.ingest(block_b)
+        assert block_a.block_hash not in replica.lattice
+        assert block_b.block_hash in replica.lattice
+        assert replica.lattice.is_cemented(block_b.block_hash)
+        assert replica.stats.rollbacks == 1
+        assert replica.elections.elections_concluded == 1
+
+
+class TestJoinerQuorumBase:
+    @pytest.mark.parametrize("join", ["bootstrap_from", "state_sync_from"])
+    def test_joiner_confirms_only_at_quorum_of_online_weight(self, funded, join):
+        """A joined replica counts the peer's online representatives as
+        its quorum base: a block confirms once their votes pass quorum,
+        not on the first vote heard."""
+        tb, users = funded
+        peer = tb.nodes[0]
+        joiner = NanoNode("joiner", peer.params)
+        if join == "bootstrap_from":
+            joiner.lattice.install_genesis(
+                peer.lattice.chain(peer.lattice.genesis_account).blocks[0])
+        getattr(joiner, join)(peer)
+        reps = peer.lattice.reps
+        online = reps.online_weight()
+        assert joiner.lattice.reps.online_weight() == online > 0
+
+        block = joiner.lattice.chain(users[0].address).head
+        voters = sorted(tb.representatives, key=lambda k: reps.weight(k.address))
+        voted = 0
+        for rep in voters:
+            assert not joiner.is_confirmed(block.block_hash)
+            joiner.handle_message("voter", vote_message(rep, block.block_hash))
+            voted += reps.weight(rep.address)
+            assert joiner.is_confirmed(block.block_hash) == (
+                voted > online * peer.params.quorum_fraction)
+        assert joiner.is_confirmed(block.block_hash)
+        assert joiner.lattice.is_cemented(block.block_hash)
 
 
 class TestBootstrapFromAReshapedPeer:
@@ -439,8 +518,8 @@ class TestBootstrapFromAReshapedPeer:
         peer.ingest(loser)
         peer.ingest(make_receive(key[u2.address], peer.lattice.chain(u2.address).head,
                                  loser.block_hash, 500, work_difficulty=1))
-        peer._conflict_buffer[winner.block_hash] = winner
-        peer._settle_election(u0.address, head.block_hash, winner.block_hash)
+        hear_quorum(tb, peer, winner.block_hash)
+        peer.ingest(winner)  # the fork: adopted, being confirmed
         assert loser.block_hash not in peer.lattice
         # Re-append on both chains the rollback shortened.
         peer.ingest(make_receive(key[u1.address], peer.lattice.chain(u1.address).head,

@@ -6,7 +6,7 @@ from repro.common.errors import ValidationError
 from repro.common.types import Hash
 from repro.crypto.keys import KeyPair
 from repro.dag.representatives import RepresentativeLedger
-from repro.dag.voting import Election, ElectionManager, Vote
+from repro.dag.voting import ElectionManager, Vote
 
 
 def make_vote(rep_keypair, block_hash, sequence=1):
@@ -60,57 +60,113 @@ class TestVote:
         assert not replace(vote, block_hash=BLOCK_B).verify()
 
 
+ROOT = Hash(b"\x01" * 32)
+
+
+@pytest.fixture
+def contested(weighted_world, rng):
+    """A manager at quorum 0.5 with A and B contesting one root."""
+    ledger, reps = weighted_world
+    manager = ElectionManager(ledger, quorum_fraction=0.5)
+    account = KeyPair.generate(rng).address
+    manager.open_election(account, ROOT, [BLOCK_A, BLOCK_B])
+    return manager, account, reps
+
+
 class TestElection:
-    def test_weighted_tally(self, weighted_world, rng):
-        ledger, reps = weighted_world
-        account = KeyPair.generate(rng).address
-        election = Election(root=(account, Hash.zero()))
-        election.add_candidate(BLOCK_A)
-        election.add_candidate(BLOCK_B)
-        election.record(make_vote(reps[0], BLOCK_A))
-        election.record(make_vote(reps[1], BLOCK_B))
-        election.record(make_vote(reps[2], BLOCK_B))
-        totals = election.tally(ledger)
-        assert totals[BLOCK_A] == 50 and totals[BLOCK_B] == 50
+    """A conflict is a contested root in the one tally."""
 
-    def test_quorum_decides_winner(self, weighted_world, rng):
-        ledger, reps = weighted_world
-        account = KeyPair.generate(rng).address
-        election = Election(root=(account, Hash.zero()))
-        election.add_candidate(BLOCK_A)
-        election.add_candidate(BLOCK_B)
-        election.record(make_vote(reps[0], BLOCK_A))  # 50 <= 50: no quorum
-        assert election.try_conclude(ledger, 0.5) is None
-        election.record(make_vote(reps[2], BLOCK_A))  # 70 > 50: quorum
-        assert election.try_conclude(ledger, 0.5) == BLOCK_A
+    def test_weighted_tally(self, contested):
+        manager, account, reps = contested
+        manager.record_conflict_vote(account, ROOT, make_vote(reps[0], BLOCK_A))
+        manager.record_conflict_vote(account, ROOT, make_vote(reps[1], BLOCK_B))
+        manager.record_conflict_vote(account, ROOT, make_vote(reps[2], BLOCK_B))
+        assert manager.confirmation_weight(BLOCK_A) == 50
+        assert manager.confirmation_weight(BLOCK_B) == 50
 
-    def test_rep_can_switch_with_higher_sequence(self, weighted_world, rng):
-        ledger, reps = weighted_world
-        account = KeyPair.generate(rng).address
-        election = Election(root=(account, Hash.zero()))
-        election.add_candidate(BLOCK_A)
-        election.add_candidate(BLOCK_B)
-        election.record(make_vote(reps[0], BLOCK_A, sequence=1))
-        election.record(make_vote(reps[0], BLOCK_B, sequence=2))
-        assert election.tally(ledger)[BLOCK_B] == 50
+    def test_quorum_decides_winner(self, contested):
+        manager, account, reps = contested
+        # 50 <= 50: no quorum
+        assert manager.record_conflict_vote(
+            account, ROOT, make_vote(reps[0], BLOCK_A)) is None
+        # 70 > 50: quorum
+        assert manager.record_conflict_vote(
+            account, ROOT, make_vote(reps[2], BLOCK_A)) == BLOCK_A
 
-    def test_stale_sequence_ignored(self, weighted_world, rng):
-        ledger, reps = weighted_world
-        account = KeyPair.generate(rng).address
-        election = Election(root=(account, Hash.zero()))
-        election.add_candidate(BLOCK_A)
-        election.add_candidate(BLOCK_B)
-        election.record(make_vote(reps[0], BLOCK_B, sequence=5))
-        assert not election.record(make_vote(reps[0], BLOCK_A, sequence=4))
-        assert election.tally(ledger)[BLOCK_B] == 50
+    def test_rep_can_switch_with_higher_sequence(self, contested):
+        manager, account, reps = contested
+        manager.record_conflict_vote(account, ROOT, make_vote(reps[0], BLOCK_A, sequence=1))
+        manager.record_conflict_vote(account, ROOT, make_vote(reps[0], BLOCK_B, sequence=2))
+        assert manager.confirmation_weight(BLOCK_B) == 50
+        assert manager.confirmation_weight(BLOCK_A) == 0
+
+    def test_stale_sequence_ignored(self, contested):
+        manager, account, reps = contested
+        manager.record_conflict_vote(account, ROOT, make_vote(reps[0], BLOCK_B, sequence=5))
+        assert not manager.record_observation_vote(
+            make_vote(reps[0], BLOCK_A, sequence=4))
+        assert manager.confirmation_weight(BLOCK_B) == 50
+        assert manager.confirmation_weight(BLOCK_A) == 0
 
     def test_vote_for_unknown_candidate_rejected(self, weighted_world, rng):
         ledger, reps = weighted_world
+        manager = ElectionManager(ledger, 0.5)
         account = KeyPair.generate(rng).address
-        election = Election(root=(account, Hash.zero()))
-        election.add_candidate(BLOCK_A)
+        manager.open_election(account, ROOT, [BLOCK_A])
         with pytest.raises(ValidationError):
-            election.record(make_vote(reps[0], BLOCK_B))
+            manager.record_conflict_vote(account, ROOT, make_vote(reps[0], BLOCK_B))
+
+    def test_a_representative_backs_one_candidate_per_root(self, contested):
+        """A vote for B withdraws the same representative's earlier vote
+        for A, so A cannot be confirmed on that weight: 50 moved to B,
+        and A's 20 is no quorum (a tally per hash kept both, 70 > 50)."""
+        manager, _account, reps = contested
+        manager.record_observation_vote(make_vote(reps[0], BLOCK_A, sequence=1))
+        manager.record_observation_vote(make_vote(reps[0], BLOCK_B, sequence=2))
+        assert not manager.record_observation_vote(make_vote(reps[2], BLOCK_A))
+        assert not manager.is_confirmed(BLOCK_A)
+        assert manager.confirmation_weight(BLOCK_A) == 20
+        assert manager.confirmation_weight(BLOCK_B) == 50
+
+    def test_root_opened_over_tallies_keeps_highest_sequence(self, weighted_world, rng):
+        """Votes by hash arrive before the fork is seen; opening the root
+        keeps each representative's highest-sequence vote only."""
+        ledger, reps = weighted_world
+        manager = ElectionManager(ledger, 0.5)
+        manager.record_observation_vote(make_vote(reps[1], BLOCK_A, sequence=1))
+        manager.record_observation_vote(make_vote(reps[1], BLOCK_B, sequence=2))
+        manager.record_observation_vote(make_vote(reps[2], BLOCK_A, sequence=3))
+        assert manager.confirmation_weight(BLOCK_A) == 50
+        manager.open_election(KeyPair.generate(rng).address, ROOT, [BLOCK_A, BLOCK_B])
+        assert manager.confirmation_weight(BLOCK_A) == 20
+        assert manager.confirmation_weight(BLOCK_B) == 30
+        # rep 1 already backs B at sequence 2: an older vote for A is stale.
+        assert not manager.record_observation_vote(make_vote(reps[1], BLOCK_A, sequence=1))
+        assert manager.confirmation_weight(BLOCK_A) == 20
+
+    def test_decided_root_confirms_no_other_candidate(self, contested):
+        manager, account, reps = contested
+        manager.record_conflict_vote(account, ROOT, make_vote(reps[0], BLOCK_A))
+        assert manager.record_conflict_vote(
+            account, ROOT, make_vote(reps[2], BLOCK_A)) == BLOCK_A
+        for rep in reps:
+            assert manager.record_conflict_vote(
+                account, ROOT, make_vote(rep, BLOCK_B, sequence=9)) == BLOCK_A
+        assert not manager.is_confirmed(BLOCK_B)
+        assert manager.elections_concluded == 1
+
+    def test_confirmed_candidate_decides_the_root_it_joins(self, weighted_world, rng):
+        """Votes outran the fork: A is confirmed by hash first, then the
+        root opens with A in it and is decided from the start."""
+        ledger, reps = weighted_world
+        manager = ElectionManager(ledger, 0.5)
+        account = KeyPair.generate(rng).address
+        manager.record_observation_vote(make_vote(reps[0], BLOCK_A))
+        assert manager.record_observation_vote(make_vote(reps[1], BLOCK_A))
+        manager.open_election(account, ROOT, [BLOCK_B, BLOCK_A])
+        assert (manager.elections_started, manager.elections_concluded) == (1, 1)
+        assert manager.record_conflict_vote(
+            account, ROOT, make_vote(reps[2], BLOCK_B)) == BLOCK_A
 
 
 class TestElectionManager:
@@ -137,11 +193,13 @@ class TestElectionManager:
         manager = ElectionManager(ledger, 0.5)
         account = KeyPair.generate(rng).address
         root = Hash(b"\x01" * 32)
-        e1 = manager.open_election(account, root, [BLOCK_A])
-        e2 = manager.open_election(account, root, [BLOCK_B])
-        assert e1 is e2
-        assert e1.candidates == {BLOCK_A, BLOCK_B}
+        manager.open_election(account, root, [BLOCK_A])
+        manager.open_election(account, root, [BLOCK_B, BLOCK_A])
         assert manager.elections_started == 1
+        # Both are candidates of the one root: each takes a vote.
+        for rep, block in ((reps[1], BLOCK_A), (reps[2], BLOCK_B)):
+            manager.record_conflict_vote(account, root, make_vote(rep, block))
+            assert manager.confirmation_weight(block) == ledger.weight(rep.address)
 
     def test_vote_without_election_rejected(self, weighted_world, rng):
         ledger, reps = weighted_world
@@ -198,3 +256,13 @@ class TestConfirmation:
         manager = ElectionManager(ledger, 0.5)
         # Online base is 50; rep1's 30 > 25 confirms alone.
         assert manager.record_observation_vote(make_vote(reps[1], BLOCK_A))
+
+    def test_nothing_confirms_without_online_weight(self, weighted_world):
+        ledger, reps = weighted_world
+        for rep in reps:
+            ledger.set_online(rep.address, online=False)
+        manager = ElectionManager(ledger, 0.5)
+        for rep in reps:
+            assert not manager.record_observation_vote(make_vote(rep, BLOCK_A))
+        assert not manager.is_confirmed(BLOCK_A)
+        assert manager.confirmation_confidence(BLOCK_A) == 0.0
